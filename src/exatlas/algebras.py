@@ -3,15 +3,20 @@
 The tower R -> C -> H -> O -> sedenions with exact rational coefficients.
 Products, conjugation, norms and inverses all run off structure-constant
 tables, so the same machinery serves the Jordan algebras downstream.
+The tables' scaled-integer form (``_structure_tensor``) drives the
+batched identity sweeps and the derivation engine.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .linalg import Rational
 
@@ -20,6 +25,11 @@ DEFAULT_SEED = 1729
 
 #: Coefficients for random elements are drawn uniformly from this range.
 RANDOM_COEFF_SPAN = 9
+
+_INT_BOUND = 1 << 20  # per-entry cap keeping every int64 contraction exact
+
+#: Rows per einsum in ``batch_multiply``; bounds the memory of one call.
+_BATCH_ROWS = 256
 
 
 class AlgebraMismatchError(ValueError):
@@ -205,6 +215,90 @@ class AlgebraElement:
             terms.append(str(c) if k == 0 else f"{c}*e{k}")
         body = " + ".join(terms) if terms else "0"
         return f"{self.algebra.name}({body})"
+
+
+# ---------------------------------------------------------------------------
+# scaled-integer structure constants
+# ---------------------------------------------------------------------------
+
+def _scaled_int_array(values, shape) -> tuple[np.ndarray, int]:
+    """Common-denominator integer form of a nested rational array."""
+    flat = list(values)
+    scale = 1
+    for v in flat:
+        if isinstance(v, Fraction):
+            scale = math.lcm(scale, v.denominator)
+    arr = np.array([int(v * scale) for v in flat], dtype=np.int64).reshape(shape)
+    if abs(int(arr.max(initial=0))) >= _INT_BOUND or abs(int(arr.min(initial=0))) >= _INT_BOUND:
+        raise OverflowError("entries too large for the int64 fast path")
+    return arr, scale
+
+
+def _max_abs(arr: np.ndarray) -> int:
+    return int(np.abs(arr).max(initial=0))
+
+
+def _guard_contraction(sum_terms: int, *arrays: np.ndarray) -> None:
+    """Every int64 contraction must provably fit; wraparound would be silent."""
+    bound = sum_terms
+    for a in arrays:
+        bound *= max(_max_abs(a), 1)
+    if bound >= 2**62:
+        raise OverflowError("integer contraction could overflow int64")
+
+
+def _structure_tensor(algebra: FiniteAlgebra) -> tuple[np.ndarray, int]:
+    """Integer tensor C' and scale s with C'[i, j, k] = s * c_ijk."""
+    n = algebra.dim
+    vals = []
+    for i in range(n):
+        for j in range(n):
+            row = [0] * n
+            for k, c in algebra.products[i][j]:
+                row[k] = c
+            vals.extend(row)
+    return _scaled_int_array(vals, (n, n, n))
+
+
+def batch_multiply(tensor: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise products of two (batch, dim) integer coordinate arrays.
+
+    Row b of the result is sum_ij x[b, i] y[b, j] tensor[i, j, :], so a
+    tensor scaled by s returns s times the product.  Each block of rows
+    runs in int64 when ``_guard_contraction`` proves the bound and on
+    Python ints (dtype=object) otherwise, so the result is always exact.
+    """
+    n = tensor.shape[0]
+    blocks = []
+    for start in range(0, x.shape[0], _BATCH_ROWS):
+        xb = x[start : start + _BATCH_ROWS]
+        yb = y[start : start + _BATCH_ROWS]
+        try:
+            _guard_contraction(n * n, tensor, xb, yb)
+            blocks.append(np.einsum(
+                "bi,bj,ijk->bk", xb.astype(np.int64), yb.astype(np.int64), tensor
+            ))
+        except OverflowError:
+            blocks.append(np.einsum(
+                "bi,bj,ijk->bk", xb.astype(object), yb.astype(object), tensor.astype(object)
+            ))
+    if not blocks:
+        return np.zeros((0, n), dtype=np.int64)
+    return np.concatenate(blocks)
+
+
+def batch_norms(algebra: FiniteAlgebra, tensor: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Scalar part of conj(x) x for each row of x, as Python ints.
+
+    With the tensor scaled by s this is s times the norm.  Raises
+    ArithmeticError, as ``AlgebraElement.norm`` does, when a product is
+    not scalar.
+    """
+    signs = np.array(algebra.conjugate_coords((1,) * algebra.dim), dtype=np.int64)
+    prod = batch_multiply(tensor, x * signs, x)
+    if np.any(prod[:, 1:]):
+        raise ArithmeticError("conjugate-product is not scalar; broken table")
+    return prod[:, 0].astype(object)
 
 
 # ---------------------------------------------------------------------------

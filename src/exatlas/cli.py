@@ -17,6 +17,8 @@ import sys
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import algebras as alg
 from . import catalog as cat
 from . import jordan as jrd
@@ -97,70 +99,99 @@ def _heavy_lie(name: str, budget: Budget) -> lie.LieAlgebraBasis:
 # verification suites
 # ---------------------------------------------------------------------------
 
+# The batched sweeps draw their samples row by row in the order of the
+# per-element loops (x then y per pair) and check them on the scaled
+# structure tensor C' = sC, where an m-fold product carries s^m on both
+# sides of each identity.
+
+def _random_rows(rng: random.Random, count: int, dim: int) -> np.ndarray:
+    """count x dim coordinates in [-span, span], drawn as random_element draws them."""
+    span = alg.RANDOM_COEFF_SPAN
+    return np.array(
+        [rng.randint(-span, span) for _ in range(max(count, 0) * dim)], dtype=np.int64
+    ).reshape(-1, dim)
+
+
+def _associator_rows(c: np.ndarray, x, y, z) -> np.ndarray:
+    # each product is guarded below 2^62, so the difference fits int64
+    mul = alg.batch_multiply
+    return mul(c, mul(c, x, y), z) - mul(c, x, mul(c, y, z))
+
+
+def _composition_failures(a: alg.FiniteAlgebra, rng: random.Random, pairs: int) -> int:
+    """Random pairs with N(xy) != N(x) N(y)."""
+    c, s = alg._structure_tensor(a)
+    rows = _random_rows(rng, 2 * pairs, a.dim)
+    x, y = rows[0::2], rows[1::2]
+    n_xy = alg.batch_norms(a, c, alg.batch_multiply(c, x, y))  # s^3 N(xy)
+    return int(np.count_nonzero(n_xy != s * alg.batch_norms(a, c, x) * alg.batch_norms(a, c, y)))
+
+
+def _alternativity_failures(a: alg.FiniteAlgebra, rng: random.Random, pairs: int) -> int:
+    """Random pairs with (x, x, y) or (x, y, y) a nonzero associator."""
+    c, _ = alg._structure_tensor(a)
+    rows = _random_rows(rng, 2 * pairs, a.dim)
+    x, y = rows[0::2], rows[1::2]
+    bad = np.any(_associator_rows(c, x, x, y), axis=1) | np.any(
+        _associator_rows(c, x, y, y), axis=1
+    )
+    return int(np.count_nonzero(bad))
+
+
+def _antisymmetry_failures(a: alg.FiniteAlgebra, rng: random.Random, triples: int) -> int:
+    """(triple, permutation) cases where the associator does not pick up the sign."""
+    c, _ = alg._structure_tensor(a)
+    rows = _random_rows(rng, 3 * triples, a.dim)
+    t = (rows[0::3], rows[1::3], rows[2::3])
+    base = _associator_rows(c, *t)
+    bad = 0
+    for perm in itertools.permutations(range(3)):
+        got = _associator_rows(c, t[perm[0]], t[perm[1]], t[perm[2]])
+        bad += int(np.count_nonzero(np.any(got != _perm_sign(perm) * base, axis=1)))
+    return bad
+
+
+def _associator_failures(a: alg.FiniteAlgebra, rng: random.Random, triples: int) -> int:
+    """Random triples with a nonzero associator."""
+    c, _ = alg._structure_tensor(a)
+    rows = _random_rows(rng, 3 * triples, a.dim)
+    assoc = _associator_rows(c, rows[0::3], rows[1::3], rows[2::3])
+    return int(np.count_nonzero(np.any(assoc, axis=1)))
+
+
 def _suite_algebras(seed: int, pairs: int, jordan_pairs: int, budget: Budget) -> VerificationReport:
     r = SuiteRunner("algebras")
-
-    def composition_violations(dim: int) -> int:
-        a = alg.cayley_dickson_algebra(dim)
-        rng = random.Random(seed + dim)
-        bad = 0
-        for _ in range(pairs):
-            x = alg.random_element(a, rng)
-            y = alg.random_element(a, rng)
-            if (x * y).norm() != x.norm() * y.norm():
-                bad += 1
-        return bad
+    cd = alg.cayley_dickson_algebra
+    triples = max(pairs // 5, 20)
 
     for dim in (1, 2, 4, 8):
-        r.check(f"composition-law-dim{dim}", 0, lambda d=dim: composition_violations(d))
+        r.check(
+            f"composition-law-dim{dim}",
+            0,
+            lambda d=dim: _composition_failures(cd(d), random.Random(seed + d), pairs),
+        )
 
     def witness_violates() -> bool:
         x, y = alg.sedenion_composition_witness()
         return (x * y).norm() != x.norm() * y.norm()
 
     r.check("sedenion-composition-witness", True, witness_violates)
-
-    def alternativity_violations() -> int:
-        o = alg.octonions()
-        rng = random.Random(seed + 31)
-        bad = 0
-        for _ in range(pairs):
-            x = alg.random_element(o, rng)
-            y = alg.random_element(o, rng)
-            if not alg.associator(x, x, y).is_zero() or not alg.associator(x, y, y).is_zero():
-                bad += 1
-        return bad
-
-    r.check("alternativity-octonions", 0, alternativity_violations)
-
-    def antisymmetry_violations() -> int:
-        o = alg.octonions()
-        rng = random.Random(seed + 37)
-        bad = 0
-        for _ in range(max(pairs // 5, 20)):
-            t = [alg.random_element(o, rng) for _ in range(3)]
-            base = alg.associator(*t)
-            for perm in itertools.permutations(range(3)):
-                sign = _perm_sign(perm)
-                got = alg.associator(t[perm[0]], t[perm[1]], t[perm[2]])
-                if got != (sign * base if sign == 1 else -base):
-                    bad += 1
-        return bad
-
-    r.check("associator-antisymmetry-octonions", 0, antisymmetry_violations)
-
-    def associative_violations(dim: int) -> int:
-        a = alg.cayley_dickson_algebra(dim)
-        rng = random.Random(seed + 41 + dim)
-        bad = 0
-        for _ in range(max(pairs // 5, 20)):
-            t = [alg.random_element(a, rng) for _ in range(3)]
-            if not alg.associator(*t).is_zero():
-                bad += 1
-        return bad
-
+    r.check(
+        "alternativity-octonions",
+        0,
+        lambda: _alternativity_failures(alg.octonions(), random.Random(seed + 31), pairs),
+    )
+    r.check(
+        "associator-antisymmetry-octonions",
+        0,
+        lambda: _antisymmetry_failures(alg.octonions(), random.Random(seed + 37), triples),
+    )
     for dim in (1, 2, 4):
-        r.check(f"associator-vanishes-dim{dim}", 0, lambda d=dim: associative_violations(d))
+        r.check(
+            f"associator-vanishes-dim{dim}",
+            0,
+            lambda d=dim: _associator_failures(cd(d), random.Random(seed + 41 + d), triples),
+        )
 
     def inverse_violations(dim: int) -> int:
         a = alg.cayley_dickson_algebra(dim)
@@ -188,14 +219,8 @@ def _suite_algebras(seed: int, pairs: int, jordan_pairs: int, budget: Budget) ->
 
     def jordan_violations(key: str) -> int:
         j = jrd.jordan_algebra(jordan_algebras[key]())
-        rng = random.Random(seed + 101)
-        bad = 0
-        for _ in range(jordan_pairs):
-            x = j.from_coords(tuple(rng.randint(-9, 9) for _ in range(j.dim)))
-            y = j.from_coords(tuple(rng.randint(-9, 9) for _ in range(j.dim)))
-            if not jrd.jordan_identity_defect(x, y).is_zero():
-                bad += 1
-        return bad
+        rows = _random_rows(random.Random(seed + 101), 2 * jordan_pairs, j.dim)
+        return jrd.jordan_identity_failures(j, rows[0::2], rows[1::2])
 
     for key in jordan_algebras:
         r.check(f"jordan-identity-{key}", 0, lambda k=key: jordan_violations(k))

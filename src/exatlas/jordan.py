@@ -13,7 +13,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .algebras import AlgebraElement, AlgebraMismatchError, FiniteAlgebra
+import numpy as np
+
+from .algebras import (
+    AlgebraElement,
+    AlgebraMismatchError,
+    FiniteAlgebra,
+    _structure_tensor,
+    batch_multiply,
+)
 from .linalg import Rational, RationalMatrix, is_positive_definite
 
 #: Off-diagonal slots in basis order: (row, col) above the diagonal.
@@ -244,6 +252,20 @@ def jordan_identity_defect(x: HermitianMatrix3, y: HermitianMatrix3) -> Hermitia
     return jordan_product(x2, jordan_product(x, y)) - jordan_product(
         x, jordan_product(x2, y)
     )
+
+
+def jordan_identity_failures(j: JordanAlgebra, x: np.ndarray, y: np.ndarray) -> int:
+    """Number of rows b where the Jordan identity fails for (x[b], y[b]).
+
+    x and y are (batch, dim) integer coordinate arrays.  The product runs
+    on the scaled structure tensor C' = sC, so both sides of the identity
+    carry s^3 and are compared as they are.
+    """
+    c, _ = _structure_tensor(j)
+    xx = batch_multiply(c, x, x)
+    lhs = batch_multiply(c, xx, batch_multiply(c, x, y))
+    rhs = batch_multiply(c, x, batch_multiply(c, xx, y))
+    return int(np.count_nonzero(np.any(lhs != rhs, axis=1)))
 
 
 def sedenion_jordan_witness() -> tuple[HermitianMatrix3, HermitianMatrix3]:

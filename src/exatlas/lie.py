@@ -23,6 +23,7 @@ import numpy as np
 
 from . import algebras as _alg
 from . import jordan as _jordan
+from .algebras import _guard_contraction, _scaled_int_array, _structure_tensor
 from .linalg import (
     CancelToken,
     DimensionError,
@@ -31,8 +32,6 @@ from .linalg import (
     nullspace_with_info,
     nullspace_of_rows,
 )
-
-_INT_BOUND = 1 << 20  # per-entry cap keeping every int64 contraction exact
 
 
 class InvalidInvolutionError(ValueError):
@@ -62,54 +61,12 @@ class Involution:
         return cls(algebra, matrix)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
-def _scaled_int_array(values, shape) -> tuple[np.ndarray, int]:
-    """Common-denominator integer form of a nested rational array."""
-    flat = list(values)
-    scale = 1
-    for v in flat:
-        if isinstance(v, Fraction):
-            scale = _lcm(scale, v.denominator)
-    arr = np.array([int(v * scale) for v in flat], dtype=np.int64).reshape(shape)
-    if abs(int(arr.max(initial=0))) >= _INT_BOUND or abs(int(arr.min(initial=0))) >= _INT_BOUND:
-        raise OverflowError("entries too large for the int64 fast path")
-    return arr, scale
-
-
-def _max_abs(arr: np.ndarray) -> int:
-    return int(np.abs(arr).max(initial=0))
-
-
-def _guard_contraction(sum_terms: int, *arrays: np.ndarray) -> None:
-    """Every int64 contraction must provably fit; wraparound would be silent."""
-    bound = sum_terms
-    for a in arrays:
-        bound *= max(_max_abs(a), 1)
-    if bound >= 2**62:
-        raise OverflowError("integer contraction could overflow int64")
-
-
-def _structure_tensor(algebra: _alg.FiniteAlgebra) -> tuple[np.ndarray, int]:
-    n = algebra.dim
-    vals = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * n
-            for k, c in algebra.products[i][j]:
-                row[k] = c
-            vals.extend(row)
-    return _scaled_int_array(vals, (n, n, n))
-
-
 # ---------------------------------------------------------------------------
 # Leibniz constraint system
 # ---------------------------------------------------------------------------
 
-def _leibniz_row_items(algebra: _alg.FiniteAlgebra, ordered: bool):
-    """Yield one normalized integer equation per (pair, output coordinate).
+def _leibniz_row_items(algebra: _alg.FiniteAlgebra):
+    """Yield one normalized integer equation per (pair i <= j, output coordinate).
 
     Unknowns are the n^2 entries of D (row-major; D acts on coordinate
     columns).  Identically-zero equations are yielded as empty lists so
@@ -124,11 +81,7 @@ def _leibniz_row_items(algebra: _alg.FiniteAlgebra, ordered: bool):
                 right[b][k].append((a, c))
                 left[a][k].append((b, c))
 
-    if ordered:
-        pairs = [(i, j) for i in range(n) for j in range(n)]
-    else:
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
     for i, j in pairs:
         prod = algebra.products[i][j]
         for k in range(n):
@@ -149,7 +102,7 @@ def _leibniz_row_items(algebra: _alg.FiniteAlgebra, ordered: bool):
             den = 1
             for _, v in nz:
                 if isinstance(v, Fraction):
-                    den = _lcm(den, v.denominator)
+                    den = math.lcm(den, v.denominator)
             ints = [(pos, int(v * den)) for pos, v in nz]
             g = 0
             for _, v in ints:
@@ -160,16 +113,16 @@ def _leibniz_row_items(algebra: _alg.FiniteAlgebra, ordered: bool):
 
 
 def leibniz_constraint_rows(
-    algebra: _alg.FiniteAlgebra, ordered: bool = False
+    algebra: _alg.FiniteAlgebra,
 ) -> tuple[list[list[tuple[int, int]]], int]:
     """Sparse integer rows of the derivation constraint system.
 
     One block of n equations per basis pair; unordered pairs (i <= j)
-    suffice by bilinearity and halve the system, but the full ordered
-    system can be requested as a cross-check.  Zero rows are dropped.
+    suffice by bilinearity and halve the system (the ordered cross-check
+    is ``_leibniz_defect_is_zero``).  Zero rows are dropped.
     """
     n = algebra.dim
-    rows = [r for r in _leibniz_row_items(algebra, ordered) if r]
+    rows = [r for r in _leibniz_row_items(algebra) if r]
     return rows, n * n
 
 
@@ -182,7 +135,7 @@ def leibniz_constraint_matrix(algebra: _alg.FiniteAlgebra) -> RationalMatrix:
     n = algebra.dim
     ncols = n * n
     dense = []
-    for sr in _leibniz_row_items(algebra, ordered=False):
+    for sr in _leibniz_row_items(algebra):
         row = [0] * ncols
         for pos, v in sr:
             row[pos] = v

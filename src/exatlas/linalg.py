@@ -211,9 +211,18 @@ def integer_rows(m: RationalMatrix) -> list[SparseRow]:
 
 
 def _verify_in_nullspace(rows: Sequence[SparseRow], vector: Sequence) -> bool:
-    """Exact substitution check: every row dotted with vector is zero."""
+    """Exact substitution check: every row dotted with vector is zero.
+
+    The vector's denominators are cleared once (their lcm), so the
+    substitution runs on Python ints: exact at any size, no bound needed.
+    """
+    den = math.lcm(*(v.denominator for v in vector))
+    ints = [v.numerator * (den // v.denominator) for v in vector]
     for row in rows:
-        if sum(c * vector[j] for j, c in row) != 0:
+        dot = 0  # a plain loop: rows are short, and a generator per row costs more
+        for j, c in row:
+            dot += c * ints[j]
+        if dot:
             return False
     return True
 
@@ -588,8 +597,9 @@ def rank_modular_probe(m: RationalMatrix, prime: int) -> int:
     vectors to sandwich the exact rank.
     """
     _require_nonempty(m)
-    if prime <= 2**30:
-        raise ValueError(f"prime must exceed 2**30, got {prime}")
+    if not 2**30 < prime < 2**31:
+        # the int64 echelon kernel is exact only for p < 2^31
+        raise ValueError(f"prime must lie between 2**30 and 2**31, got {prime}")
     if not is_probable_prime(prime):
         raise ValueError(f"{prime} is not prime")
     for i in range(m.rows):

@@ -1,12 +1,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from exatlas.algebras import (
     DEFAULT_SEED,
     AlgebraMismatchError,
+    FiniteAlgebra,
+    _structure_tensor,
     associator,
+    batch_multiply,
+    batch_norms,
     cayley_dickson_algebra,
     cayley_dickson_double,
     commutator,
@@ -227,3 +232,68 @@ class TestSedenions:
             for _ in range(100):
                 x, y = random_element(a, rng), random_element(a, rng)
                 assert (x * y).norm() == x.norm() * y.norm()
+
+
+def coord_rows(elements):
+    return np.array([x.coeffs for x in elements], dtype=np.int64)
+
+
+class TestBatchedProducts:
+    def test_matches_per_element_products(self):
+        o = octonions()
+        c, scale = _structure_tensor(o)
+        rng = random.Random(DEFAULT_SEED)
+        xs = [random_element(o, rng) for _ in range(600)]  # more than one block
+        ys = [random_element(o, rng) for _ in range(600)]
+        got = batch_multiply(c, coord_rows(xs), coord_rows(ys))
+        assert scale == 1 and got.dtype == np.int64
+        assert [tuple(r) for r in got.tolist()] == [(x * y).coeffs for x, y in zip(xs, ys)]
+
+    def test_norms_match_per_element_norms(self):
+        o = octonions()
+        c, _ = _structure_tensor(o)
+        rng = random.Random(DEFAULT_SEED)
+        xs = [random_element(o, rng) for _ in range(50)]
+        assert list(batch_norms(o, c, coord_rows(xs))) == [x.norm() for x in xs]
+
+    def test_large_coordinates_take_python_int_path(self):
+        # N(xy) multiplies two products of 10^6-sized coordinates, which
+        # trips the int64 guard; the answer must still be exact
+        o = octonions()
+        c, _ = _structure_tensor(o)
+        rng = random.Random(DEFAULT_SEED)
+        xs = [random_element(o, rng, span=10**6) for _ in range(20)]
+        ys = [random_element(o, rng, span=10**6) for _ in range(20)]
+        xy = batch_multiply(c, coord_rows(xs), coord_rows(ys))
+        signs = np.array(o.conjugation_signs)
+        assert batch_multiply(c, xy * signs, xy).dtype == object
+        n_xy = batch_norms(o, c, xy)
+        assert list(n_xy) == [(x * y).norm() for x, y in zip(xs, ys)]
+        n_x_n_y = batch_norms(o, c, coord_rows(xs)) * batch_norms(o, c, coord_rows(ys))
+        assert list(n_xy) == list(n_x_n_y)
+
+    def test_mixed_blocks_concatenate_exactly(self):
+        o = octonions()
+        c, _ = _structure_tensor(o)
+        rng = random.Random(DEFAULT_SEED)
+        spans = [9] * 300 + [10**12] * 10  # second block falls back to Python ints
+        xs = [random_element(o, rng, span=s) for s in spans]
+        ys = [random_element(o, rng, span=s) for s in spans]
+        got = batch_multiply(c, coord_rows(xs), coord_rows(ys))
+        assert [tuple(r) for r in got.tolist()] == [(x * y).coeffs for x, y in zip(xs, ys)]
+
+    def test_empty_batch(self):
+        o = octonions()
+        c, _ = _structure_tensor(o)
+        empty = np.zeros((0, 8), dtype=np.int64)
+        assert batch_multiply(c, empty, empty).shape == (0, 8)
+
+    def test_non_scalar_conjugate_product_rejected(self):
+        # complex numbers with a broken conjugation: conj(x) x = x^2
+        broken = FiniteAlgebra("C?", 2, complex_algebra().products, conjugation_signs=(1, 1))
+        c, _ = _structure_tensor(broken)
+        x = broken.element((1, 1))
+        with pytest.raises(ArithmeticError):
+            x.norm()
+        with pytest.raises(ArithmeticError):
+            batch_norms(broken, c, coord_rows([x]))

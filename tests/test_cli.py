@@ -1,12 +1,24 @@
 import io
+import itertools
 import json
 import pathlib
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from exatlas.cli import main, render_table
+from exatlas import algebras as alg
+from exatlas.cli import (
+    _alternativity_failures,
+    _antisymmetry_failures,
+    _associator_failures,
+    _composition_failures,
+    _perm_sign,
+    main,
+    render_table,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -188,3 +200,58 @@ class TestConsoleScript:
             [exe, "verify", "chains"], capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0
+
+
+class TestBatchedSweeps:
+    """The batched sweeps count what the per-element loops count, on the
+    same random draws; the sedenions make every count nonzero."""
+
+    @staticmethod
+    def elements(a, seed, count):
+        rng = random.Random(seed)
+        return [alg.random_element(a, rng) for _ in range(count)]
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_composition(self, dim):
+        a = alg.cayley_dickson_algebra(dim)
+        e = self.elements(a, 5, 2 * 60)
+        want = sum((x * y).norm() != x.norm() * y.norm() for x, y in zip(e[0::2], e[1::2]))
+        assert _composition_failures(a, random.Random(5), 60) == want
+        assert (want > 0) == (dim == 16)
+
+    def test_composition_with_scaled_structure_constants(self):
+        # C in the basis (1, i/2): (i/2)^2 = -1/4, so the tensor carries s = 4
+        half_i = alg.FiniteAlgebra(
+            "C/2", 2, [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, Fraction(-1, 4))]]],
+            conjugation_signs=(1, -1),
+        )
+        e = self.elements(half_i, 8, 2 * 40)
+        assert all((x * y).norm() == x.norm() * y.norm() for x, y in zip(e[0::2], e[1::2]))
+        assert alg._structure_tensor(half_i)[1] == 4
+        assert _composition_failures(half_i, random.Random(8), 40) == 0
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_alternativity(self, dim):
+        a = alg.cayley_dickson_algebra(dim)
+        e = self.elements(a, 6, 2 * 60)
+        want = sum(
+            not alg.associator(x, x, y).is_zero() or not alg.associator(x, y, y).is_zero()
+            for x, y in zip(e[0::2], e[1::2])
+        )
+        assert _alternativity_failures(a, random.Random(6), 60) == want
+        assert (want > 0) == (dim == 16)
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_antisymmetry_and_associativity(self, dim):
+        a = alg.cayley_dickson_algebra(dim)
+        e = self.elements(a, 7, 3 * 20)
+        want_sign = want_assoc = 0
+        for t in zip(e[0::3], e[1::3], e[2::3]):
+            base = alg.associator(*t)
+            want_assoc += not base.is_zero()
+            for perm in itertools.permutations(range(3)):
+                got = alg.associator(t[perm[0]], t[perm[1]], t[perm[2]])
+                want_sign += got != _perm_sign(perm) * base
+        assert _antisymmetry_failures(a, random.Random(7), 20) == want_sign
+        assert _associator_failures(a, random.Random(7), 20) == want_assoc
+        assert want_assoc == 20 and (want_sign > 0) == (dim == 16)

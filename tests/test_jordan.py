@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from exatlas.algebras import (
@@ -18,6 +19,7 @@ from exatlas.jordan import (
     jordan_algebra_over_sedenions,
     jordan_dim,
     jordan_identity_defect,
+    jordan_identity_failures,
     jordan_product,
     sedenion_jordan_witness,
     trace,
@@ -147,6 +149,50 @@ class TestJordanIdentity:
         rng = random.Random(DEFAULT_SEED)
         x, y = random_hermitian(j, rng), random_hermitian(j, rng)
         assert jordan_product(x, y).to_coords() == jordan_product(y, x).to_coords()
+
+
+def reference_failures(pairs):
+    return sum(not jordan_identity_defect(x, y).is_zero() for x, y in pairs)
+
+
+def batched_failures(j, pairs):
+    xs = np.array([x.to_coords() for x, _ in pairs], dtype=np.int64)
+    ys = np.array([y.to_coords() for _, y in pairs], dtype=np.int64)
+    return jordan_identity_failures(j, xs, ys)
+
+
+class TestBatchedJordanIdentity:
+    def test_matches_reference_on_j3o(self, j3o):
+        rng = random.Random(DEFAULT_SEED)
+        pairs = [(random_hermitian(j3o, rng), random_hermitian(j3o, rng)) for _ in range(40)]
+        assert batched_failures(j3o, pairs) == reference_failures(pairs) == 0
+
+    def test_matches_reference_over_sedenions(self):
+        j = jordan_algebra_over_sedenions()
+        rng = random.Random(DEFAULT_SEED)
+        pairs = [(random_hermitian(j, rng, span=3), random_hermitian(j, rng, span=3))
+                 for _ in range(6)]
+        pairs.append(sedenion_jordan_witness())
+        zero = j.from_coords((0,) * j.dim)
+        pairs += [(x, zero) for x, _ in pairs[:3]]  # the identity holds trivially
+        expected = reference_failures(pairs)
+        assert 0 < expected < len(pairs)
+        assert batched_failures(j, pairs) == expected
+
+    def test_large_coordinates_match_reference(self, j3o):
+        # second-level products of 10^6-sized coordinates exceed the int64
+        # guard, so the sweep must finish on Python ints
+        rng = random.Random(DEFAULT_SEED)
+        pairs = [(random_hermitian(j3o, rng, span=10**6), random_hermitian(j3o, rng, span=10**6))
+                 for _ in range(4)]
+        assert batched_failures(j3o, pairs) == reference_failures(pairs) == 0
+        x, y = sedenion_jordan_witness()
+        big = [(10**6 * x, 10**6 * y)]
+        assert batched_failures(x.jordan, big) == reference_failures(big) == 1
+
+    def test_empty_batch(self, j3o):
+        empty = np.zeros((0, j3o.dim), dtype=np.int64)
+        assert jordan_identity_failures(j3o, empty, empty) == 0
 
 
 class TestConstruction:

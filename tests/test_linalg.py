@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from exatlas.linalg import (
     DimensionError,
+    _verify_in_nullspace,
     PrimeDivisorError,
     RationalMatrix,
     integer_rows,
@@ -165,6 +166,15 @@ class TestModularProbe:
         with pytest.raises(ValueError):
             rank_modular_probe(mat([[1]]), 2**31 - 2)  # not prime
 
+    def test_prime_beyond_int64_kernel_rejected(self):
+        # the int64 echelon kernel is exact only below 2**31; this case
+        # used to run without returning instead of raising
+        rng = random.Random(5)
+        m = mat([[rng.randint(-10**6, 10**6) for _ in range(6)] for _ in range(6)])
+        assert is_probable_prime(2**40 - 87)
+        with pytest.raises(ValueError):
+            rank_modular_probe(m, 2**40 - 87)
+
     def test_probe_can_undershoot(self):
         # the single entry vanishes mod p, so the probe sees rank 0
         m = mat([[PRIME31]])
@@ -195,6 +205,22 @@ class TestModularNullspacePath:
         got, r1 = nullspace_of_rows(integer_rows(mat(tall)), 7)
         want, r2 = nullspace_of_rows(integer_rows(mat(base)), 7, force_exact=True)
         assert (got, r1) == (want, r2)
+
+
+class TestCertification:
+    ROWS = [[(0, 2), (1, -3)], [(1, 1), (2, 1)]]
+
+    def test_mixed_denominators_accepted(self):
+        v = (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 3))
+        assert _verify_in_nullspace(self.ROWS, v)
+
+    def test_entry_off_by_a_sixth_rejected(self):
+        v = (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 3) + Fraction(1, 6))
+        assert not _verify_in_nullspace(self.ROWS, v)
+
+    def test_integer_entries(self):
+        assert _verify_in_nullspace(self.ROWS, (3, 2, -2))
+        assert not _verify_in_nullspace(self.ROWS, (3, 2, -1))
 
 
 class TestRationalReconstruction:
