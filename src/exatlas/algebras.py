@@ -1,10 +1,11 @@
 """Composition algebras built by Cayley-Dickson doubling.
 
 The tower R -> C -> H -> O -> sedenions with exact rational coefficients.
-Products, conjugation, norms and inverses all run off structure-constant
-tables, so the same machinery serves the Jordan algebras downstream.
-The tables' scaled-integer form (``_structure_tensor``) drives the
-batched identity sweeps and the derivation engine.
+Every algebra stores its structure constants once, as an exact integer
+tensor C' = s*c with a positive integer scale s.  Products, norms, the
+batched identity sweeps, the Jordan algebras downstream and the
+derivation engine all contract that one tensor: in int64 when
+``_guard_contraction`` proves the bound and on Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +27,7 @@ DEFAULT_SEED = 1729
 #: Coefficients for random elements are drawn uniformly from this range.
 RANDOM_COEFF_SPAN = 9
 
-_INT_BOUND = 1 << 20  # per-entry cap keeping every int64 contraction exact
+_INT64_SAFE = 1 << 62  # bound under which an int64 entry or sum is exact
 
 #: Rows per einsum in ``batch_multiply``; bounds the memory of one call.
 _BATCH_ROWS = 256
@@ -36,63 +37,62 @@ class AlgebraMismatchError(ValueError):
     """Operands belong to different algebras."""
 
 
-ProductTable = tuple[tuple[tuple[tuple[int, object], ...], ...], ...]
-
-
 class FiniteAlgebra:
     """Finite-dimensional algebra over Q defined by structure constants.
 
-    ``products[i][j]`` lists the nonzero components ``(k, c)`` of the
-    basis product e_i * e_j.  ``conjugation_signs`` is present for
-    *-algebras (the Cayley-Dickson tower) and None otherwise.
-    Identity of the algebra object is what ties elements together;
-    builders are cached so each named algebra is constructed once.
+    ``tensor[i, j, k] / scale`` is the coefficient of e_k in the basis
+    product e_i * e_j.  The pair is stored reduced (no integer > 1
+    divides the scale and every entry), read-only, and in int64 only
+    while every entry is below 2^62; Python ints (dtype=object) hold it
+    otherwise.  ``conjugation_signs`` is present for *-algebras (the
+    Cayley-Dickson tower) and None otherwise.  Identity of the algebra
+    object is what ties elements together; builders are cached so each
+    named algebra is constructed once.
     """
 
     def __init__(
         self,
         name: str,
-        dim: int,
-        products: Sequence[Sequence[Iterable[tuple[int, object]]]],
+        tensor,
+        scale: int = 1,
         conjugation_signs: Sequence[int] | None = None,
         unit_coords: Sequence | None = None,
     ):
-        if dim < 1:
+        t = np.asarray(tensor)
+        if t.ndim != 3 or not t.shape[0] == t.shape[1] == t.shape[2]:
+            raise ValueError(f"structure constants need an n x n x n array, got shape {t.shape}")
+        if t.shape[0] < 1:
             raise ValueError("algebra dimension must be positive")
+        if not (t.dtype.kind in "iu" or all(isinstance(v, (int, np.integer)) for v in t.flat)):
+            raise TypeError("structure constants must be integers over a common scale")
+        if not isinstance(scale, (int, np.integer)) or scale < 1:
+            raise ValueError("scale must be a positive integer")
+        if t.dtype != np.int64 or t.size and (t.max() >= _INT64_SAFE or t.min() <= -_INT64_SAFE):
+            t = _int_array(t.astype(object).ravel().tolist(), t.shape)
+        g = math.gcd(int(np.gcd.reduce(t, axis=None)), int(scale))
+        self.tensor = t // g if g > 1 else t.copy()
+        self.tensor.setflags(write=False)
+        self.scale = int(scale) // g
         self.name = name
-        self.dim = dim
-        self.products: ProductTable = tuple(
-            tuple(tuple(sorted(cell)) for cell in row) for row in products
-        )
-        if len(self.products) != dim or any(len(r) != dim for r in self.products):
-            raise ValueError("structure-constant table shape mismatch")
+        self.dim = t.shape[0]
         self.conjugation_signs = (
             tuple(conjugation_signs) if conjugation_signs is not None else None
         )
         if unit_coords is None:
-            unit_coords = (1,) + (0,) * (dim - 1)
+            unit_coords = (1,) + (0,) * (self.dim - 1)
         self.unit_coords = tuple(unit_coords)
 
     def structure_constant(self, i: int, j: int, k: int):
-        for kk, c in self.products[i][j]:
-            if kk == k:
-                return c
-        return 0
+        return _exact_quotient(int(self.tensor[i, j, k]), self.scale)
 
     def multiply_coords(self, x: Sequence, y: Sequence) -> list:
-        out = [0] * self.dim
-        products = self.products
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = products[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                f = xi * yj
-                for k, c in row[j]:
-                    out[k] += f * c
-        return out
+        """Coordinates of xy: denominators cleared, then one exact contraction."""
+        n = self.dim
+        xi, dx = _scaled_int_array(x, (n,))
+        yi, dy = _scaled_int_array(y, (n,))
+        prod = _contract("i,j,ijk->k", n * n, xi, yi, self.tensor)
+        den = self.scale * dx * dy
+        return [_exact_quotient(v, den) for v in prod.tolist()]
 
     def conjugate_coords(self, x: Sequence) -> list:
         if self.conjugation_signs is None:
@@ -218,20 +218,29 @@ class AlgebraElement:
 
 
 # ---------------------------------------------------------------------------
-# scaled-integer structure constants
+# exact integer arrays and contractions
 # ---------------------------------------------------------------------------
 
+def _int_array(ints: list, shape) -> np.ndarray:
+    """Python ints as an array: int64 when all are below 2^62, dtype=object otherwise."""
+    big = max(map(abs, ints), default=0) >= _INT64_SAFE
+    return np.array(ints, dtype=object if big else np.int64).reshape(shape)
+
+
 def _scaled_int_array(values, shape) -> tuple[np.ndarray, int]:
-    """Common-denominator integer form of a nested rational array."""
-    flat = list(values)
-    scale = 1
-    for v in flat:
-        if isinstance(v, Fraction):
-            scale = math.lcm(scale, v.denominator)
-    arr = np.array([int(v * scale) for v in flat], dtype=np.int64).reshape(shape)
-    if abs(int(arr.max(initial=0))) >= _INT_BOUND or abs(int(arr.min(initial=0))) >= _INT_BOUND:
-        raise OverflowError("entries too large for the int64 fast path")
-    return arr, scale
+    """Common-denominator integer form of a flat sequence of rationals.
+
+    Any other number (a float, say) is read as the exact rational it is.
+    """
+    flat = [v if isinstance(v, int) else Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in flat))
+    return _int_array([int(v * scale) for v in flat], shape), scale
+
+
+def _exact_quotient(v: int, den: int) -> Rational:
+    """v / den as an int when it divides, a Fraction otherwise."""
+    q, r = divmod(v, den)
+    return Fraction(v, den) if r else q
 
 
 def _max_abs(arr: np.ndarray) -> int:
@@ -243,21 +252,26 @@ def _guard_contraction(sum_terms: int, *arrays: np.ndarray) -> None:
     bound = sum_terms
     for a in arrays:
         bound *= max(_max_abs(a), 1)
-    if bound >= 2**62:
+    if bound >= _INT64_SAFE:
         raise OverflowError("integer contraction could overflow int64")
 
 
-def _structure_tensor(algebra: FiniteAlgebra) -> tuple[np.ndarray, int]:
-    """Integer tensor C' and scale s with C'[i, j, k] = s * c_ijk."""
-    n = algebra.dim
-    vals = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * n
-            for k, c in algebra.products[i][j]:
-                row[k] = c
-            vals.extend(row)
-    return _scaled_int_array(vals, (n, n, n))
+def _contract(
+    subscripts: str, sum_terms: int, *arrays: np.ndarray, optimize: bool = False
+) -> np.ndarray:
+    """Exact ``einsum``: int64 when ``_guard_contraction`` proves the bound
+    for ``sum_terms`` terms per entry, Python ints (dtype=object) otherwise.
+
+    ``optimize`` picks a pairwise contraction order; it pays off on large
+    contractions of three or more arrays, while on a single product its
+    path search costs more than the contraction.
+    """
+    try:
+        _guard_contraction(sum_terms, *arrays)
+        arrays = tuple(a.astype(np.int64, copy=False) for a in arrays)
+    except OverflowError:
+        arrays = tuple(a.astype(object) for a in arrays)
+    return np.einsum(subscripts, *arrays, optimize=optimize)
 
 
 def batch_multiply(tensor: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -265,37 +279,28 @@ def batch_multiply(tensor: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarr
 
     Row b of the result is sum_ij x[b, i] y[b, j] tensor[i, j, :], so a
     tensor scaled by s returns s times the product.  Each block of rows
-    runs in int64 when ``_guard_contraction`` proves the bound and on
-    Python ints (dtype=object) otherwise, so the result is always exact.
+    is one ``_contract``, so the result is always exact.
     """
     n = tensor.shape[0]
-    blocks = []
-    for start in range(0, x.shape[0], _BATCH_ROWS):
-        xb = x[start : start + _BATCH_ROWS]
-        yb = y[start : start + _BATCH_ROWS]
-        try:
-            _guard_contraction(n * n, tensor, xb, yb)
-            blocks.append(np.einsum(
-                "bi,bj,ijk->bk", xb.astype(np.int64), yb.astype(np.int64), tensor
-            ))
-        except OverflowError:
-            blocks.append(np.einsum(
-                "bi,bj,ijk->bk", xb.astype(object), yb.astype(object), tensor.astype(object)
-            ))
+    blocks = [
+        _contract("bi,bj,ijk->bk", n * n, x[start : start + _BATCH_ROWS],
+                  y[start : start + _BATCH_ROWS], tensor)
+        for start in range(0, x.shape[0], _BATCH_ROWS)
+    ]
     if not blocks:
         return np.zeros((0, n), dtype=np.int64)
     return np.concatenate(blocks)
 
 
-def batch_norms(algebra: FiniteAlgebra, tensor: np.ndarray, x: np.ndarray) -> np.ndarray:
+def batch_norms(algebra: FiniteAlgebra, x: np.ndarray) -> np.ndarray:
     """Scalar part of conj(x) x for each row of x, as Python ints.
 
-    With the tensor scaled by s this is s times the norm.  Raises
-    ArithmeticError, as ``AlgebraElement.norm`` does, when a product is
-    not scalar.
+    Computed on the algebra's tensor, so this is its scale times the
+    norm.  Raises ArithmeticError, as ``AlgebraElement.norm`` does, when
+    a product is not scalar.
     """
     signs = np.array(algebra.conjugate_coords((1,) * algebra.dim), dtype=np.int64)
-    prod = batch_multiply(tensor, x * signs, x)
+    prod = batch_multiply(algebra.tensor, x * signs, x)
     if np.any(prod[:, 1:]):
         raise ArithmeticError("conjugate-product is not scalar; broken table")
     return prod[:, 0].astype(object)
@@ -339,7 +344,8 @@ def cayley_dickson_double(a: FiniteAlgebra) -> FiniteAlgebra:
     """Double an algebra: pairs (p, q) with (p,q)(r,s) = (pr - s~q, sp + qr~).
 
     Basis convention: e_k of the double is (e_k, 0) for k < dim and
-    (0, e_{k-dim}) above; conjugation is (p, q) -> (p~, -q).
+    (0, e_{k-dim}) above; conjugation is (p, q) -> (p~, -q).  The
+    doubled tensor is four signed blocks of the half algebra's tensor.
     """
     if a.dim not in (1, 2, 4, 8):
         raise ValueError(
@@ -347,65 +353,36 @@ def cayley_dickson_double(a: FiniteAlgebra) -> FiniteAlgebra:
         )
     n = a.dim
     names = {1: "C", 2: "H", 4: "O", 8: "S"}
-    zero = [0] * n
-
-    def half(idx: int) -> tuple[list, list]:
-        v = [0] * n
-        if idx < n:
-            v[idx] = 1
-            return v, list(zero)
-        v[idx - n] = 1
-        return list(zero), v
-
-    table = []
-    for i in range(2 * n):
-        p, q = half(i)
-        row = []
-        for j in range(2 * n):
-            r, s = half(j)
-            s_conj = a.conjugate_coords(s)
-            r_conj = a.conjugate_coords(r)
-            first = [
-                u - v
-                for u, v in zip(
-                    a.multiply_coords(p, r), a.multiply_coords(s_conj, q)
-                )
-            ]
-            second = [
-                u + v
-                for u, v in zip(
-                    a.multiply_coords(s, p), a.multiply_coords(q, r_conj)
-                )
-            ]
-            cell = [(k, c) for k, c in enumerate(first) if c]
-            cell += [(k + n, c) for k, c in enumerate(second) if c]
-            row.append(cell)
-        table.append(row)
+    t = a.tensor
+    conj = np.array(a.conjugate_coords((1,) * n), dtype=np.int64)[None, :, None]
+    doubled = np.zeros((2 * n, 2 * n, 2 * n), dtype=t.dtype)
+    doubled[:n, :n, :n] = t  # (e_i, 0)(e_j, 0) = (e_i e_j, 0)
+    doubled[:n, n:, n:] = t.transpose(1, 0, 2)  # (e_i, 0)(0, e_j) = (0, e_j e_i)
+    doubled[n:, :n, n:] = t * conj  # (0, e_i)(e_j, 0) = (0, e_i e_j~)
+    doubled[n:, n:, :n] = -t.transpose(1, 0, 2) * conj  # (0, e_i)(0, e_j) = (-e_j~ e_i, 0)
 
     signs = list(a.conjugation_signs) + [-1] * n
-    doubled = FiniteAlgebra(names[n], 2 * n, table, conjugation_signs=signs)
-    _check_cayley_dickson_invariants(doubled)
-    return doubled
+    result = FiniteAlgebra(names[n], doubled, a.scale, conjugation_signs=signs)
+    _check_cayley_dickson_invariants(result)
+    return result
 
 
 def _check_cayley_dickson_invariants(a: FiniteAlgebra) -> None:
     """Unit, imaginary squares, and anticommutativity of the unit table."""
-    unit = a.basis_element(0)
-    for k in range(a.dim):
-        ek = a.basis_element(k)
-        assert unit * ek == ek and ek * unit == ek, f"e0 not a unit against e{k}"
-    minus_unit = -unit
-    for k in range(1, a.dim):
-        ek = a.basis_element(k)
-        assert ek * ek == minus_unit, f"e{k}^2 != -e0"
-        for j in range(k + 1, a.dim):
-            ej = a.basis_element(j)
-            assert ek * ej == -(ej * ek), f"e{k}, e{j} fail to anticommute"
+    t, n = a.tensor, a.dim
+    unit = np.diag([a.scale] * n)
+    assert np.array_equal(t[0], unit) and np.array_equal(t[:, 0], unit), "e0 is not a unit"
+    imag = t[1:, 1:]
+    k = np.arange(n - 1)
+    assert np.array_equal(imag[k, k], np.broadcast_to(-unit[0], (n - 1, n))), "some e_k^2 != -e0"
+    anti = imag + imag.transpose(1, 0, 2)
+    anti[k, k] = 0
+    assert not anti.any(), "imaginary units fail to anticommute"
 
 
 @lru_cache(maxsize=None)
 def real_algebra() -> FiniteAlgebra:
-    return FiniteAlgebra("R", 1, [[[(0, 1)]]], conjugation_signs=(1,))
+    return FiniteAlgebra("R", [[[1]]], conjugation_signs=(1,))
 
 
 @lru_cache(maxsize=None)

@@ -605,6 +605,17 @@ def _record_to_dict(r: SymmetricSpaceRecord) -> dict:
     return d
 
 
+def _chain_to_dict(c: ChainRecord) -> dict:
+    return {
+        "spacetime_dim": c.spacetime_dim,
+        "split_group": c.split_group.name,
+        "split_dim": c.split_group.dim,
+        "compact_subgroup": c.compact_subgroup.name,
+        "compact_dim": c.compact_subgroup.dim,
+        "scalar_count": c.scalar_count,
+    }
+
+
 def atlas_document() -> dict:
     """Canonical JSON-ready document with the whole verified atlas."""
     groups = [
@@ -634,17 +645,7 @@ def atlas_document() -> dict:
                 "dims": magic_square_dims(3),
             },
         },
-        "chains": [
-            {
-                "spacetime_dim": c.spacetime_dim,
-                "split_group": c.split_group.name,
-                "split_dim": c.split_group.dim,
-                "compact_subgroup": c.compact_subgroup.name,
-                "compact_dim": c.compact_subgroup.dim,
-                "scalar_count": c.scalar_count,
-            }
-            for c in supergravity_chain()
-        ],
+        "chains": [_chain_to_dict(c) for c in supergravity_chain()],
     }
 
 

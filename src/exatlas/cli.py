@@ -120,27 +120,25 @@ def _associator_rows(c: np.ndarray, x, y, z) -> np.ndarray:
 
 def _composition_failures(a: alg.FiniteAlgebra, rng: random.Random, pairs: int) -> int:
     """Random pairs with N(xy) != N(x) N(y)."""
-    c, s = alg._structure_tensor(a)
     rows = _random_rows(rng, 2 * pairs, a.dim)
     x, y = rows[0::2], rows[1::2]
-    n_xy = alg.batch_norms(a, c, alg.batch_multiply(c, x, y))  # s^3 N(xy)
-    return int(np.count_nonzero(n_xy != s * alg.batch_norms(a, c, x) * alg.batch_norms(a, c, y)))
+    n_xy = alg.batch_norms(a, alg.batch_multiply(a.tensor, x, y))  # s^3 N(xy)
+    return int(np.count_nonzero(n_xy != a.scale * alg.batch_norms(a, x) * alg.batch_norms(a, y)))
 
 
 def _alternativity_failures(a: alg.FiniteAlgebra, rng: random.Random, pairs: int) -> int:
     """Random pairs with (x, x, y) or (x, y, y) a nonzero associator."""
-    c, _ = alg._structure_tensor(a)
     rows = _random_rows(rng, 2 * pairs, a.dim)
     x, y = rows[0::2], rows[1::2]
-    bad = np.any(_associator_rows(c, x, x, y), axis=1) | np.any(
-        _associator_rows(c, x, y, y), axis=1
+    bad = np.any(_associator_rows(a.tensor, x, x, y), axis=1) | np.any(
+        _associator_rows(a.tensor, x, y, y), axis=1
     )
     return int(np.count_nonzero(bad))
 
 
 def _antisymmetry_failures(a: alg.FiniteAlgebra, rng: random.Random, triples: int) -> int:
     """(triple, permutation) cases where the associator does not pick up the sign."""
-    c, _ = alg._structure_tensor(a)
+    c = a.tensor
     rows = _random_rows(rng, 3 * triples, a.dim)
     t = (rows[0::3], rows[1::3], rows[2::3])
     base = _associator_rows(c, *t)
@@ -153,9 +151,8 @@ def _antisymmetry_failures(a: alg.FiniteAlgebra, rng: random.Random, triples: in
 
 def _associator_failures(a: alg.FiniteAlgebra, rng: random.Random, triples: int) -> int:
     """Random triples with a nonzero associator."""
-    c, _ = alg._structure_tensor(a)
     rows = _random_rows(rng, 3 * triples, a.dim)
-    assoc = _associator_rows(c, rows[0::3], rows[1::3], rows[2::3])
+    assoc = _associator_rows(a.tensor, rows[0::3], rows[1::3], rows[2::3])
     return int(np.count_nonzero(np.any(assoc, axis=1)))
 
 
@@ -284,35 +281,30 @@ def _suite_derivations(seed: int, budget: Budget) -> VerificationReport:
             ),
         )
 
-    def g2_split():
-        l = _heavy_lie("octonions", budget)
-        sigma = lie.doubled_half_reflection(alg.octonions())
-        theta = lie.induced_involution(alg.octonions(), sigma, l)
-        pair = lie.cartan_split(l, theta)
+    pairs: dict[str, lie.CartanPair] = {}
+
+    def split(name: str) -> lie.CartanPair:
+        """The g2 (octonions) or f4 (j3o) Cartan pair, built once per run."""
+        if name not in pairs:
+            l = _heavy_lie(name, budget)
+            a = l.algebra
+            if name == "octonions":
+                sigma = lie.doubled_half_reflection(a)
+            else:
+                sigma = lie.diagonal_sign_involution(a, (-1, 1, 1))
+            pairs[name] = lie.cartan_split(l, lie.induced_involution(a, sigma, l))
+        return pairs[name]
+
+    def split_summary(name: str):
+        pair = split(name)
         return (pair.dims, pair.pp_spans_k, pair.kp_spans_p)
 
-    r.check("cartan-split-g2", ((6, 8), True, True), g2_split)
-
-    def f4_split():
-        l = _heavy_lie("j3o", budget)
-        j = jrd.jordan_algebra(alg.octonions())
-        sigma = lie.diagonal_sign_involution(j, (-1, 1, 1))
-        theta = lie.induced_involution(j, sigma, l)
-        pair = lie.cartan_split(l, theta)
-        return (pair.dims, pair.pp_spans_k, pair.kp_spans_p)
-
-    r.check("cartan-split-f4", ((36, 16), True, True), f4_split)
+    r.check("cartan-split-g2", ((6, 8), True, True), lambda: split_summary("octonions"))
+    r.check("cartan-split-f4", ((36, 16), True, True), lambda: split_summary("j3o"))
 
     def flat_ranks():
-        lo = _heavy_lie("octonions", budget)
-        so = lie.doubled_half_reflection(alg.octonions())
-        po = lie.cartan_split(lo, lie.induced_involution(alg.octonions(), so, lo))
-        lf = _heavy_lie("j3o", budget)
-        j = jrd.jordan_algebra(alg.octonions())
-        sf = lie.diagonal_sign_involution(j, (-1, 1, 1))
-        pf = lie.cartan_split(lf, lie.induced_involution(j, sf, lf))
         rng = random.Random(seed)
-        return (lie.flat_rank(po, rng=rng), lie.flat_rank(pf, rng=rng))
+        return (lie.flat_rank(split("octonions"), rng=rng), lie.flat_rank(split("j3o"), rng=rng))
 
     r.check("flat-ranks-g2-f4-splits", (2, 1), flat_ranks)
     return r.report
@@ -594,19 +586,7 @@ def render_table(name: str, fmt: str, level: int = 3) -> str:
         chain = cat.supergravity_chain()
         if fmt == "json":
             return json.dumps(
-                [
-                    {
-                        "spacetime_dim": c.spacetime_dim,
-                        "split_group": c.split_group.name,
-                        "split_dim": c.split_group.dim,
-                        "compact_subgroup": c.compact_subgroup.name,
-                        "compact_dim": c.compact_subgroup.dim,
-                        "scalar_count": c.scalar_count,
-                    }
-                    for c in chain
-                ],
-                indent=2,
-                sort_keys=True,
+                [cat._chain_to_dict(c) for c in chain], indent=2, sort_keys=True
             ) + "\n"
         headers = ["d", "Split group", "Compact subgroup", "Scalars"]
         rows = [

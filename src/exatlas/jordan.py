@@ -1,9 +1,9 @@
 """3x3 hermitian Jordan algebras over the Cayley-Dickson coefficients.
 
 J3(K) has one basis slot per diagonal entry and one per coefficient-unit
-per off-diagonal position, so dim = 3 + 3*dim(K).  The symmetrized
-product table is built once by multiplying explicit hermitian basis
-matrices and is shared by the derivation engine.
+per off-diagonal position, so dim = 3 + 3*dim(K).  Its structure tensor
+is built once, by one exact contraction of the hermitian basis matrices
+with the tensor of K, and is shared by the derivation engine.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .algebras import (
     AlgebraElement,
     AlgebraMismatchError,
     FiniteAlgebra,
-    _structure_tensor,
+    _contract,
     batch_multiply,
 )
 from .linalg import Rational, RationalMatrix, is_positive_definite
@@ -42,15 +42,14 @@ class JordanAlgebra(FiniteAlgebra):
     blocks (1,2), (1,3), (2,3), each expanded over the basis of K.
     """
 
-    def __init__(self, coefficient_algebra: FiniteAlgebra, products):
+    def __init__(self, coefficient_algebra: FiniteAlgebra, tensor, scale: int):
         self.coefficient_algebra = coefficient_algebra
-        dim = 3 + 3 * coefficient_algebra.dim
         super().__init__(
             name=f"J3({coefficient_algebra.name})",
-            dim=dim,
-            products=products,
+            tensor=tensor,
+            scale=scale,
             conjugation_signs=None,
-            unit_coords=(1, 1, 1) + (0,) * (dim - 3),
+            unit_coords=(1, 1, 1) + (0,) * (3 * coefficient_algebra.dim),
         )
 
     def coord_index(self, position: int, unit: int) -> int:
@@ -167,77 +166,39 @@ def traceless_projection(x: HermitianMatrix3) -> HermitianMatrix3:
 # construction of the product table
 # ---------------------------------------------------------------------------
 
-def _matmul3(a, b, k: FiniteAlgebra):
-    out = [[None] * 3 for _ in range(3)]
-    for r in range(3):
-        for c in range(3):
-            acc = [0] * k.dim
-            for t in range(3):
-                term = k.multiply_coords(a[r][t].coeffs, b[t][c].coeffs)
-                acc = [u + v for u, v in zip(acc, term)]
-            out[r][c] = k.element(acc)
-    return out
-
-
-def _decompose_hermitian(m, k: FiniteAlgebra) -> tuple:
-    """Coordinates of an explicit hermitian matrix; asserts hermiticity."""
-    coords = []
-    for i in range(3):
-        d = m[i][i]
-        assert not any(d.coeffs[1:]), "diagonal entry not scalar"
-        coords.append(d.coeffs[0])
-    for pos, (r, c) in enumerate(OFF_POSITIONS):
-        assert m[c][r] == m[r][c].conjugate(), "matrix not hermitian"
-        coords.extend(m[r][c].coeffs)
-    return tuple(coords)
-
-
-def _symmetrized_product_coords(a, b, k: FiniteAlgebra) -> tuple:
-    ab = _matmul3(a, b, k)
-    ba = _matmul3(b, a, k)
-    sym = [
-        [
-            k.element(
-                tuple(Fraction(u + v, 2) for u, v in zip(ab[r][c].coeffs, ba[r][c].coeffs))
-            )
-            for c in range(3)
-        ]
-        for r in range(3)
-    ]
-    return _decompose_hermitian(sym, k)
-
-
 def build_jordan_algebra(k: FiniteAlgebra) -> JordanAlgebra:
     """Construct J3(K) from scratch over any *-algebra K.
 
-    Permitted over the sedenions as well; there the Jordan identity
-    fails, which is exactly what the negative-control tests probe.
+    B_a o B_b = (B_a B_b + B_b B_a)/2 for all hermitian basis matrices at
+    once, as one contraction with the tensor of K.  Permitted over the
+    sedenions as well; there the Jordan identity fails, which is exactly
+    what the negative-control tests probe.
     """
     if k.conjugation_signs is None:
         raise TypeError("coefficient algebra needs a conjugation")
-    dim = 3 + 3 * k.dim
+    n = k.dim
+    dim = 3 + 3 * n
+    conj = np.array(k.conjugation_signs, dtype=np.int64)
+    units = np.arange(n)
+    # basis[b, r, c, u]: coefficient of unit u of K in entry (r, c) of B_b
+    basis = np.zeros((dim, 3, 3, n), dtype=np.int64)
+    for i in range(3):
+        basis[i, i, i, 0] = 1
+    for pos, (r, c) in enumerate(OFF_POSITIONS):
+        basis[3 + pos * n + units, r, c, units] = 1
+        basis[3 + pos * n + units, c, r, units] = conj
+    prod = _contract(
+        "artu,btcv,uvw->abrcw", 3 * n * n, basis, basis, k.tensor, optimize=True
+    )
+    sym = prod + prod.transpose(1, 0, 2, 3, 4)  # 2 s (B_a o B_b), entrywise
 
-    basis_matrices = []
-    for idx in range(dim):
-        coords = [1 if i == idx else 0 for i in range(dim)]
-        diag = coords[:3]
-        off = [k.element(coords[3 + p * k.dim : 3 + (p + 1) * k.dim]) for p in range(3)]
-        m = [[k.zero() for _ in range(3)] for _ in range(3)]
-        for i in range(3):
-            m[i][i] = diag[i] * k.unit()
-        for pos, (r, c) in enumerate(OFF_POSITIONS):
-            m[r][c] = off[pos]
-            m[c][r] = off[pos].conjugate()
-        basis_matrices.append(m)
-
-    table = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            coords = _symmetrized_product_coords(basis_matrices[i], basis_matrices[j], k)
-            cell = [(t, c) for t, c in enumerate(coords) if c]
-            table[i][j] = cell
-            table[j][i] = cell
-    return JordanAlgebra(k, table)
+    rows, cols = (list(t) for t in zip(*OFF_POSITIONS))
+    diag = sym[:, :, [0, 1, 2], [0, 1, 2]]
+    off = sym[:, :, rows, cols]
+    assert not diag[..., 1:].any(), "diagonal entry not scalar"
+    assert np.array_equal(sym[:, :, cols, rows], off * conj), "matrix not hermitian"
+    tensor = np.concatenate([diag[..., 0], off.reshape(dim, dim, 3 * n)], axis=2)
+    return JordanAlgebra(k, tensor, 2 * k.scale)
 
 
 @lru_cache(maxsize=None)
@@ -261,7 +222,7 @@ def jordan_identity_failures(j: JordanAlgebra, x: np.ndarray, y: np.ndarray) -> 
     on the scaled structure tensor C' = sC, so both sides of the identity
     carry s^3 and are compared as they are.
     """
-    c, _ = _structure_tensor(j)
+    c = j.tensor
     xx = batch_multiply(c, x, x)
     lhs = batch_multiply(c, xx, batch_multiply(c, x, y))
     rhs = batch_multiply(c, x, batch_multiply(c, xx, y))
@@ -294,12 +255,15 @@ def jordan_algebra_over_sedenions() -> JordanAlgebra:
 
 
 def trace_form_gram(j: JordanAlgebra) -> RationalMatrix:
-    """Gram matrix of the bilinear form (x, y) -> trace(x o y)."""
-    basis = [j.basis_hermitian(i) for i in range(j.dim)]
-    rows = []
-    for x in basis:
-        rows.append([jordan_product(x, y).trace() for y in basis])
-    return RationalMatrix.from_rows(rows)
+    """Gram matrix of the bilinear form (x, y) -> trace(x o y).
+
+    Read off the tensor: trace(e_i o e_j) is the sum of its three
+    diagonal coordinates, C'[i, j, :3] / s.
+    """
+    traces = _contract("ijk->ij", 3, j.tensor[:, :, :3])
+    return RationalMatrix(
+        j.dim, j.dim, (Fraction(v, j.scale) for v in traces.ravel().tolist())
+    )
 
 
 def trace_form_is_positive_definite(j: JordanAlgebra) -> bool:

@@ -6,9 +6,11 @@ system assembled from the structure constants.  Everything returned
 here is certified exactly: Leibniz on every ordered basis pair, bracket
 closure, and the eigenspace bracket relations of an involution.
 
-Hot paths run on scaled int64 numpy arrays.  Scales are tracked so the
-integer identities are equivalent to the rational ones; bounds are
-asserted so no product can overflow 64 bits.
+Hot paths run on scaled integer numpy arrays, starting from the
+algebra's own structure tensor C' = s*c.  Scales are tracked so the
+integer identities are equivalent to the rational ones; a contraction
+runs in int64 only when its bound is proven, so none can overflow
+silently.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import algebras as _alg
 from . import jordan as _jordan
-from .algebras import _guard_contraction, _scaled_int_array, _structure_tensor
+from .algebras import _contract, _guard_contraction, _int_array, _scaled_int_array
 from .linalg import (
     CancelToken,
     DimensionError,
@@ -69,47 +71,46 @@ def _leibniz_row_items(algebra: _alg.FiniteAlgebra):
     """Yield one normalized integer equation per (pair i <= j, output coordinate).
 
     Unknowns are the n^2 entries of D (row-major; D acts on coordinate
-    columns).  Identically-zero equations are yielded as empty lists so
-    callers can keep or drop them.
+    columns).  Equation (i, j, k) is sum_m C'[i,j,m] D[k,m] -
+    sum_a C'[a,j,k] D[a,i] - sum_b C'[i,b,k] D[b,j] = 0 over the tensor
+    C' = s*c, divided by the gcd of its entries.  Identically-zero
+    equations are yielded as empty lists so callers can keep or drop them.
     """
     n = algebra.dim
-    right = [[[] for _ in range(n)] for _ in range(n)]  # right[j][k]: (a, c_ajk)
-    left = [[[] for _ in range(n)] for _ in range(n)]  # left[i][k]: (b, c_ibk)
-    for a in range(n):
-        for b in range(n):
-            for k, c in algebra.products[a][b]:
-                right[b][k].append((a, c))
-                left[a][k].append((b, c))
-
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    for i, j in pairs:
-        prod = algebra.products[i][j]
-        for k in range(n):
-            acc: dict[int, object] = {}
-            for m, c in prod:
-                pos = k * n + m
-                acc[pos] = acc.get(pos, 0) + c
-            for a, c in right[j][k]:
-                pos = a * n + i
-                acc[pos] = acc.get(pos, 0) - c
-            for b, c in left[i][k]:
-                pos = b * n + j
-                acc[pos] = acc.get(pos, 0) - c
-            nz = [(pos, v) for pos, v in sorted(acc.items()) if v]
-            if not nz:
-                yield []
-                continue
-            den = 1
-            for _, v in nz:
-                if isinstance(v, Fraction):
-                    den = math.lcm(den, v.denominator)
-            ints = [(pos, int(v * den)) for pos, v in nz]
-            g = 0
-            for _, v in ints:
-                g = math.gcd(g, v)
-            if g > 1:
-                ints = [(pos, v // g) for pos, v in ints]
-            yield ints
+    c = algebra.tensor
+    try:
+        _guard_contraction(3, c)  # an equation entry sums at most three constants
+    except OverflowError:
+        c = c.astype(object)
+    pair = np.zeros((n, n), dtype=np.int64)  # pair[i, j]: row-major index of i <= j
+    pair[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)
+    nz = np.nonzero(c)
+    a, b, m = (v[:, None] for v in nz)  # C'[a, b, m] != 0
+    t = np.arange(n)[None, :]  # the free index of each term
+    v = c[nz][:, None]
+    terms = (  # (equation * n^2 + unknown, coefficient, where the term occurs)
+        ((pair[a, b] * n + t) * n * n + t * n + m, v, a <= b),  # (i,j,k) = (a,b,t)
+        ((pair[t, b] * n + m) * n * n + a * n + t, -v, t <= b),  # (i,j,k) = (t,b,m)
+        ((pair[a, t] * n + m) * n * n + b * n + t, -v, t >= a),  # (i,j,k) = (a,t,m)
+    )
+    keys, vals = [], []
+    for key, coeff, where in terms:
+        where = np.broadcast_to(where, key.shape)
+        keys.append(key[where])
+        vals.append(np.broadcast_to(coeff, key.shape)[where])
+    key, val = np.concatenate(keys), np.concatenate(vals)
+    order = np.argsort(key, kind="stable")
+    key, val = key[order], val[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    key, val = key[starts], np.add.reduceat(val, starts)
+    key, val = key[val != 0], val[val != 0]
+    eq, pos = np.divmod(key, n * n)
+    first = np.flatnonzero(np.diff(eq, prepend=-1))
+    val //= np.repeat(np.gcd.reduceat(np.abs(val), first), np.diff(first, append=eq.size))
+    bounds = np.searchsorted(eq, np.arange(n * n * (n + 1) // 2 + 1)).tolist()
+    items = list(zip(pos.tolist(), val.tolist()))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        yield items[lo:hi]
 
 
 def leibniz_constraint_rows(
@@ -269,7 +270,7 @@ def derivation_algebra(
     else:
         d_int, d_scale = np.zeros((0, n, n), dtype=np.int64), 1
 
-    c_int, _ = _structure_tensor(algebra)
+    c_int = algebra.tensor
     for t in range(d):
         if not _leibniz_defect_is_zero(c_int, d_int[t]):
             raise RuntimeError(
@@ -340,21 +341,23 @@ def killing_form(l: LieAlgebraBasis) -> RationalMatrix:
 # ---------------------------------------------------------------------------
 
 def is_algebra_automorphism(algebra: _alg.FiniteAlgebra, sigma: RationalMatrix) -> bool:
-    """Checks sigma(e_i e_j) = sigma(e_i) sigma(e_j) on all basis pairs."""
+    """Checks sigma(e_i e_j) = sigma(e_i) sigma(e_j) on all basis pairs.
+
+    With sigma = S'/t and the tensor C' = s*c, both sides times s t^2
+    are integer contractions: t sum_m C'[i,j,m] S'[k,m] against
+    sum_ab S'[a,i] S'[b,j] C'[a,b,k].
+    """
     n = algebra.dim
     if sigma.shape != (n, n):
         return False
-    cols = [list(sigma.column(j)) for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            prod = [0] * n
-            for k, c in algebra.products[i][j]:
-                prod[k] = c
-            lhs = sigma.matvec(prod)
-            rhs = algebra.multiply_coords(cols[i], cols[j])
-            if any(a != b for a, b in zip(lhs, rhs)):
-                return False
-    return True
+    s_int, s_scale = _scaled_int_array(
+        [sigma.entry(i, j) for i in range(n) for j in range(n)], (n, n)
+    )
+    t = _int_array([s_scale], ())
+    c = algebra.tensor
+    lhs = _contract(",ijm,km->ijk", n, t, c, s_int)
+    rhs = _contract("ai,bj,abk->ijk", n * n, s_int, s_int, c, optimize=True)
+    return bool(np.array_equal(lhs, rhs))
 
 
 def doubled_half_reflection(algebra: _alg.FiniteAlgebra) -> RationalMatrix:
@@ -488,10 +491,9 @@ def _theta_is_lie_automorphism(l: LieAlgebraBasis, theta: RationalMatrix) -> boo
         [theta.entry(i, j) for i in range(d) for j in range(d)], (d, d)
     )
     f = l._f_int
-    _guard_contraction(d * d, t_int, t_int, f)
-    lhs = np.einsum("ca,db,cde->abe", t_int, t_int, f, optimize=True)
-    rhs = np.einsum("ec,abc->abe", t_int, f, optimize=True)
-    return bool(np.array_equal(lhs, t_scale * rhs))
+    lhs = _contract("ca,db,cde->abe", d * d, t_int, t_int, f, optimize=True)
+    rhs = _contract(",ec,abc->abe", d, _int_array([t_scale], ()), t_int, f)
+    return bool(np.array_equal(lhs, rhs))
 
 
 def _subspace_brackets(

@@ -8,7 +8,7 @@ from exatlas.algebras import (
     DEFAULT_SEED,
     AlgebraMismatchError,
     FiniteAlgebra,
-    _structure_tensor,
+    _scaled_int_array,
     associator,
     batch_multiply,
     batch_norms,
@@ -24,6 +24,8 @@ from exatlas.algebras import (
     sedenion_composition_witness,
     sedenions,
 )
+from exatlas.lie import is_algebra_automorphism
+from exatlas.linalg import RationalMatrix
 
 # classical names for the quaternion units
 H = quaternions()
@@ -241,7 +243,7 @@ def coord_rows(elements):
 class TestBatchedProducts:
     def test_matches_per_element_products(self):
         o = octonions()
-        c, scale = _structure_tensor(o)
+        c, scale = o.tensor, o.scale
         rng = random.Random(DEFAULT_SEED)
         xs = [random_element(o, rng) for _ in range(600)]  # more than one block
         ys = [random_element(o, rng) for _ in range(600)]
@@ -251,30 +253,29 @@ class TestBatchedProducts:
 
     def test_norms_match_per_element_norms(self):
         o = octonions()
-        c, _ = _structure_tensor(o)
         rng = random.Random(DEFAULT_SEED)
         xs = [random_element(o, rng) for _ in range(50)]
-        assert list(batch_norms(o, c, coord_rows(xs))) == [x.norm() for x in xs]
+        assert list(batch_norms(o, coord_rows(xs))) == [x.norm() for x in xs]
 
     def test_large_coordinates_take_python_int_path(self):
         # N(xy) multiplies two products of 10^6-sized coordinates, which
         # trips the int64 guard; the answer must still be exact
         o = octonions()
-        c, _ = _structure_tensor(o)
+        c = o.tensor
         rng = random.Random(DEFAULT_SEED)
         xs = [random_element(o, rng, span=10**6) for _ in range(20)]
         ys = [random_element(o, rng, span=10**6) for _ in range(20)]
         xy = batch_multiply(c, coord_rows(xs), coord_rows(ys))
         signs = np.array(o.conjugation_signs)
         assert batch_multiply(c, xy * signs, xy).dtype == object
-        n_xy = batch_norms(o, c, xy)
+        n_xy = batch_norms(o, xy)
         assert list(n_xy) == [(x * y).norm() for x, y in zip(xs, ys)]
-        n_x_n_y = batch_norms(o, c, coord_rows(xs)) * batch_norms(o, c, coord_rows(ys))
+        n_x_n_y = batch_norms(o, coord_rows(xs)) * batch_norms(o, coord_rows(ys))
         assert list(n_xy) == list(n_x_n_y)
 
     def test_mixed_blocks_concatenate_exactly(self):
         o = octonions()
-        c, _ = _structure_tensor(o)
+        c = o.tensor
         rng = random.Random(DEFAULT_SEED)
         spans = [9] * 300 + [10**12] * 10  # second block falls back to Python ints
         xs = [random_element(o, rng, span=s) for s in spans]
@@ -284,16 +285,93 @@ class TestBatchedProducts:
 
     def test_empty_batch(self):
         o = octonions()
-        c, _ = _structure_tensor(o)
+        c = o.tensor
         empty = np.zeros((0, 8), dtype=np.int64)
         assert batch_multiply(c, empty, empty).shape == (0, 8)
 
     def test_non_scalar_conjugate_product_rejected(self):
         # complex numbers with a broken conjugation: conj(x) x = x^2
-        broken = FiniteAlgebra("C?", 2, complex_algebra().products, conjugation_signs=(1, 1))
-        c, _ = _structure_tensor(broken)
+        broken = FiniteAlgebra("C?", complex_algebra().tensor, conjugation_signs=(1, 1))
         x = broken.element((1, 1))
         with pytest.raises(ArithmeticError):
             x.norm()
         with pytest.raises(ArithmeticError):
-            batch_norms(broken, c, coord_rows([x]))
+            batch_norms(broken, coord_rows([x]))
+
+
+class TestDoubledTensor:
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8])
+    def test_doubling_formula_on_random_pairs(self, dim):
+        # (p,q)(r,s) = (pr - s~q, sp + qr~) with (p, q) the coordinates of
+        # the double split in halves
+        half, full = cayley_dickson_algebra(dim), cayley_dickson_algebra(2 * dim)
+        rng = random.Random(DEFAULT_SEED + dim)
+        for _ in range(20):
+            p, q, r, s = (random_element(half, rng) for _ in range(4))
+            x = full.element(p.coeffs + q.coeffs)
+            y = full.element(r.coeffs + s.coeffs)
+            want = (p * r - s.conjugate() * q).coeffs + (s * p + q * r.conjugate()).coeffs
+            assert (x * y).coeffs == want
+
+
+def rescaled(a, factors):
+    """Copy of a in the basis f_k = factors[k] e_k."""
+    n = a.dim
+    consts = [
+        Fraction(factors[i] * factors[j], factors[k]) * a.structure_constant(i, j, k)
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+    ]
+    tensor, scale = _scaled_int_array(consts, (n, n, n))
+    return FiniteAlgebra(a.name + "'", tensor, scale, conjugation_signs=a.conjugation_signs)
+
+
+class TestLargeStructureConstants:
+    """Rescaled copies: results must not depend on the size of the constants."""
+
+    @pytest.mark.parametrize(
+        "algebra,factors",
+        [(octonions, [k + 1 for k in range(8)]), (quaternions, [1, 1, 2**40, 2**80])],
+        ids=["O-k+1", "H-2^40-2^80"],
+    )
+    def test_products_and_norms_match_the_original(self, algebra, factors):
+        a = algebra()
+        copy = rescaled(a, factors)
+        rng = random.Random(DEFAULT_SEED)
+
+        def to_original(v):
+            return [f * c for f, c in zip(factors, v)]
+
+        for _ in range(20):
+            x = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(a.dim)]
+            y = [rng.randint(-9, 9) for _ in range(a.dim)]
+            got = copy.multiply_coords(x, y)
+            assert to_original(got) == a.multiply_coords(to_original(x), to_original(y))
+            assert copy.element(x).norm() == a.element(to_original(x)).norm()
+
+    def test_float_coordinates_are_read_exactly(self):
+        o = octonions()
+        assert o.multiply_coords([0.5] + [0] * 7, [0, 0.25] + [0] * 6) == [0, Fraction(1, 8)] + [0] * 6
+
+    def test_scales_and_storage(self):
+        o = rescaled(octonions(), [k + 1 for k in range(8)])
+        assert o.scale == 420 and o.tensor.dtype == np.int64
+        h = rescaled(quaternions(), [1, 1, 2**40, 2**80])
+        # e3^2 = -e0 reads f3 f3 = -2^160 f0, and the scale is 2^40
+        assert h.scale == 2**40 and h.tensor.dtype == object
+        assert h.structure_constant(3, 3, 0) == -(2**160)
+
+    def test_cyclic_automorphism_in_rescaled_basis(self):
+        # i -> j -> k -> i; with f = (1, 1, 2^40, 2^80) its matrix has
+        # entries 1, 2^-40 and 2^80, against constants up to 2^160
+        h = rescaled(quaternions(), [1, 1, 2**40, 2**80])
+        rows = [
+            [1, 0, 0, 0],
+            [0, 0, 0, 2**80],
+            [0, Fraction(1, 2**40), 0, 0],
+            [0, 0, Fraction(1, 2**40), 0],
+        ]
+        assert is_algebra_automorphism(h, RationalMatrix.from_rows(rows))
+        rows[1][3] += 1
+        assert not is_algebra_automorphism(h, RationalMatrix.from_rows(rows))

@@ -5,7 +5,6 @@ import pathlib
 import random
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -222,12 +221,11 @@ class TestBatchedSweeps:
     def test_composition_with_scaled_structure_constants(self):
         # C in the basis (1, i/2): (i/2)^2 = -1/4, so the tensor carries s = 4
         half_i = alg.FiniteAlgebra(
-            "C/2", 2, [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, Fraction(-1, 4))]]],
-            conjugation_signs=(1, -1),
+            "C/2", [[[4, 0], [0, 4]], [[0, 4], [-1, 0]]], scale=4, conjugation_signs=(1, -1),
         )
         e = self.elements(half_i, 8, 2 * 40)
         assert all((x * y).norm() == x.norm() * y.norm() for x, y in zip(e[0::2], e[1::2]))
-        assert alg._structure_tensor(half_i)[1] == 4
+        assert half_i.scale == 4
         assert _composition_failures(half_i, random.Random(8), 40) == 0
 
     @pytest.mark.parametrize("dim", [8, 16])

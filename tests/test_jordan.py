@@ -73,9 +73,7 @@ class TestProduct:
             assert jordan_product(x, y).to_coords() == jordan_product(y, x).to_coords()
 
     def test_table_symmetric(self, j3o):
-        for i in range(j3o.dim):
-            for j in range(j3o.dim):
-                assert j3o.products[i][j] == j3o.products[j][i]
+        assert np.array_equal(j3o.tensor, j3o.tensor.transpose(1, 0, 2))
 
     def test_orthogonal_idempotents(self, j3o):
         e1, e2 = j3o.basis_hermitian(0), j3o.basis_hermitian(1)
@@ -195,6 +193,30 @@ class TestBatchedJordanIdentity:
         assert jordan_identity_failures(j3o, empty, empty) == 0
 
 
+class TestExplicitMatrixReference:
+    """The tensor product against (XY + YX)/2 of the explicit 3x3 matrices."""
+
+    @pytest.mark.parametrize(
+        "builder", COEFFICIENT_ALGEBRAS + [sedenions], ids=["R", "C", "H", "O", "S"]
+    )
+    def test_jordan_product_matches_matrix_product(self, builder):
+        k = builder()
+        j = jordan_algebra_over_sedenions() if k is sedenions() else jordan_algebra(k)
+        rng = random.Random(DEFAULT_SEED + k.dim)
+
+        def entry(a, b, r, c):
+            return sum((a[r][t] * b[t][c] for t in range(3)), k.zero())
+
+        for _ in range(4):
+            x, y = random_hermitian(j, rng), random_hermitian(j, rng)
+            mx, my = x.full_matrix(), y.full_matrix()
+            want = [
+                [Fraction(1, 2) * (entry(mx, my, r, c) + entry(my, mx, r, c)) for c in range(3)]
+                for r in range(3)
+            ]
+            assert jordan_product(x, y).full_matrix() == want
+
+
 class TestConstruction:
     def test_requires_conjugation(self, j3o):
         with pytest.raises(TypeError):
@@ -208,8 +230,8 @@ class TestConstruction:
         k = j3o.coefficient_algebra
         f1 = j3o.coord_index(0, 0)
         f2 = j3o.coord_index(1, 0)
-        cell = dict(j3o.products[f1][f2])
-        assert Fraction(1, 2) in cell.values()
+        cell = [j3o.structure_constant(f1, f2, t) for t in range(j3o.dim)]
+        assert Fraction(1, 2) in cell
 
     def test_caching(self):
         assert jordan_algebra(octonions()) is jordan_algebra(octonions())

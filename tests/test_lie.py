@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from exatlas.lie import (
     induced_involution,
     killing_form,
     leibniz_constraint_matrix,
+    leibniz_constraint_rows,
     named_derivation_algebra,
 )
 from exatlas.linalg import (
@@ -30,6 +33,7 @@ from exatlas.linalg import (
     rank,
     rank_modular_probe,
 )
+from test_algebras import rescaled
 
 
 def leibniz_defect_oracle(algebra, d_matrix, x_coords, y_coords):
@@ -112,6 +116,46 @@ class TestDerivationCertificates:
         assert rank(m) == 729 - 52
         assert rank_modular_probe(m, 2**31 - 1) == 677
         assert len(nullspace_basis(m)) == 52
+
+
+def reference_leibniz_rows(a):
+    """Nonzero constraint rows by direct loops over the rational constants."""
+    n = a.dim
+    c = [[[a.structure_constant(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
+    rows = []
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(n):
+                acc = {}
+                for m in range(n):
+                    acc[k * n + m] = acc.get(k * n + m, 0) + c[i][j][m]
+                    acc[m * n + i] = acc.get(m * n + i, 0) - c[m][j][k]
+                    acc[m * n + j] = acc.get(m * n + j, 0) - c[i][m][k]
+                nz = sorted((pos, Fraction(v)) for pos, v in acc.items() if v)
+                if nz:
+                    den = math.lcm(*(v.denominator for _, v in nz))
+                    g = math.gcd(*(int(v * den) for _, v in nz))
+                    rows.append([(pos, int(v * den) // g) for pos, v in nz])
+    return rows
+
+
+class TestLeibnizRows:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            quaternions,
+            octonions,
+            lambda: jordan_algebra(complex_algebra()),
+            lambda: rescaled(octonions(), [k + 1 for k in range(8)]),
+            lambda: rescaled(quaternions(), [1, 1, 2**40, 2**80]),
+        ],
+        ids=["H", "O", "J3(C)", "O-k+1", "H-2^40-2^80"],
+    )
+    def test_rows_match_loop_reference(self, build):
+        a = build()
+        rows, ncols = leibniz_constraint_rows(a)
+        assert ncols == a.dim**2
+        assert rows == reference_leibniz_rows(a)
 
 
 class TestBracket:
