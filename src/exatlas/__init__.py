@@ -69,7 +69,6 @@ from .lie import (
     generic_rank,
     induced_involution,
     killing_form,
-    leibniz_constraint_matrix,
     named_derivation_algebra,
 )
 from .linalg import (

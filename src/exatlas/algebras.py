@@ -4,8 +4,8 @@ The tower R -> C -> H -> O -> sedenions with exact rational coefficients.
 Every algebra stores its structure constants once, as an exact integer
 tensor C' = s*c with a positive integer scale s.  Products, norms, the
 batched identity sweeps, the Jordan algebras downstream and the
-derivation engine all contract that one tensor: in int64 when
-``_guard_contraction`` proves the bound and on Python ints otherwise.
+derivation engine all contract that one tensor through ``_contract``:
+in int64 when the bound is proven and on Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -244,33 +244,30 @@ def _exact_quotient(v: int, den: int) -> Rational:
 
 
 def _max_abs(arr: np.ndarray) -> int:
-    return int(np.abs(arr).max(initial=0))
-
-
-def _guard_contraction(sum_terms: int, *arrays: np.ndarray) -> None:
-    """Every int64 contraction must provably fit; wraparound would be silent."""
-    bound = sum_terms
-    for a in arrays:
-        bound *= max(_max_abs(a), 1)
-    if bound >= _INT64_SAFE:
-        raise OverflowError("integer contraction could overflow int64")
+    # np.max, not .max: np.abs of a 0-d object array is a plain int
+    return int(np.max(np.abs(arr), initial=0))
 
 
 def _contract(
     subscripts: str, sum_terms: int, *arrays: np.ndarray, optimize: bool = False
 ) -> np.ndarray:
-    """Exact ``einsum``: int64 when ``_guard_contraction`` proves the bound
-    for ``sum_terms`` terms per entry, Python ints (dtype=object) otherwise.
+    """Exact ``einsum`` of integer arrays with at most ``sum_terms`` terms
+    per output entry.
 
-    ``optimize`` picks a pairwise contraction order; it pays off on large
-    contractions of three or more arrays, while on a single product its
-    path search costs more than the contraction.
+    It runs in int64 when the sum of ``sum_terms`` products of the
+    largest entries stays below 2^62, where wraparound would be silent,
+    and on Python ints (dtype=object) otherwise.  Every product of
+    integer arrays that can grow is formed here, a scale times an array
+    too (as a 0-d operand), so no caller repeats this rule.
+    ``optimize`` picks a pairwise contraction order; it pays off on
+    large contractions, while on a single product its path search costs
+    more than the contraction.
     """
-    try:
-        _guard_contraction(sum_terms, *arrays)
-        arrays = tuple(a.astype(np.int64, copy=False) for a in arrays)
-    except OverflowError:
-        arrays = tuple(a.astype(object) for a in arrays)
+    bound = sum_terms
+    for a in arrays:
+        bound *= max(_max_abs(a), 1)
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    arrays = tuple(a.astype(dtype, copy=False) for a in arrays)
     return np.einsum(subscripts, *arrays, optimize=optimize)
 
 

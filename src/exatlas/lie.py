@@ -8,9 +8,10 @@ closure, and the eigenspace bracket relations of an involution.
 
 Hot paths run on scaled integer numpy arrays, starting from the
 algebra's own structure tensor C' = s*c.  Scales are tracked so the
-integer identities are equivalent to the rational ones; a contraction
-runs in int64 only when its bound is proven, so none can overflow
-silently.
+integer identities are equivalent to the rational ones.  Every product
+of those arrays is one ``algebras._contract``, which runs in int64 only
+when its bound is proven and on Python ints otherwise, so the results
+do not depend on the size of the constants, that is, on the basis.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import algebras as _alg
 from . import jordan as _jordan
-from .algebras import _contract, _guard_contraction, _int_array, _scaled_int_array
+from .algebras import _contract, _int_array, _scaled_int_array
 from .linalg import (
     CancelToken,
     DimensionError,
@@ -77,11 +78,9 @@ def _leibniz_row_items(algebra: _alg.FiniteAlgebra):
     equations are yielded as empty lists so callers can keep or drop them.
     """
     n = algebra.dim
-    c = algebra.tensor
-    try:
-        _guard_contraction(3, c)  # an equation entry sums at most three constants
-    except OverflowError:
-        c = c.astype(object)
+    # an equation entry sums at most three constants; the identity
+    # contraction returns the tensor in a dtype that keeps such sums exact
+    c = _contract("abm->abm", 3, algebra.tensor)
     pair = np.zeros((n, n), dtype=np.int64)  # pair[i, j]: row-major index of i <= j
     pair[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)
     nz = np.nonzero(c)
@@ -127,23 +126,6 @@ def leibniz_constraint_rows(
     return rows, n * n
 
 
-def leibniz_constraint_matrix(algebra: _alg.FiniteAlgebra) -> RationalMatrix:
-    """The full constraint system as a dense matrix, zero rows included.
-
-    For an n-dimensional algebra this has n^2 (n+1) / 2 rows and n^2
-    columns; its nullspace is the derivation algebra.
-    """
-    n = algebra.dim
-    ncols = n * n
-    dense = []
-    for sr in _leibniz_row_items(algebra):
-        row = [0] * ncols
-        for pos, v in sr:
-            row[pos] = v
-        dense.append(row)
-    return RationalMatrix.from_rows(dense)
-
-
 # ---------------------------------------------------------------------------
 # Lie algebra container
 # ---------------------------------------------------------------------------
@@ -186,50 +168,30 @@ class LieAlgebraBasis:
         """Coordinates of a matrix in the basis; raises if outside the span."""
         if m.shape != (self.ambient_dim, self.ambient_dim):
             raise DimensionError("matrix has the wrong ambient dimension")
-        flat = [m.entry(i, j) for i in range(m.rows) for j in range(m.cols)]
-        coords = tuple(Fraction(flat[fc]) for fc in self.free_coords)
-        recon = [0] * len(flat)
-        for t, c in enumerate(coords):
-            if not c:
-                continue
-            b = self.basis[t]
-            for i in range(self.ambient_dim):
-                for j in range(self.ambient_dim):
-                    v = b.entry(i, j)
-                    if v:
-                        recon[i * self.ambient_dim + j] += c * v
-        if any(u != v for u, v in zip(recon, flat)):
+        coords = tuple(Fraction(m.entry(*divmod(fc, m.cols))) for fc in self.free_coords)
+        if self.element_matrix(coords) != m:
             raise ValueError("matrix lies outside the span of the basis")
         return coords
 
     def element_matrix(self, coords: Sequence) -> RationalMatrix:
-        n = self.ambient_dim
-        flat = [Fraction(0)] * (n * n)
-        for t, c in enumerate(coords):
-            if not c:
-                continue
-            b = self.basis[t]
-            for i in range(n):
-                for j in range(n):
-                    v = b.entry(i, j)
-                    if v:
-                        flat[i * n + j] += c * v
-        return RationalMatrix(n, n, flat)
+        c_int, c_scale = _scaled_int_array(coords, (self.dim,))
+        m_int = _contract("t,tij->ij", self.dim, c_int, self._d_int)
+        return _rational_matrix(m_int, c_scale * self._d_scale)
 
     def ad_matrix(self, coords: Sequence) -> RationalMatrix:
         """Matrix of ad_x on the Lie algebra for x with the given coordinates."""
-        d = self.dim
-        rows = [[Fraction(0)] * d for _ in range(d)]
-        for a, xa in enumerate(coords):
-            if not xa:
-                continue
-            fa = self._f_int[a]
-            for b in range(d):
-                for c in range(d):
-                    v = int(fa[b, c])
-                    if v:
-                        rows[c][b] += xa * Fraction(v, self._f_scale)
-        return RationalMatrix.from_rows(rows)
+        x_int, x_scale = _scaled_int_array(coords, (self.dim,))
+        return _rational_matrix(self._ad(x_int), x_scale * self._f_scale)
+
+    def _ad(self, x_int: np.ndarray) -> np.ndarray:
+        """Scaled matrix of ad_x, (c, b) entry sum_a x[a] f(a, b, c), for integer x."""
+        return _contract("a,abc->cb", self.dim, x_int, self._f_int)
+
+
+def _rational_matrix(ints: np.ndarray, den: int) -> RationalMatrix:
+    """A 2-D integer array divided by den, as an exact matrix."""
+    rows, cols = ints.shape
+    return RationalMatrix(rows, cols, (Fraction(v, den) for v in ints.reshape(-1).tolist()))
 
 
 def bracket(x: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
@@ -241,10 +203,11 @@ def bracket(x: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
 
 def _leibniz_defect_is_zero(c_int: np.ndarray, d_int: np.ndarray) -> bool:
     """Full ordered-pair Leibniz check for one scaled-integer derivation."""
-    _guard_contraction(c_int.shape[0], c_int, d_int)
-    t1 = np.einsum("ijm,km->ijk", c_int, d_int)
-    t2 = np.einsum("ajk,ai->ijk", c_int, d_int)
-    t3 = np.einsum("ibk,bj->ijk", c_int, d_int)
+    n = c_int.shape[0]
+    t1 = _contract("ijm,km->ijk", n, c_int, d_int)
+    # bounded for 2n terms, so that their sum is exact too
+    t2 = _contract("ajk,ai->ijk", 2 * n, c_int, d_int)
+    t3 = _contract("ibk,bj->ijk", 2 * n, c_int, d_int)
     return bool(np.array_equal(t1, t2 + t3))
 
 
@@ -278,7 +241,7 @@ def derivation_algebra(
             )
     # derivations kill the unit element
     unit, _ = _scaled_int_array(list(algebra.unit_coords), (n,))
-    if d and np.any(d_int @ unit):
+    if np.any(_contract("tij,j->ti", n, d_int, unit)):
         raise RuntimeError("internal error: derivation does not kill the unit")
 
     basis = tuple(
@@ -288,16 +251,16 @@ def derivation_algebra(
 
     # brackets of all basis pairs, scaled by d_scale^2
     if d:
-        _guard_contraction(n, d_int, d_int)
-        prod = np.matmul(d_int[:, None, :, :], d_int[None, :, :, :])
+        # bounded for 2n terms, so that the commutator is exact too
+        prod = _contract("aij,bjk->abik", 2 * n, d_int, d_int, optimize=True)
+        # prod is a transposed view, so comm is kept 4-d: flattening it would copy
         comm = prod - prod.transpose(1, 0, 2, 3)
-        comm_flat = comm.reshape(d, d, n * n)
-        f_int = comm_flat[:, :, list(free_cols)]
+        free_i, free_k = np.divmod(free_cols, n)
+        f_int = comm[:, :, free_i, free_k]
         # closure certificate: reconstruction from read-off coordinates
-        d_flat = d_int.reshape(d, n * n)
-        _guard_contraction(d, f_int, d_flat)
-        lhs = np.einsum("abt,tx->abx", f_int, d_flat)
-        if not np.array_equal(lhs, d_scale * comm_flat):
+        lhs = _contract("abt,tik->abik", d, f_int, d_int)
+        rhs = _contract(",abik->abik", 1, _int_array([d_scale], ()), comm)
+        if not np.array_equal(lhs, rhs):
             raise RuntimeError("internal error: bracket closure certification failed")
         f_scale = d_scale * d_scale
         g = math.gcd(int(np.gcd.reduce(np.abs(f_int), axis=None)), f_scale)
@@ -325,15 +288,8 @@ def derivation_algebra(
 
 def killing_form(l: LieAlgebraBasis) -> RationalMatrix:
     """B(a, b) = trace(ad_a ad_b) on the basis; symmetric by construction."""
-    d = l.dim
-    if d == 0:
-        return RationalMatrix(0, 0, ())
-    _guard_contraction(d * d, l._f_int, l._f_int)
-    k_int = np.einsum("axy,byx->ab", l._f_int, l._f_int)
-    s = l._f_scale * l._f_scale
-    return RationalMatrix(
-        d, d, (Fraction(int(v), s) for v in k_int.reshape(-1))
-    )
+    k_int = _contract("axy,byx->ab", l.dim * l.dim, l._f_int, l._f_int)
+    return _rational_matrix(k_int, l._f_scale * l._f_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -429,21 +385,17 @@ def induced_involution(
     s_int, s_scale = _scaled_int_array(
         [sigma.entry(i, jj) for i in range(n) for jj in range(n)], (n, n)
     )
-    _guard_contraction(n * n, s_int, s_int, l._d_int)
-    transported = np.matmul(np.matmul(s_int, l._d_int), s_int)  # scale s^2 * d_scale
-    t_flat = transported.reshape(d, n * n)
-    theta_int = t_flat[:, list(l.free_coords)].T  # theta[u, t], scaled
+    transported = _contract("ij,tjk,kl->til", n * n, s_int, l._d_int, s_int, optimize=True)
+    t_flat = transported.reshape(d, n * n)  # scale s^2 * d_scale
+    coords = t_flat[:, list(l.free_coords)]  # coords[t, u] = theta[u, t], scaled
     # span certificate: reconstruct each transported derivation
-    _guard_contraction(d, theta_int, l._d_int)
-    lhs = theta_int.T @ l._d_int.reshape(d, n * n)
-    if not np.array_equal(lhs, l._d_scale * t_flat):
+    lhs = _contract("tu,ux->tx", d, coords, l._d_int.reshape(d, n * n))
+    rhs = _contract(",tx->tx", 1, _int_array([l._d_scale], ()), t_flat)
+    if not np.array_equal(lhs, rhs):
         raise InvalidInvolutionError(
             "transported derivation leaves the span; sigma is not compatible"
         )
-    denom = s_scale * s_scale * l._d_scale
-    theta = RationalMatrix(
-        d, d, (Fraction(int(v), denom) for v in theta_int.reshape(-1))
-    )
+    theta = _rational_matrix(coords.T, s_scale * s_scale * l._d_scale)
     if theta @ theta != RationalMatrix.identity(d):
         raise InvalidInvolutionError("induced map is not an involution")
     return theta
@@ -500,8 +452,7 @@ def _subspace_brackets(
     l: LieAlgebraBasis, left: np.ndarray, right: np.ndarray
 ) -> np.ndarray:
     """Scaled bracket coordinates of all pairs from two integer bases."""
-    _guard_contraction(l.dim * l.dim, left, right, l._f_int)
-    return np.einsum("ia,jb,abc->ijc", left, right, l._f_int, optimize=True)
+    return _contract("ia,jb,abc->ijc", l.dim * l.dim, left, right, l._f_int, optimize=True)
 
 
 def _contained_in(
@@ -511,9 +462,9 @@ def _contained_in(
     if brackets.size == 0:
         return True
     coeffs = brackets[:, :, list(free)]
-    _guard_contraction(basis_int.shape[0], coeffs, basis_int)
-    recon = np.einsum("ijt,tc->ijc", coeffs, basis_int, optimize=True)
-    return bool(np.array_equal(recon, basis_scale * brackets))
+    recon = _contract("ijt,tc->ijc", basis_int.shape[0], coeffs, basis_int, optimize=True)
+    scaled = _contract(",ijc->ijc", 1, _int_array([basis_scale], ()), brackets)
+    return bool(np.array_equal(recon, scaled))
 
 
 def _int_rank(rows: np.ndarray) -> int:
@@ -609,9 +560,7 @@ def generic_rank(
             [rng.randint(-_alg.RANDOM_COEFF_SPAN, _alg.RANDOM_COEFF_SPAN) for _ in range(d)],
             dtype=np.int64,
         )
-        _guard_contraction(d, x, l._f_int)
-        ad_x = np.einsum("a,abc->cb", x, l._f_int)
-        best = min(best, d - _int_rank(ad_x))
+        best = min(best, d - _int_rank(l._ad(x)))
     return best
 
 
@@ -637,12 +586,9 @@ def flat_rank(
     best = np_dim
     for _ in range(trials):
         c = np.array([rng.randint(-9, 9) for _ in range(np_dim)], dtype=np.int64)
-        _guard_contraction(np_dim, c, p_int)
-        x = c @ p_int
-        _guard_contraction(l.dim, x, l._f_int)
-        ad_x = np.einsum("a,abc->cb", x, l._f_int)
-        _guard_contraction(l.dim, ad_x, p_int)
-        constraint = ad_x @ p_int.T  # kernel in p-coefficient space is the flat
+        ad_x = l._ad(_contract("u,ua->a", np_dim, c, p_int))
+        # kernel in p-coefficient space is the flat
+        constraint = _contract("cb,ub->cu", l.dim, ad_x, p_int)
         best = min(best, np_dim - _int_rank(constraint))
     return best
 

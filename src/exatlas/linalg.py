@@ -629,43 +629,32 @@ def rank_modular_probe(m: RationalMatrix, prime: int) -> int:
 # symmetric definiteness certificates
 # ---------------------------------------------------------------------------
 
-def ldl_pivots(m: RationalMatrix) -> list[Fraction]:
-    """Pivots of the symmetric LDL^T elimination (no permutations).
+def principal_minor_signs(m: RationalMatrix) -> list[int]:
+    """Signs of the leading principal minors, computed exactly.
 
-    The k-th pivot equals minor_k / minor_{k-1}, so the leading
-    principal minor signs are exactly the cumulative pivot signs.  Stops
-    at the first zero pivot, which already rules out definiteness.
+    Denominators are cleared by one positive integer, which keeps every
+    sign.  Fraction-free elimination without pivoting then leaves the
+    k-th leading principal minor as its k-th pivot; the part still to be
+    eliminated stays symmetric, so only its upper triangle is kept.  It
+    stops at the first zero minor, which already rules out definiteness;
+    the signs from there on read 0.
     """
     if not m.is_symmetric():
-        raise DimensionError("LDL requires a symmetric matrix")
+        raise DimensionError("principal minor signs need a symmetric matrix")
     n = m.rows
-    a = [[Fraction(m.entry(i, j)) for j in range(n)] for i in range(n)]
-    pivots: list[Fraction] = []
+    den = math.lcm(*(v.denominator for v in m._entries))
+    a = [[v.numerator * (den // v.denominator) for v in m.row(i)] for i in range(n)]
+    signs = [0] * n
+    prev = 1
     for k in range(n):
         piv = a[k][k]
-        pivots.append(piv)
         if piv == 0:
             break
+        signs[k] = 1 if piv > 0 else -1
         for i in range(k + 1, n):
-            f = a[i][k] / piv
-            if f:
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return pivots
-
-
-def principal_minor_signs(m: RationalMatrix) -> list[int]:
-    """Signs of the leading principal minors, computed exactly."""
-    signs = []
-    minor_sign = 1
-    for piv in ldl_pivots(m):
-        if minor_sign == 0 or piv == 0:
-            minor_sign = 0
-        else:
-            minor_sign *= 1 if piv > 0 else -1
-        signs.append(minor_sign)
-    while len(signs) < m.rows:
-        signs.append(0)
+            for j in range(i, n):
+                a[i][j] = (piv * a[i][j] - a[k][i] * a[k][j]) // prev
+        prev = piv
     return signs
 
 

@@ -314,17 +314,26 @@ class TestDoubledTensor:
             assert (x * y).coeffs == want
 
 
-def rescaled(a, factors):
-    """Copy of a in the basis f_k = factors[k] e_k."""
+def rescaled(a, factors, perm=None):
+    """Copy of a in the basis f_k = factors[k] e_perm[k].
+
+    perm defaults to the identity; factors of +1 and -1 with a
+    permutation give a signed permutation.
+    """
     n = a.dim
+    perm = range(n) if perm is None else perm
+    c = a.structure_constant
     consts = [
-        Fraction(factors[i] * factors[j], factors[k]) * a.structure_constant(i, j, k)
+        Fraction(factors[i] * factors[j], factors[k]) * c(perm[i], perm[j], perm[k])
         for i in range(n)
         for j in range(n)
         for k in range(n)
     ]
     tensor, scale = _scaled_int_array(consts, (n, n, n))
-    return FiniteAlgebra(a.name + "'", tensor, scale, conjugation_signs=a.conjugation_signs)
+    signs = a.conjugation_signs and [a.conjugation_signs[p] for p in perm]
+    # the unit sum_m u_m e_m reads u_perm[k] / factors[k] at f_k
+    unit = [Fraction(a.unit_coords[p], f) for p, f in zip(perm, factors)]
+    return FiniteAlgebra(a.name + "'", tensor, scale, conjugation_signs=signs, unit_coords=unit)
 
 
 class TestLargeStructureConstants:
@@ -374,4 +383,18 @@ class TestLargeStructureConstants:
         ]
         assert is_algebra_automorphism(h, RationalMatrix.from_rows(rows))
         rows[1][3] += 1
+        assert not is_algebra_automorphism(h, RationalMatrix.from_rows(rows))
+
+    def test_automorphism_with_a_denominator_past_int64(self):
+        # with f = (1, 1, 2^70, 2^140) the cyclic map's common denominator
+        # is 2^70, so the scale enters the contraction as a 0-d object array
+        h = rescaled(quaternions(), [1, 1, 2**70, 2**140])
+        rows = [
+            [1, 0, 0, 0],
+            [0, 0, 0, 2**140],
+            [0, Fraction(1, 2**70), 0, 0],
+            [0, 0, Fraction(1, 2**70), 0],
+        ]
+        assert is_algebra_automorphism(h, RationalMatrix.from_rows(rows))
+        rows[2][1] += 1
         assert not is_algebra_automorphism(h, RationalMatrix.from_rows(rows))

@@ -20,7 +20,8 @@ from exatlas.lie import (
     generic_rank,
     induced_involution,
     killing_form,
-    leibniz_constraint_matrix,
+    _contained_in,
+    _leibniz_row_items,
     leibniz_constraint_rows,
     named_derivation_algebra,
 )
@@ -28,10 +29,11 @@ from exatlas.linalg import (
     ComputationCancelled,
     DimensionError,
     RationalMatrix,
+    _modp_rref,
     is_negative_definite,
     nullspace_basis,
+    nullspace_of_rows,
     rank,
-    rank_modular_probe,
 )
 from test_algebras import rescaled
 
@@ -106,16 +108,21 @@ class TestDerivationCertificates:
                 assert flat[s][fc] == (1 if s == t else 0)
 
     def test_constraint_matrix_shape_and_rank(self, der_h):
-        m = leibniz_constraint_matrix(quaternions())
-        assert m.shape == (40, 16)
-        assert rank(m) == 16 - 3
+        # n^2 (n+1) / 2 equations, zero rows included, in n^2 unknowns
+        assert sum(1 for _ in _leibniz_row_items(quaternions())) == 40
+        rows, ncols = leibniz_constraint_rows(quaternions())
+        assert ncols == 16
+        assert nullspace_of_rows(rows, ncols)[1] == 16 - 3
 
     def test_j3o_constraint_matrix_rank(self, j3o):
-        m = leibniz_constraint_matrix(j3o)
-        assert m.shape == (10206, 729)
-        assert rank(m) == 729 - 52
-        assert rank_modular_probe(m, 2**31 - 1) == 677
-        assert len(nullspace_basis(m)) == 52
+        assert sum(1 for _ in _leibniz_row_items(j3o)) == 10206
+        rows, ncols = leibniz_constraint_rows(j3o)
+        assert ncols == 729
+        basis, rank_ = nullspace_of_rows(rows, ncols)
+        assert rank_ == 729 - 52
+        pivot_cols, _ = _modp_rref(rows, ncols, 2**31 - 1)
+        assert len(pivot_cols) == 677
+        assert len(basis) == 52
 
 
 def reference_leibniz_rows(a):
@@ -191,6 +198,13 @@ class TestBracket:
                 + bracket(z, bracket(x, y))
             )
             assert total.is_zero()
+
+    def test_ad_matrix_columns_are_brackets(self, der_o):
+        # column b of ad_x for x = D_a holds the coordinates of [D_a, D_b]
+        for a in (0, 5):
+            ad = der_o.ad_matrix([1 if t == a else 0 for t in range(der_o.dim)])
+            for b in range(der_o.dim):
+                assert ad.column(b) == der_o.bracket_in_basis(a, b)
 
     def test_coords_of_rejects_outsiders(self, der_o):
         with pytest.raises(ValueError):
@@ -302,6 +316,64 @@ class TestCartanSplit:
         shear = RationalMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
         with pytest.raises(InvalidInvolutionError):
             cartan_split(der_h, shear)
+
+
+def _diagonal_in_copy(sigma: RationalMatrix, perm) -> RationalMatrix:
+    """A diagonal map of the e-basis, written in the basis f_k = c_k e_perm[k]."""
+    n = sigma.rows
+    perm = range(n) if perm is None else perm
+    return RationalMatrix(
+        n, n, (sigma.entry(perm[i], perm[i]) if i == j else 0 for i in range(n) for j in range(n))
+    )
+
+
+class TestBasisIndependence:
+    """Copies in other bases: Der, the Killing form and the splits must agree."""
+
+    OCTONION_COPIES = {
+        "O-k+1": ([k + 1 for k in range(8)], None),
+        "O-2^40(k mod 3)": ([2 ** (40 * (k % 3)) for k in range(8)], None),
+        "O-signed-perm": ([1, -1, 1, 1, -1, -1, 1, -1], [0, 3, 6, 2, 7, 1, 5, 4]),
+    }
+
+    @pytest.mark.parametrize(
+        "factors,perm", OCTONION_COPIES.values(), ids=OCTONION_COPIES.keys()
+    )
+    def test_g2_in_another_octonion_basis(self, factors, perm):
+        o = rescaled(octonions(), factors, perm)
+        l = derivation_algebra(o)
+        assert l.dim == 14
+        assert is_negative_definite(killing_form(l))
+        assert generic_rank(l) == 2
+        sigma = _diagonal_in_copy(doubled_half_reflection(octonions()), perm)
+        pair = cartan_split(l, induced_involution(o, sigma, l))
+        assert (pair.dims, pair.pp_spans_k, pair.kp_spans_p) == ((6, 8), True, True)
+        assert flat_rank(pair) == 2
+
+    @pytest.mark.parametrize(
+        "factors", [[1, 1, 2**40, 2**80], [1, 101, 103, 107]], ids=["2^40-2^80", "primes"]
+    )
+    def test_so3_in_a_rescaled_quaternion_basis(self, factors):
+        # with the primes the brackets fit int64 but their product with the
+        # basis scale (2^27 or so) does not
+        assert derivation_algebra(rescaled(quaternions(), factors)).dim == 3
+
+    def test_span_check_scales_past_int64(self):
+        # brackets near 2^61 times the basis scale 4 leave int64
+        basis = np.array([[4, 0], [0, 4]], dtype=np.int64)
+        inside = np.array([[[2**61, 1]]], dtype=np.int64)
+        assert _contained_in(inside, basis, 4, (0, 1))
+        assert not _contained_in(inside, basis[:1], 4, (0,))
+
+    def test_j3h_in_a_rescaled_basis(self):
+        j3h = jordan_algebra(quaternions())
+        copy = rescaled(j3h, [k + 1 for k in range(j3h.dim)])
+        l = derivation_algebra(copy)
+        assert l.dim == 21
+        # a diagonal map keeps its matrix under a diagonal rescaling
+        pair = cartan_split(l, induced_involution(copy, diagonal_sign_involution(j3h), l))
+        assert (pair.dims, pair.pp_spans_k, pair.kp_spans_p) == ((13, 8), True, True)
+        assert flat_rank(pair) == 1
 
 
 def _abelian_lie(dim: int) -> LieAlgebraBasis:

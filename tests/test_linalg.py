@@ -14,7 +14,6 @@ from exatlas.linalg import (
     is_negative_definite,
     is_positive_definite,
     is_probable_prime,
-    ldl_pivots,
     nullspace_basis,
     nullspace_of_rows,
     principal_minor_signs,
@@ -250,7 +249,43 @@ class TestPrimality:
         assert not is_probable_prime(3215031751)
 
 
+def leading_minor_reference(rows, k):
+    """Determinant of the leading k x k block, by Fraction elimination with row swaps."""
+    a = [[Fraction(v) for v in r[:k]] for r in rows[:k]]
+    det = Fraction(1)
+    for c in range(k):
+        p = next((i for i in range(c, k) if a[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, k):
+            f = a[i][c] / a[c][c]
+            for j in range(c, k):
+                a[i][j] -= f * a[c][j]
+    return det
+
+
 class TestDefiniteness:
+    def test_minor_signs_match_determinants(self):
+        # 0 from the first zero minor on, whatever the later minors are
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    v = rng.choice([0, rng.randint(-4, 4), Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+                    rows[i][j] = rows[j][i] = v
+            want, zero = [], False
+            for k in range(1, n + 1):
+                det = leading_minor_reference(rows, k)
+                zero = zero or det == 0
+                want.append(0 if zero else (1 if det > 0 else -1))
+            assert principal_minor_signs(mat(rows)) == want
+
     def test_negative_definite(self):
         m = mat([[-2, 1], [1, -2]])
         assert is_negative_definite(m)
@@ -275,4 +310,4 @@ class TestDefiniteness:
 
     def test_requires_symmetry(self):
         with pytest.raises(DimensionError):
-            ldl_pivots(mat([[1, 2], [3, 4]]))
+            principal_minor_signs(mat([[1, 2], [3, 4]]))
