@@ -10,7 +10,9 @@ dimensions rather than stored numbers.
 
 from __future__ import annotations
 
+import ast
 import json
+import operator
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -127,22 +129,45 @@ def classical_group_dim(series: str, n: int) -> int:
 _LABEL_RE = re.compile(r"^([A-Za-z]+)\(([^()]+)\)(?:\^(\d+))?$")
 
 
+_ARITHMETIC = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,  # exact: the operands are Fractions
+}
+
+
 def _eval_int(expr: str, env: dict[str, int]) -> int:
-    if not re.fullmatch(r"[0-9a-zA-Z+\-*/() ]+", expr):
-        raise ValueError(f"malformed expression {expr!r}")
-    names = set(re.findall(r"[a-zA-Z]+", expr))
-    if not names <= env.keys():
-        raise ValueError(f"unknown names {names - env.keys()} in {expr!r}")
+    """Integer value of a catalog formula such as '(n-1)*(n+2)/2'.
+
+    Only int literals, the names in env, unary minus and + - * / are
+    accepted; anything else raises ValueError.
+    """
     try:
-        value = eval(  # noqa: S307 - fixed catalog expressions, no user input
-            expr, {"__builtins__": {}}, {k: Fraction(v) for k, v in env.items()}
-        )
-    except (SyntaxError, ZeroDivisionError) as exc:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
         raise ValueError(f"malformed expression {expr!r}") from exc
-    value = Fraction(value)
-    if value.denominator != 1:
+
+    def value(node: ast.AST) -> Fraction:
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return Fraction(node.value)
+        if isinstance(node, ast.Name):
+            if node.id not in env:
+                raise ValueError(f"unknown name {node.id!r} in {expr!r}")
+            return Fraction(env[node.id])
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -value(node.operand)
+        if isinstance(node, ast.BinOp) and type(node.op) in _ARITHMETIC:
+            try:
+                return _ARITHMETIC[type(node.op)](value(node.left), value(node.right))
+            except ZeroDivisionError as exc:
+                raise ValueError(f"division by zero in {expr!r} at {env}") from exc
+        raise ValueError(f"malformed expression {expr!r}")
+
+    result = value(tree.body)
+    if result.denominator != 1:
         raise ValueError(f"expression {expr!r} is not integral at {env}")
-    return int(value)
+    return int(result)
 
 
 def group_dim(label: str, env: dict[str, int] | None = None) -> int:

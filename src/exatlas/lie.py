@@ -33,7 +33,6 @@ from .linalg import (
     RationalMatrix,
     integer_rows,
     nullspace_with_info,
-    nullspace_of_rows,
 )
 
 
@@ -216,8 +215,9 @@ def derivation_algebra(
 ) -> LieAlgebraBasis:
     """All derivations of the algebra, as a certified Lie algebra basis.
 
-    Solves the Leibniz constraint system exactly (modular probe plus
-    exact certification on large systems), certifies every basis vector
+    Solves the Leibniz constraint system exactly (modular elimination,
+    CRT and rational reconstruction, then exact substitution; see
+    ``linalg.nullspace_with_info``), certifies every basis vector
     against the full ordered constraint set and against killing the
     unit, and certifies bracket closure while computing the structure
     constants.
@@ -475,7 +475,7 @@ def _int_rank(rows: np.ndarray) -> int:
             sparse.append(nz)
     if not sparse:
         return 0
-    _, rank_ = nullspace_of_rows(sparse, rows.shape[1])
+    _, _, rank_ = nullspace_with_info(sparse, rows.shape[1])
     return rank_
 
 

@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Rank, nullspace bases, and modular rank probes for dense matrices with
-rational entries.  Small systems are eliminated fraction-free over the
-integers after clearing denominators.  Large systems first compute a
-candidate nullspace modulo a random 31-bit prime, lift the candidates by
-rational reconstruction, and certify them by exact substitution; the
-certified count together with the modular rank pins the exact rank.
+rational entries.  Every system, of any size, is solved one way: after
+clearing denominators, the reduced echelon form is computed modulo
+seeded 31-bit primes, the residues of primes that agree are combined by
+CRT, the nullspace candidates are lifted by rational reconstruction, and
+each is certified by exact substitution; the certified count together
+with the modular rank pins the exact rank.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 Rational = Fraction
-
-#: Systems with more (nonzero) rows than this go through the modular path.
-MODULAR_ROW_THRESHOLD = 1000
 
 _BLOCK_ROWS = 2048
 _PROBE_SEED = 0x51BB1E
@@ -228,88 +226,6 @@ def _verify_in_nullspace(rows: Sequence[SparseRow], vector: Sequence) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact fraction-free elimination
-# ---------------------------------------------------------------------------
-
-def _bareiss_echelon(
-    sparse_rows: Sequence[SparseRow],
-    ncols: int,
-    cancel: CancelToken | None = None,
-) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free forward elimination on integer rows.
-
-    Pivot choice: entry of smallest bit length in the pivot column, ties
-    broken by lowest row index.  Returns the pivot rows (dense integer
-    lists) and their pivot columns, in column order.
-    """
-    work: list[list[int]] = []
-    for sr in sparse_rows:
-        dense = [0] * ncols
-        for j, c in sr:
-            dense[j] = c
-        work.append(dense)
-
-    pivot_rows: list[list[int]] = []
-    pivot_cols: list[int] = []
-    prev = 1
-    for col in range(ncols):
-        if not work:
-            break
-        _check_cancel(cancel)
-        best_idx = -1
-        best_bits = None
-        for idx, row in enumerate(work):
-            v = row[col]
-            if v:
-                bits = abs(v).bit_length()
-                if best_bits is None or bits < best_bits:
-                    best_bits = bits
-                    best_idx = idx
-        if best_idx < 0:
-            continue
-        piv_row = work.pop(best_idx)
-        piv = piv_row[col]
-        reduced: list[list[int]] = []
-        for row in work:
-            f = row[col]
-            if f:
-                new = [(piv * row[c] - f * piv_row[c]) // prev for c in range(ncols)]
-            else:
-                new = [(piv * row[c]) // prev for c in range(ncols)]
-            if any(new):
-                reduced.append(new)
-        work = reduced
-        prev = piv
-        pivot_rows.append(piv_row)
-        pivot_cols.append(col)
-    return pivot_rows, pivot_cols
-
-
-def _nullspace_from_echelon(
-    pivot_rows: list[list[int]], pivot_cols: list[int], ncols: int
-) -> list[tuple[Fraction, ...]]:
-    """Back-substitute the canonical (reduced-echelon) nullspace basis.
-
-    Vector for free column f has a 1 at f and 0 at every other free
-    column, making coordinates in the span directly readable.
-    """
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        v: list[Fraction] = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for t in range(len(pivot_rows) - 1, -1, -1):
-            row = pivot_rows[t]
-            c = pivot_cols[t]
-            s = sum(row[j] * v[j] for j in range(c + 1, ncols) if row[j] and v[j])
-            if s:
-                v[c] = Fraction(-s) / row[c]
-        basis.append(tuple(v))
-    return basis
-
-
-# ---------------------------------------------------------------------------
 # modular arithmetic kernel
 # ---------------------------------------------------------------------------
 
@@ -360,7 +276,6 @@ class _ModPEchelon:
         self.cancel = cancel
         self._piv = np.zeros((ncols, ncols), dtype=np.int64)
         self._pivcols: list[int] = []
-        self._pivmap: dict[int, int] = {}
         self._is_piv = np.zeros(ncols, dtype=bool)
 
     @property
@@ -378,21 +293,19 @@ class _ModPEchelon:
             nz = np.nonzero(colvals)[0]
             if nz.size:
                 block[nz] = (block[nz] - colvals[nz, None] * self._piv[t][None, :]) % p
-        for r in range(block.shape[0]):
-            row = block[r]
-            while True:
-                nzc = np.nonzero(row)[0]
-                if nzc.size == 0:
-                    break
-                hits = nzc[self._is_piv[nzc]]
-                if hits.size == 0:
-                    c = int(nzc[0])
-                    inv = pow(int(row[c]), p - 2, p)
-                    row = (row * inv) % p
-                    self._insert_pivot(c, row)
-                    break
-                c = int(hits[0])
-                row = (row - row[c] * self._piv[self._pivmap[c]]) % p
+        # the rest of the block in ascending column order: a column's first
+        # nonzero row is its pivot, cleared from the block's other rows, so
+        # each new pivot row is zero left of its column and at every pivot
+        for c in np.nonzero(~self._is_piv)[0].tolist():
+            nz = np.nonzero(block[:, c])[0]
+            if nz.size == 0:
+                continue
+            row = block[nz[0]] * pow(int(block[nz[0], c]), p - 2, p) % p
+            block[nz[0]] = 0
+            rest = nz[1:]
+            if rest.size:
+                block[rest] = (block[rest] - block[rest, c, None] * row[None, :]) % p
+            self._insert_pivot(c, row)
 
     def _insert_pivot(self, col: int, row: np.ndarray) -> None:
         # row must already be clear of every other pivot column
@@ -404,7 +317,6 @@ class _ModPEchelon:
             if nz.size:
                 self._piv[nz] = (self._piv[nz] - colvals[nz, None] * row[None, :]) % p
         self._piv[n] = row
-        self._pivmap[col] = n
         self._pivcols.append(col)
         self._is_piv[col] = True
 
@@ -451,8 +363,9 @@ def _modp_rref(
 def rational_reconstruct(residue: int, p: int) -> Fraction | None:
     """Balanced lift or Wang reconstruction of a residue mod p.
 
-    Returns None when no fraction with numerator and denominator below
-    sqrt(p/2) matches; the caller must treat that as a failed lift.
+    p may be any modulus, prime or a product of primes.  Returns None
+    when no fraction with numerator and denominator below sqrt(p/2)
+    matches; the caller must treat that as a failed lift.
     """
     r = residue % p
     if r == 0:
@@ -475,46 +388,33 @@ def rational_reconstruct(residue: int, p: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-class _LiftFailure(Exception):
-    """Modular candidate could not be lifted or certified."""
-
-
-def _modular_nullspace(
+def _lift(
     sparse_rows: Sequence[SparseRow],
     ncols: int,
-    p: int,
-    cancel: CancelToken | None = None,
-) -> tuple[list[tuple[Fraction, ...]], list[int], int]:
-    """Candidate nullspace mod p, lifted and certified exactly.
+    pivcols: list[int],
+    free_cols: list[int],
+    residues: list[list[int]],
+    modulus: int,
+) -> list[tuple[Fraction, ...]] | None:
+    """The nullspace vectors the RREF residues stand for, or None.
 
-    Returns (basis, free_cols, rank).  The certified vector count equals
-    ncols - rank_p, and rank_p is a lower bound on the true rank, so
-    both outputs are exact when certification succeeds.
+    None when an entry does not reconstruct or a vector fails exact
+    substitution: the modulus is still too small, or a prime was bad.
     """
-    pivcols, rref = _modp_rref(sparse_rows, ncols, p, cancel)
-    rank_p = len(pivcols)
-    pivot_set = set(pivcols)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis: list[tuple[Fraction, ...]] = []
-    for f in free_cols:
-        _check_cancel(cancel)
+    for j, f in enumerate(free_cols):
         v: list[Fraction] = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for t, c in enumerate(pivcols):
-            residue = int(rref[t, f])
-            if residue:
-                lifted = rational_reconstruct((-residue) % p, p)
+            if residues[t][j]:
+                lifted = rational_reconstruct(residues[t][j], modulus)
                 if lifted is None:
-                    raise _LiftFailure(f"entry ({c},{f}) did not reconstruct")
+                    return None
                 v[c] = lifted
         if not _verify_in_nullspace(sparse_rows, v):
-            raise _LiftFailure("lifted vector failed exact substitution")
+            return None
         basis.append(tuple(v))
-    # certified vectors bound the nullity below; the modular rank bounds
-    # it above, so equality certifies both numbers exactly
-    if len(basis) != ncols - rank_p:
-        raise _LiftFailure("candidate count inconsistent with modular rank")
-    return basis, free_cols, rank_p
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +425,6 @@ def nullspace_with_info(
     sparse_rows: Sequence[SparseRow],
     ncols: int,
     cancel: CancelToken | None = None,
-    force_exact: bool = False,
 ) -> tuple[list[tuple[Fraction, ...]], list[int], int]:
     """Nullspace basis, free columns, and rank for pre-cleared integer rows.
 
@@ -533,36 +432,44 @@ def nullspace_with_info(
     directly by the derivation engine to avoid building dense matrices.
     The t-th basis vector has a 1 at the t-th free column, so span
     coordinates can be read off at the free columns.
+
+    One seeded 31-bit prime at a time: the RREF mod p, combined by CRT
+    with the earlier primes that found the same pivot columns, lifted
+    by rational reconstruction and certified by exact substitution.  A
+    prime that finds more pivots, or as many and a lexicographically
+    earlier list, replaces what was combined; only finitely many primes
+    are bad, and the lift is exact once the modulus passes 2*|num|*den,
+    so the loop ends.  The certified vectors, one per free column, bound
+    the nullity below and the rank mod p bounds the rank below, so both
+    outputs are exact.
     """
     if ncols < 1:
         raise DimensionError("matrix must have at least one column")
-    if not force_exact and len(sparse_rows) > MODULAR_ROW_THRESHOLD:
-        rng = random.Random(_PROBE_SEED)
-        for _ in range(3):
-            p = _random_prime31(rng)
-            try:
-                return _modular_nullspace(sparse_rows, ncols, p, cancel)
-            except _LiftFailure:
-                continue
-        # fall through to the exact path
-    pivot_rows, pivot_cols = _bareiss_echelon(sparse_rows, ncols, cancel)
-    basis = _nullspace_from_echelon(pivot_rows, pivot_cols, ncols)
-    for v in basis:
-        if not _verify_in_nullspace(sparse_rows, v):
-            raise RuntimeError("internal error: exact nullspace failed substitution")
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    return basis, free_cols, len(pivot_cols)
-
-
-def nullspace_of_rows(
-    sparse_rows: Sequence[SparseRow],
-    ncols: int,
-    cancel: CancelToken | None = None,
-    force_exact: bool = False,
-) -> tuple[list[tuple[Fraction, ...]], int]:
-    basis, _, r = nullspace_with_info(sparse_rows, ncols, cancel, force_exact)
-    return basis, r
+    rng = random.Random(_PROBE_SEED)
+    used: set[int] = set()
+    pivcols: list[int] = []
+    modulus = 0
+    while True:
+        _check_cancel(cancel)
+        p = _random_prime31(rng)
+        if p in used:
+            continue
+        used.add(p)
+        cols, rref = _modp_rref(sparse_rows, ncols, p, cancel)
+        pivot_set = set(cols)
+        free = [c for c in range(ncols) if c not in pivot_set]
+        new = (-rref[:, free] % p).astype(object)
+        if not modulus or (-len(cols), cols) < (-len(pivcols), pivcols):
+            pivcols, free_cols, acc, modulus = cols, free, new, p
+        elif cols == pivcols:
+            # the residue that is acc mod modulus and new mod p
+            acc = acc + modulus * ((new - acc) * pow(modulus, -1, p) % p)
+            modulus *= p
+        else:
+            continue
+        basis = _lift(sparse_rows, ncols, pivcols, free_cols, acc.tolist(), modulus)
+        if basis is not None:
+            return basis, free_cols, len(pivcols)
 
 
 def _require_nonempty(m: RationalMatrix) -> None:
@@ -573,7 +480,7 @@ def _require_nonempty(m: RationalMatrix) -> None:
 def rank(m: RationalMatrix, cancel: CancelToken | None = None) -> int:
     """Exact rank over the rationals."""
     _require_nonempty(m)
-    _, r = nullspace_of_rows(integer_rows(m), m.cols, cancel)
+    _, _, r = nullspace_with_info(integer_rows(m), m.cols, cancel)
     return r
 
 
@@ -586,7 +493,7 @@ def nullspace_basis(
     column and 0 at every other free column.
     """
     _require_nonempty(m)
-    basis, _ = nullspace_of_rows(integer_rows(m), m.cols, cancel)
+    basis, _, _ = nullspace_with_info(integer_rows(m), m.cols, cancel)
     return basis
 
 

@@ -122,6 +122,16 @@ class TestFamilies:
         with pytest.raises(ValueError):
             cat.family_space_dim("BDI", p=1)
 
+    @pytest.mark.parametrize("expr", ["n**2", "n(2)", "abs(n)", "n.real", "1/(n-3)", "n/2"])
+    def test_formula_outside_the_grammar_rejected(self, expr):
+        # only int literals, the given names, unary minus and + - * / are
+        # formulas; a power or a call is not, whatever it would evaluate to
+        with pytest.raises(ValueError):
+            cat._eval_int(expr, {"n": 3})
+
+    def test_formula_with_exact_division(self):
+        assert cat._eval_int("-(n-1)*(n+2)/2", {"n": 3}) == -5
+
     def test_seven_families_verify(self):
         families = cat.classical_families()
         assert len(families) == 7

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -134,6 +135,24 @@ class TestDerive:
         # entries are exact rational strings
         flat = [v for m in doc["basis"] for row in m for v in row]
         assert all(isinstance(v, str) for v in flat)
+
+    #: sha256 of the `derive <target> --emit-basis` output: the canonical
+    #: echelon bases are pinned byte for byte, whatever computes them
+    EMITTED_BASIS_SHA256 = {
+        "complex": "92f04d07200a975aae55aecbf3a877b3296841e0d78fbade8780d0b8107e0bc1",
+        "quaternions": "8a0ba81c7b284f64fc665063affb35a199a24b9eca2ac5f7ec64d83f8cc7def0",
+        "octonions": "f8b11b5c67fd61b17ab1cbbfcaa4a6107a8f10bea300852b5d05eb7b061ce56f",
+        "j3r": "434ff86cdd0da2f9d1e1d346405b9ea2ace21a2bbf8d82babed396987ffb6e5a",
+        "j3c": "8bf504ed0c23a1da0f69c2353ef0e045c8c693469b2c2786d29e2ab616c5051e",
+        "j3h": "81af3c50f93ef2fb1036d7a1b30a890d3f95cc18e1e1a0477882f4eac418ef3d",
+        "j3o": "82576d84c4541e9217ac23ce413cd48c8ed3f942c885a5eb74fcd776fe6a6a88",
+    }
+
+    @pytest.mark.parametrize("target", EMITTED_BASIS_SHA256)
+    def test_emitted_basis_is_pinned(self, target):
+        code, out = run_cli(["derive", target, "--emit-basis"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.EMITTED_BASIS_SHA256[target]
 
     def test_unknown_target(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,9 +1,12 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exatlas.algebras import DEFAULT_SEED, complex_algebra, octonions, quaternions, real_algebra
 from exatlas.jordan import jordan_algebra
@@ -32,7 +35,7 @@ from exatlas.linalg import (
     _modp_rref,
     is_negative_definite,
     nullspace_basis,
-    nullspace_of_rows,
+    nullspace_with_info,
     rank,
 )
 from test_algebras import rescaled
@@ -112,17 +115,26 @@ class TestDerivationCertificates:
         assert sum(1 for _ in _leibniz_row_items(quaternions())) == 40
         rows, ncols = leibniz_constraint_rows(quaternions())
         assert ncols == 16
-        assert nullspace_of_rows(rows, ncols)[1] == 16 - 3
+        assert nullspace_with_info(rows, ncols)[2] == 16 - 3
 
     def test_j3o_constraint_matrix_rank(self, j3o):
         assert sum(1 for _ in _leibniz_row_items(j3o)) == 10206
         rows, ncols = leibniz_constraint_rows(j3o)
         assert ncols == 729
-        basis, rank_ = nullspace_of_rows(rows, ncols)
+        basis, _, rank_ = nullspace_with_info(rows, ncols)
         assert rank_ == 729 - 52
         pivot_cols, _ = _modp_rref(rows, ncols, 2**31 - 1)
         assert len(pivot_cols) == 677
         assert len(basis) == 52
+
+    def test_j3o_rows_whose_lift_needs_several_primes(self, j3o):
+        # e_k -> 1000^(k mod 3) e_k: one prime cannot lift these entries;
+        # the deadline turns a solve that never ends into a failure
+        copy = rescaled(j3o, [1000 ** (k % 3) for k in range(j3o.dim)])
+        rows, ncols = leibniz_constraint_rows(copy)
+        deadline = time.monotonic() + 60
+        basis, _, rank_ = nullspace_with_info(rows, ncols, cancel=lambda: time.monotonic() > deadline)
+        assert (len(basis), rank_) == (52, 677)
 
 
 def reference_leibniz_rows(a):
@@ -349,6 +361,20 @@ class TestBasisIndependence:
         pair = cartan_split(l, induced_involution(o, sigma, l))
         assert (pair.dims, pair.pp_spans_k, pair.kp_spans_p) == ((6, 8), True, True)
         assert flat_rank(pair) == 2
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=9), min_size=8, max_size=8),
+        st.lists(st.sampled_from([1, -1]), min_size=7, max_size=7),
+        st.permutations(range(1, 8)),
+    )
+    def test_g2_in_random_octonion_bases(self, scales, signs, perm):
+        # f_k = scales[k] * signs[k] * e_perm[k]; the unit e0 is only rescaled
+        factors = [scales[0]] + [f * s for f, s in zip(scales[1:], signs)]
+        l = derivation_algebra(rescaled(octonions(), factors, [0, *perm]))
+        assert l.dim == 14
+        assert is_negative_definite(killing_form(l))
+        assert generic_rank(l) == 2
 
     @pytest.mark.parametrize(
         "factors", [[1, 1, 2**40, 2**80], [1, 101, 103, 107]], ids=["2^40-2^80", "primes"]

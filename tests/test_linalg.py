@@ -15,7 +15,7 @@ from exatlas.linalg import (
     is_positive_definite,
     is_probable_prime,
     nullspace_basis,
-    nullspace_of_rows,
+    nullspace_with_info,
     principal_minor_signs,
     rank,
     rank_modular_probe,
@@ -181,16 +181,48 @@ class TestModularProbe:
         assert rank(m) == 1
 
 
+def gauss_jordan_nullspace(rows, ncols):
+    """Reference solver: textbook Gauss-Jordan over Fraction.
+
+    Returns (basis, free columns, rank); the vector for free column f is
+    1 at f, 0 at the other free columns and minus column f of the RREF at
+    the pivots.
+    """
+    a = [[Fraction(v) for v in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [v / a[r][c] for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for t, c in enumerate(pivots):
+            v[c] = -a[t][f]
+        basis.append(tuple(v))
+    return basis, free, len(pivots)
+
+
 class TestModularNullspacePath:
     def test_tall_system_matches_exact(self):
-        # replicate a small system until it crosses the modular threshold
+        # repeated rows: the tall system has the small one's nullspace
         rng = random.Random(11)
         base = [[rng.randint(-3, 3) for _ in range(9)] for _ in range(12)]
         tall = [list(r) for r in base * 120]  # 1440 rows
         sparse = integer_rows(mat(tall))
         assert len(sparse) > 1000
-        got, rank_got = nullspace_of_rows(sparse, 9)
-        want, rank_want = nullspace_of_rows(integer_rows(mat(base)), 9, force_exact=True)
+        got, _, rank_got = nullspace_with_info(sparse, 9)
+        want, _, rank_want = gauss_jordan_nullspace(base, 9)
         assert rank_got == rank_want
         assert got == want
 
@@ -201,9 +233,30 @@ class TestModularNullspacePath:
             for _ in range(6)
         ]
         tall = base * 200
-        got, r1 = nullspace_of_rows(integer_rows(mat(tall)), 7)
-        want, r2 = nullspace_of_rows(integer_rows(mat(base)), 7, force_exact=True)
+        got, _, r1 = nullspace_with_info(integer_rows(mat(tall)), 7)
+        want, _, r2 = gauss_jordan_nullspace(base, 7)
         assert (got, r1) == (want, r2)
+
+
+@st.composite
+def integer_systems(draw):
+    """Rows of up to 8 columns with entries up to 10^12, plus rows that
+    are integer combinations of them, so the rank falls short of the rows."""
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    entry = st.one_of(st.just(0), st.integers(min_value=-10**12, max_value=10**12))
+    base = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=8))
+    coeff = st.integers(min_value=-3, max_value=3)
+    combos = draw(st.lists(st.lists(coeff, min_size=len(base), max_size=len(base)), max_size=4))
+    extra = [[sum(k * r[j] for k, r in zip(ks, base)) for j in range(ncols)] for ks in combos]
+    return base + extra, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_systems())
+def test_nullspace_matches_gauss_jordan(system):
+    # entries this large need several primes, combined by CRT
+    rows, ncols = system
+    assert nullspace_with_info(integer_rows(mat(rows)), ncols) == gauss_jordan_nullspace(rows, ncols)
 
 
 class TestCertification:
@@ -232,6 +285,15 @@ class TestRationalReconstruction:
         p = PRIME31
         residue = value.numerator * pow(value.denominator, p - 2, p) % p
         assert rational_reconstruct(residue, p) == value
+
+    def test_product_of_primes(self):
+        # too large a fraction for one 31-bit prime, not for two combined
+        p, q = PRIME31, 2**31 - 19
+        value = Fraction(-98765, 43211)
+        m = p * q
+        residue = value.numerator * pow(value.denominator, -1, m) % m
+        assert rational_reconstruct(residue % p, p) != value
+        assert rational_reconstruct(residue, m) == value
 
     def test_unreconstructible(self):
         # a residue corresponding to a huge numerator/denominator pair
