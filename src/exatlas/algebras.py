@@ -19,15 +19,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import Rational
+from .linalg import (
+    _INT64_SAFE,
+    Rational,
+    _contract,
+    _exact_quotient,
+    _int_array,
+    _scaled_int_array,
+)
 
 #: Default seed for every randomized identity check in the package.
 DEFAULT_SEED = 1729
 
 #: Coefficients for random elements are drawn uniformly from this range.
 RANDOM_COEFF_SPAN = 9
-
-_INT64_SAFE = 1 << 62  # bound under which an int64 entry or sum is exact
 
 #: Rows per einsum in ``batch_multiply``; bounds the memory of one call.
 _BATCH_ROWS = 256
@@ -218,58 +223,8 @@ class AlgebraElement:
 
 
 # ---------------------------------------------------------------------------
-# exact integer arrays and contractions
+# batched products
 # ---------------------------------------------------------------------------
-
-def _int_array(ints: list, shape) -> np.ndarray:
-    """Python ints as an array: int64 when all are below 2^62, dtype=object otherwise."""
-    big = max(map(abs, ints), default=0) >= _INT64_SAFE
-    return np.array(ints, dtype=object if big else np.int64).reshape(shape)
-
-
-def _scaled_int_array(values, shape) -> tuple[np.ndarray, int]:
-    """Common-denominator integer form of a flat sequence of rationals.
-
-    Any other number (a float, say) is read as the exact rational it is.
-    """
-    flat = [v if isinstance(v, int) else Fraction(v) for v in values]
-    scale = math.lcm(*(v.denominator for v in flat))
-    return _int_array([int(v * scale) for v in flat], shape), scale
-
-
-def _exact_quotient(v: int, den: int) -> Rational:
-    """v / den as an int when it divides, a Fraction otherwise."""
-    q, r = divmod(v, den)
-    return Fraction(v, den) if r else q
-
-
-def _max_abs(arr: np.ndarray) -> int:
-    # np.max, not .max: np.abs of a 0-d object array is a plain int
-    return int(np.max(np.abs(arr), initial=0))
-
-
-def _contract(
-    subscripts: str, sum_terms: int, *arrays: np.ndarray, optimize: bool = False
-) -> np.ndarray:
-    """Exact ``einsum`` of integer arrays with at most ``sum_terms`` terms
-    per output entry.
-
-    It runs in int64 when the sum of ``sum_terms`` products of the
-    largest entries stays below 2^62, where wraparound would be silent,
-    and on Python ints (dtype=object) otherwise.  Every product of
-    integer arrays that can grow is formed here, a scale times an array
-    too (as a 0-d operand), so no caller repeats this rule.
-    ``optimize`` picks a pairwise contraction order; it pays off on
-    large contractions, while on a single product its path search costs
-    more than the contraction.
-    """
-    bound = sum_terms
-    for a in arrays:
-        bound *= max(_max_abs(a), 1)
-    dtype = np.int64 if bound < _INT64_SAFE else object
-    arrays = tuple(a.astype(dtype, copy=False) for a in arrays)
-    return np.einsum(subscripts, *arrays, optimize=optimize)
-
 
 def batch_multiply(tensor: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise products of two (batch, dim) integer coordinate arrays.

@@ -706,8 +706,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
                 "dimension": basis.dim,
                 "ambient_dim": basis.ambient_dim,
                 "basis": [
-                    [[str(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
-                    for m in basis.basis
+                    [[str(v) for v in row] for row in m.to_rows()] for m in basis.basis
                 ],
             }
             out.write(json.dumps(doc, indent=2, sort_keys=True))

@@ -19,10 +19,9 @@ from .algebras import (
     AlgebraElement,
     AlgebraMismatchError,
     FiniteAlgebra,
-    _contract,
     batch_multiply,
 )
-from .linalg import Rational, RationalMatrix, is_positive_definite
+from .linalg import Rational, RationalMatrix, _contract, is_positive_definite
 
 #: Off-diagonal slots in basis order: (row, col) above the diagonal.
 OFF_POSITIONS = ((0, 1), (0, 2), (1, 2))
@@ -261,9 +260,7 @@ def trace_form_gram(j: JordanAlgebra) -> RationalMatrix:
     diagonal coordinates, C'[i, j, :3] / s.
     """
     traces = _contract("ijk->ij", 3, j.tensor[:, :, :3])
-    return RationalMatrix(
-        j.dim, j.dim, (Fraction(v, j.scale) for v in traces.ravel().tolist())
-    )
+    return RationalMatrix.from_ints(traces, j.scale)
 
 
 def trace_form_is_positive_definite(j: JordanAlgebra) -> bool:

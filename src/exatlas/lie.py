@@ -8,10 +8,12 @@ closure, and the eigenspace bracket relations of an involution.
 
 Hot paths run on scaled integer numpy arrays, starting from the
 algebra's own structure tensor C' = s*c.  Scales are tracked so the
-integer identities are equivalent to the rational ones.  Every product
-of those arrays is one ``algebras._contract``, which runs in int64 only
-when its bound is proven and on Python ints otherwise, so the results
-do not depend on the size of the constants, that is, on the basis.
+integer identities are equivalent to the rational ones; a
+``RationalMatrix`` is read as its own (integer array, denominator)
+pair.  Every product of those arrays is one ``linalg._contract``, which
+runs in int64 only when its bound is proven and on Python ints
+otherwise, so the results do not depend on the size of the constants,
+that is, on the basis.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ import numpy as np
 
 from . import algebras as _alg
 from . import jordan as _jordan
-from .algebras import _contract, _int_array, _scaled_int_array
 from .linalg import (
     CancelToken,
     DimensionError,
     RationalMatrix,
+    _contract,
+    _int_array,
+    _scaled_int_array,
     integer_rows,
     nullspace_with_info,
 )
@@ -167,30 +171,26 @@ class LieAlgebraBasis:
         """Coordinates of a matrix in the basis; raises if outside the span."""
         if m.shape != (self.ambient_dim, self.ambient_dim):
             raise DimensionError("matrix has the wrong ambient dimension")
-        coords = tuple(Fraction(m.entry(*divmod(fc, m.cols))) for fc in self.free_coords)
-        if self.element_matrix(coords) != m:
+        c_int = m._ints.reshape(-1)[list(self.free_coords)]
+        if self._combination(c_int, m._den) != m:
             raise ValueError("matrix lies outside the span of the basis")
-        return coords
+        return tuple(Fraction(v, m._den) for v in c_int.tolist())
 
     def element_matrix(self, coords: Sequence) -> RationalMatrix:
-        c_int, c_scale = _scaled_int_array(coords, (self.dim,))
+        return self._combination(*_scaled_int_array(coords, (self.dim,)))
+
+    def _combination(self, c_int: np.ndarray, c_scale: int) -> RationalMatrix:
         m_int = _contract("t,tij->ij", self.dim, c_int, self._d_int)
-        return _rational_matrix(m_int, c_scale * self._d_scale)
+        return RationalMatrix.from_ints(m_int, c_scale * self._d_scale)
 
     def ad_matrix(self, coords: Sequence) -> RationalMatrix:
         """Matrix of ad_x on the Lie algebra for x with the given coordinates."""
         x_int, x_scale = _scaled_int_array(coords, (self.dim,))
-        return _rational_matrix(self._ad(x_int), x_scale * self._f_scale)
+        return RationalMatrix.from_ints(self._ad(x_int), x_scale * self._f_scale)
 
     def _ad(self, x_int: np.ndarray) -> np.ndarray:
         """Scaled matrix of ad_x, (c, b) entry sum_a x[a] f(a, b, c), for integer x."""
         return _contract("a,abc->cb", self.dim, x_int, self._f_int)
-
-
-def _rational_matrix(ints: np.ndarray, den: int) -> RationalMatrix:
-    """A 2-D integer array divided by den, as an exact matrix."""
-    rows, cols = ints.shape
-    return RationalMatrix(rows, cols, (Fraction(v, den) for v in ints.reshape(-1).tolist()))
 
 
 def bracket(x: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
@@ -244,10 +244,7 @@ def derivation_algebra(
     if np.any(_contract("tij,j->ti", n, d_int, unit)):
         raise RuntimeError("internal error: derivation does not kill the unit")
 
-    basis = tuple(
-        RationalMatrix(n, n, vec)
-        for vec in vectors
-    )
+    basis = tuple(RationalMatrix.from_ints(m, d_scale) for m in d_int)
 
     # brackets of all basis pairs, scaled by d_scale^2
     if d:
@@ -289,7 +286,7 @@ def derivation_algebra(
 def killing_form(l: LieAlgebraBasis) -> RationalMatrix:
     """B(a, b) = trace(ad_a ad_b) on the basis; symmetric by construction."""
     k_int = _contract("axy,byx->ab", l.dim * l.dim, l._f_int, l._f_int)
-    return _rational_matrix(k_int, l._f_scale * l._f_scale)
+    return RationalMatrix.from_ints(k_int, l._f_scale * l._f_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +303,8 @@ def is_algebra_automorphism(algebra: _alg.FiniteAlgebra, sigma: RationalMatrix) 
     n = algebra.dim
     if sigma.shape != (n, n):
         return False
-    s_int, s_scale = _scaled_int_array(
-        [sigma.entry(i, j) for i in range(n) for j in range(n)], (n, n)
-    )
-    t = _int_array([s_scale], ())
+    s_int = sigma._ints
+    t = _int_array([sigma._den], ())
     c = algebra.tensor
     lhs = _contract(",ijm,km->ijk", n, t, c, s_int)
     rhs = _contract("ai,bj,abk->ijk", n * n, s_int, s_int, c, optimize=True)
@@ -326,15 +321,7 @@ def doubled_half_reflection(algebra: _alg.FiniteAlgebra) -> RationalMatrix:
     if n < 2 or n % 2:
         raise ValueError("need an algebra of even dimension >= 2")
     h = n // 2
-    return RationalMatrix(
-        n,
-        n,
-        (
-            (1 if i < h else -1) if i == j else 0
-            for i in range(n)
-            for j in range(n)
-        ),
-    )
+    return RationalMatrix.from_ints(np.diag([1] * h + [-1] * h), 1)
 
 
 def diagonal_sign_involution(
@@ -351,10 +338,7 @@ def diagonal_sign_involution(
     diag = [1, 1, 1]
     for pos, (r, c) in enumerate(_jordan.OFF_POSITIONS):
         diag.extend([signs[r] * signs[c]] * k.dim)
-    n = j.dim
-    return RationalMatrix(
-        n, n, (diag[i] if i == jj else 0 for i in range(n) for jj in range(n))
-    )
+    return RationalMatrix.from_ints(np.diag(diag), 1)
 
 
 def induced_involution(
@@ -381,10 +365,8 @@ def induced_involution(
 
     d = l.dim
     if d == 0:
-        return RationalMatrix(0, 0, ())
-    s_int, s_scale = _scaled_int_array(
-        [sigma.entry(i, jj) for i in range(n) for jj in range(n)], (n, n)
-    )
+        return RationalMatrix.zeros(0, 0)
+    s_int = sigma._ints
     transported = _contract("ij,tjk,kl->til", n * n, s_int, l._d_int, s_int, optimize=True)
     t_flat = transported.reshape(d, n * n)  # scale s^2 * d_scale
     coords = t_flat[:, list(l.free_coords)]  # coords[t, u] = theta[u, t], scaled
@@ -395,7 +377,7 @@ def induced_involution(
         raise InvalidInvolutionError(
             "transported derivation leaves the span; sigma is not compatible"
         )
-    theta = _rational_matrix(coords.T, s_scale * s_scale * l._d_scale)
+    theta = RationalMatrix.from_ints(coords.T, sigma._den**2 * l._d_scale)
     if theta @ theta != RationalMatrix.identity(d):
         raise InvalidInvolutionError("induced map is not an involution")
     return theta
@@ -410,7 +392,8 @@ class CartanPair:
     """Eigenspace split g = k + p under an involutive automorphism.
 
     k is the (+1)-eigenspace, p the (-1)-eigenspace, both as canonical
-    coordinate bases with their read-off coordinates.  The three bracket
+    coordinate bases with their read-off coordinates, and as integer
+    arrays (each a positive multiple of its basis).  The three bracket
     inclusions [k,k] in k, [k,p] in p, [p,p] in k are certified exactly
     on construction; the span flags record whether the inclusions are
     onto.
@@ -423,6 +406,8 @@ class CartanPair:
     p_free: tuple[int, ...]
     pp_spans_k: bool
     kp_spans_p: bool
+    _k_int: np.ndarray = field(repr=False)
+    _p_int: np.ndarray = field(repr=False)
 
     @property
     def k_dim(self) -> int:
@@ -439,12 +424,9 @@ class CartanPair:
 
 def _theta_is_lie_automorphism(l: LieAlgebraBasis, theta: RationalMatrix) -> bool:
     d = l.dim
-    t_int, t_scale = _scaled_int_array(
-        [theta.entry(i, j) for i in range(d) for j in range(d)], (d, d)
-    )
-    f = l._f_int
+    t_int, f = theta._ints, l._f_int
     lhs = _contract("ca,db,cde->abe", d * d, t_int, t_int, f, optimize=True)
-    rhs = _contract(",ec,abc->abe", d, _int_array([t_scale], ()), t_int, f)
+    rhs = _contract(",ec,abc->abe", d, _int_array([theta._den], ()), t_int, f)
     return bool(np.array_equal(lhs, rhs))
 
 
@@ -468,22 +450,16 @@ def _contained_in(
 
 
 def _int_rank(rows: np.ndarray) -> int:
-    sparse = []
-    for r in rows:
-        nz = [(int(j), int(v)) for j, v in enumerate(r) if v]
-        if nz:
-            sparse.append(nz)
-    if not sparse:
-        return 0
-    _, _, rank_ = nullspace_with_info(sparse, rows.shape[1])
-    return rank_
+    sparse = integer_rows(RationalMatrix.from_ints(rows, 1))
+    return nullspace_with_info(sparse, rows.shape[1])[2] if sparse else 0
 
 
 def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
     """Split l into the +/-1 eigenspaces of theta and certify the relations.
 
     theta must be an involutive Lie-algebra automorphism (both verified).
-    Raises InvalidInvolutionError otherwise.
+    Raises InvalidInvolutionError otherwise.  The zero algebra splits
+    into two zero spaces, each spanned by the brackets vacuously.
     """
     d = l.dim
     if theta.shape != (d, d):
@@ -493,6 +469,9 @@ def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
         raise InvalidInvolutionError("map does not square to the identity")
     if not _theta_is_lie_automorphism(l, theta):
         raise InvalidInvolutionError("map does not preserve the bracket")
+    if d == 0:
+        empty = np.zeros((0, 0), dtype=np.int64)
+        return CartanPair(l, (), (), (), (), True, True, empty, empty)
 
     k_vecs, k_free, _ = nullspace_with_info(integer_rows(theta - ident), d)
     p_vecs, p_free, _ = nullspace_with_info(integer_rows(theta + ident), d)
@@ -518,17 +497,16 @@ def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
     if not _contained_in(pp, k_int, k_scale, k_free):
         raise RuntimeError("internal error: [p, p] escapes k")
 
-    pp_rank = _int_rank(pp.reshape(-1, d)) if len(p_vecs) else 0
-    kp_rank = _int_rank(kp.reshape(-1, d)) if len(k_vecs) and len(p_vecs) else 0
-
     return CartanPair(
         lie=l,
         k_basis=tuple(k_vecs),
         p_basis=tuple(p_vecs),
         k_free=tuple(k_free),
         p_free=tuple(p_free),
-        pp_spans_k=pp_rank == len(k_vecs),
-        kp_spans_p=kp_rank == len(p_vecs),
+        pp_spans_k=_int_rank(pp.reshape(-1, d)) == len(k_vecs),
+        kp_spans_p=_int_rank(kp.reshape(-1, d)) == len(p_vecs),
+        _k_int=k_int,
+        _p_int=p_int,
     )
 
 
@@ -573,16 +551,25 @@ def flat_rank(
 
     For a generic x in p the set {y in p : [x, y] = 0} is a maximal
     flat, whose dimension is the rank of the symmetric space.
+
+    The split may come from a noncompact real form and still gives the
+    compact space's rank: the rank is an invariant of the complexified
+    pair (k_C, p_C), the common dimension of its Cartan subspaces, which
+    are the centralizers in p_C of regular semisimple elements
+    (Kostant-Rallis).  Those elements are Zariski dense in p_C, so a
+    random rational probe in p is one of them unless it is unlucky; an
+    unlucky probe has a larger centralizer, so extra trials can only
+    lower the result.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     l = pair.lie
     np_dim = pair.p_dim
     if np_dim == 0:
         return 0
     if rng is None:
         rng = random.Random(_alg.DEFAULT_SEED)
-    p_int, _ = _scaled_int_array(
-        [v for vec in pair.p_basis for v in vec], (np_dim, l.dim)
-    )
+    p_int = pair._p_int
     best = np_dim
     for _ in range(trials):
         c = np.array([rng.randint(-9, 9) for _ in range(np_dim)], dtype=np.int64)

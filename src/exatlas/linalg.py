@@ -1,12 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Rank, nullspace bases, and modular rank probes for dense matrices with
-rational entries.  Every system, of any size, is solved one way: after
-clearing denominators, the reduced echelon form is computed modulo
-seeded 31-bit primes, the residues of primes that agree are combined by
-CRT, the nullspace candidates are lifted by rational reconstruction, and
-each is certified by exact substitution; the certified count together
-with the modular rank pins the exact rank.
+A rational matrix is one integer array over one positive denominator,
+and every product of integer arrays is one ``_contract``: in int64 when
+its bound is proven, on Python ints otherwise.  Rank, nullspace bases,
+and modular rank probes work on those integers.  Every system, of any
+size, is solved one way: after clearing denominators, the reduced
+echelon form is computed modulo seeded 31-bit primes, the residues of
+primes that agree are combined by CRT, the nullspace candidates are
+lifted by rational reconstruction, and each is certified by exact
+substitution; the certified count together with the modular rank pins
+the exact rank.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ Rational = Fraction
 _BLOCK_ROWS = 2048
 _PROBE_SEED = 0x51BB1E
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+_INT64_SAFE = 1 << 62  # bound under which an int64 entry or sum is exact
 
 CancelToken = Callable[[], bool]
 
@@ -44,14 +49,73 @@ def _check_cancel(cancel: CancelToken | None) -> None:
         raise ComputationCancelled("computation cancelled by caller")
 
 
+# ---------------------------------------------------------------------------
+# exact integer arrays and contractions
+# ---------------------------------------------------------------------------
+
+def _int_array(ints: list, shape) -> np.ndarray:
+    """Python ints as an array: int64 when all are below 2^62, dtype=object otherwise."""
+    big = max(map(abs, ints), default=0) >= _INT64_SAFE
+    return np.array(ints, dtype=object if big else np.int64).reshape(shape)
+
+
+def _scaled_int_array(values, shape) -> tuple[np.ndarray, int]:
+    """Common-denominator integer form of a flat sequence of rationals.
+
+    Any other number (a float, say) is read as the exact rational it is.
+    """
+    flat = [v if isinstance(v, int) else Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in flat))
+    return _int_array([int(v * scale) for v in flat], shape), scale
+
+
+def _exact_quotient(v: int, den: int) -> Rational:
+    """v / den as an int when it divides, a Fraction otherwise."""
+    q, r = divmod(v, den)
+    return Fraction(v, den) if r else q
+
+
+def _max_abs(arr: np.ndarray) -> int:
+    # np.max, not .max: np.abs of a 0-d object array is a plain int
+    return int(np.max(np.abs(arr), initial=0))
+
+
+def _contract(
+    subscripts: str, sum_terms: int, *arrays: np.ndarray, optimize: bool = False
+) -> np.ndarray:
+    """Exact ``einsum`` of integer arrays with at most ``sum_terms`` terms
+    per output entry.
+
+    It runs in int64 when the sum of ``sum_terms`` products of the
+    largest entries stays below 2^62, where wraparound would be silent,
+    and on Python ints (dtype=object) otherwise.  Every product of
+    integer arrays that can grow is formed here, a scale times an array
+    too (as a 0-d operand), so no caller repeats this rule.
+    ``optimize`` picks a pairwise contraction order; it pays off on
+    large contractions, while on a single product its path search costs
+    more than the contraction.
+    """
+    bound = sum_terms
+    for a in arrays:
+        bound *= max(_max_abs(a), 1)
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    arrays = tuple(a.astype(dtype, copy=False) for a in arrays)
+    return np.einsum(subscripts, *arrays, optimize=optimize)
+
+
 class RationalMatrix:
     """Immutable dense matrix with exact rational entries, row-major.
 
-    Entries may be ints or Fractions; arithmetic never leaves the
-    rationals.  Instances are hashable and safe to share.
+    Stored as one integer array over one positive denominator: entry
+    (i, j) is ``_ints[i, j] / _den``.  The pair is kept canonical (no
+    integer > 1 divides ``_den`` and every entry; int64 while every entry
+    is below 2^62, Python ints in a dtype=object array otherwise), so
+    equal matrices have equal pairs.  Every product and sum is one
+    ``_contract``; entries are read as ints where the division is exact
+    and as Fractions otherwise.  Instances are hashable and safe to share.
     """
 
-    __slots__ = ("rows", "cols", "_entries")
+    __slots__ = ("rows", "cols", "_ints", "_den")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         if rows < 0 or cols < 0:
@@ -61,12 +125,28 @@ class RationalMatrix:
             raise DimensionError(
                 f"expected {rows * cols} entries for {rows}x{cols}, got {len(data)}"
             )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_entries", data)
+        self._set(*_scaled_int_array(data, (rows, cols)))
+
+    def _set(self, ints: np.ndarray, den: int) -> None:
+        g = math.gcd(int(np.gcd.reduce(ints, axis=None)), den)
+        if g > 1:
+            ints, den = ints // g, den // g
+        ints = ints.astype(object if _max_abs(ints) >= _INT64_SAFE else np.int64)
+        ints.setflags(write=False)
+        object.__setattr__(self, "rows", ints.shape[0])
+        object.__setattr__(self, "cols", ints.shape[1])
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
+
+    @classmethod
+    def from_ints(cls, ints: np.ndarray, den: int) -> "RationalMatrix":
+        """The matrix ints / den, for a 2-D integer array and a positive den."""
+        m = cls.__new__(cls)
+        m._set(ints, int(den))
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
@@ -82,93 +162,86 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, (1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls.from_ints(np.eye(n, dtype=np.int64), 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        return cls.from_ints(np.zeros((rows, cols), dtype=np.int64), 1)
+
+    def _quotients(self, ints: np.ndarray) -> tuple:
+        return tuple(_exact_quotient(v, self._den) for v in ints.tolist())
 
     def entry(self, i: int, j: int):
-        return self._entries[i * self.cols + j]
+        return _exact_quotient(int(self._ints[i, j]), self._den)
 
     def row(self, i: int) -> tuple:
-        return self._entries[i * self.cols : (i + 1) * self.cols]
+        return self._quotients(self._ints[i])
+
+    def column(self, j: int) -> tuple:
+        return self._quotients(self._ints[:, j])
 
     def to_rows(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.cols,
-            self.rows,
-            (self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+        return RationalMatrix.from_ints(self._ints.T, self._den)
 
     def matvec(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
             raise DimensionError(f"vector length {len(v)} != cols {self.cols}")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            out.append(sum(self._entries[base + j] * v[j] for j in range(self.cols)))
-        return tuple(out)
+        v_int, v_den = _scaled_int_array(v, (self.cols,))
+        prod = _contract("ij,j->i", self.cols, self._ints, v_int)
+        return tuple(_exact_quotient(x, self._den * v_den) for x in prod.tolist())
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-        cols = [other.column(j) for j in range(other.cols)]
-        flat = []
-        for i in range(self.rows):
-            r = self.row(i)
-            for c in cols:
-                flat.append(sum(a * b for a, b in zip(r, c) if a and b))
-        return RationalMatrix(self.rows, other.cols, flat)
+        prod = _contract("ij,jk->ik", self.cols, self._ints, other._ints)
+        return RationalMatrix.from_ints(prod, self._den * other._den)
 
-    def column(self, j: int) -> tuple:
-        return tuple(self._entries[i * self.cols + j] for i in range(self.rows))
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._same_shape(other)
-        return RationalMatrix(
-            self.rows, self.cols, (a + b for a, b in zip(self._entries, other._entries))
-        )
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._same_shape(other)
-        return RationalMatrix(
-            self.rows, self.cols, (a - b for a, b in zip(self._entries, other._entries))
-        )
-
-    def scale(self, s) -> "RationalMatrix":
-        return RationalMatrix(self.rows, self.cols, (s * a for a in self._entries))
-
-    def _same_shape(self, other: "RationalMatrix") -> None:
+    def _combine(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
+        # self + sign * other over the lcm of the two denominators
         if self.shape != other.shape:
             raise DimensionError(f"shape mismatch: {self.shape} vs {other.shape}")
+        den = math.lcm(self._den, other._den)
+        coeffs = _int_array([den // self._den, sign * (den // other._den)], (2,))
+        pair = np.stack([self._ints, other._ints])
+        return RationalMatrix.from_ints(_contract("s,sij->ij", 2, coeffs, pair), den)
+
+    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
+        return self._combine(other, -1)
+
+    def scale(self, s) -> "RationalMatrix":
+        s = Fraction(s)
+        num = _int_array([s.numerator], ())
+        return RationalMatrix.from_ints(
+            _contract(",ij->ij", 1, num, self._ints), self._den * s.denominator
+        )
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(not e for e in self._entries)
+        return not self._ints.any()
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.entry(i, j) == self.entry(j, i)
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        return self.rows == self.cols and np.array_equal(self._ints, self._ints.T)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self.shape == other.shape and all(
-            a == b for a, b in zip(self._entries, other._entries)
+        return (
+            self.shape == other.shape
+            and self._den == other._den
+            and np.array_equal(self._ints, other._ints)
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._entries))
+        return hash((self.shape, self._den, tuple(self._ints.ravel().tolist())))
 
     def __repr__(self) -> str:
         if self.rows * self.cols <= 36:
@@ -184,28 +257,16 @@ SparseRow = list[tuple[int, int]]  # sorted (column, integer coefficient) pairs
 
 
 def integer_rows(m: RationalMatrix) -> list[SparseRow]:
-    """Clear denominators row by row and drop zero rows.
+    """The rows of the integer array, each divided by its gcd; zero rows dropped.
 
     Scaling rows by positive integers changes neither rank nor nullspace.
     """
-    out: list[SparseRow] = []
-    for i in range(m.rows):
-        row = m.row(i)
-        nz = [(j, v) for j, v in enumerate(row) if v]
-        if not nz:
-            continue
-        scale = 1
-        for _, v in nz:
-            if isinstance(v, Fraction):
-                scale = scale * v.denominator // math.gcd(scale, v.denominator)
-        ints = [(j, int(v * scale)) for j, v in nz]
-        g = 0
-        for _, v in ints:
-            g = math.gcd(g, v)
-        if g > 1:
-            ints = [(j, v // g) for j, v in ints]
-        out.append(ints)
-    return out
+    g = np.gcd.reduce(m._ints, axis=1)
+    ints = m._ints[g != 0] // g[g != 0, None]
+    i, j = np.nonzero(ints)
+    items = list(zip(j.tolist(), ints[i, j].tolist()))
+    bounds = np.searchsorted(i, np.arange(ints.shape[0] + 1)).tolist()
+    return [items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _verify_in_nullspace(rows: Sequence[SparseRow], vector: Sequence) -> bool:
@@ -509,27 +570,14 @@ def rank_modular_probe(m: RationalMatrix, prime: int) -> int:
         raise ValueError(f"prime must lie between 2**30 and 2**31, got {prime}")
     if not is_probable_prime(prime):
         raise ValueError(f"{prime} is not prime")
-    for i in range(m.rows):
-        for v in m.row(i):
-            if isinstance(v, Fraction) and v.denominator % prime == 0:
-                raise PrimeDivisorError(
-                    f"prime {prime} divides a denominator; retry with a new prime"
-                )
-    sparse: list[SparseRow] = []
-    for i in range(m.rows):
-        row = []
-        for j, v in enumerate(m.row(i)):
-            if v:
-                if isinstance(v, Fraction):
-                    r = v.numerator * pow(v.denominator, prime - 2, prime) % prime
-                else:
-                    r = v % prime
-                if r:
-                    row.append((j, r))
-        if row:
-            sparse.append(row)
-    pivcols, _ = _modp_rref(sparse, m.cols, prime)
-    return len(pivcols)
+    if m._den % prime == 0:
+        raise PrimeDivisorError(
+            f"prime {prime} divides a denominator; retry with a new prime"
+        )
+    # the denominator is a unit mod prime, so the integer array has the rank
+    eng = _ModPEchelon(m.cols, prime)
+    eng.absorb((m._ints % prime).astype(np.int64))
+    return eng.rank
 
 
 # ---------------------------------------------------------------------------
@@ -539,18 +587,17 @@ def rank_modular_probe(m: RationalMatrix, prime: int) -> int:
 def principal_minor_signs(m: RationalMatrix) -> list[int]:
     """Signs of the leading principal minors, computed exactly.
 
-    Denominators are cleared by one positive integer, which keeps every
-    sign.  Fraction-free elimination without pivoting then leaves the
-    k-th leading principal minor as its k-th pivot; the part still to be
-    eliminated stays symmetric, so only its upper triangle is kept.  It
-    stops at the first zero minor, which already rules out definiteness;
-    the signs from there on read 0.
+    The integer array is the matrix times its positive denominator,
+    which keeps every sign.  Fraction-free elimination without pivoting
+    then leaves the k-th leading principal minor as its k-th pivot; the
+    part still to be eliminated stays symmetric, so only its upper
+    triangle is kept.  It stops at the first zero minor, which already
+    rules out definiteness; the signs from there on read 0.
     """
     if not m.is_symmetric():
         raise DimensionError("principal minor signs need a symmetric matrix")
     n = m.rows
-    den = math.lcm(*(v.denominator for v in m._entries))
-    a = [[v.numerator * (den // v.denominator) for v in m.row(i)] for i in range(n)]
+    a = m._ints.tolist()
     signs = [0] * n
     prev = 1
     for k in range(n):

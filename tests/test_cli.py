@@ -107,6 +107,15 @@ class TestJsonOutputs:
         statuses = {c["status"] for c in doc["suites"][0]["checks"]}
         assert statuses == {"pass"}
 
+    def test_verify_all_matches_pinned_checks(self):
+        # the benchmark's correctness gate: same check ids and values, in order
+        pinned = json.loads((DATA.parents[1] / "perfbench" / "verify_all_checks.json").read_text())
+        code, out = run_cli(["verify", "all", "--format", "json", "--seed", "7"])
+        doc = json.loads(out)
+        assert code == 0
+        got = [[c["id"], c["computed"]] for s in doc["suites"] for c in s["checks"]]
+        assert got == pinned["checks"]
+
     def test_verify_json_failure_reported(self):
         code, out = run_cli(["verify", "atlas", "--inject-corruption", "--format", "json"])
         doc = json.loads(out)

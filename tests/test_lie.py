@@ -318,6 +318,14 @@ class TestCartanSplit:
         assert pair.pp_spans_k
         assert pair.kp_spans_p
 
+    def test_zero_algebra_splits_trivially(self):
+        # Der C = 0: the induced map is 0x0, and the split used to raise
+        c = complex_algebra()
+        l = derivation_algebra(c)
+        pair = cartan_split(l, induced_involution(c, doubled_half_reflection(c), l))
+        assert (pair.dims, pair.pp_spans_k, pair.kp_spans_p) == ((0, 0), True, True)
+        assert flat_rank(pair) == 0
+
     def test_swap_map_rejected(self, der_h):
         # exchanging two so(3) basis vectors is involutive but not an automorphism
         swap = RationalMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
@@ -462,6 +470,14 @@ class TestFlatRank:
         sigma = diagonal_sign_involution(j3o, (-1, 1, 1))
         pair = cartan_split(der_j3o, induced_involution(j3o, sigma, der_j3o))
         assert flat_rank(pair) == 1
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_validated(self, der_o, trials):
+        # no trial used to return p_dim (8 here) for a rank-2 space
+        sigma = doubled_half_reflection(octonions())
+        pair = cartan_split(der_o, induced_involution(octonions(), sigma, der_o))
+        with pytest.raises(ValueError):
+            flat_rank(pair, trials=trials)
 
 
 class TestCancellation:

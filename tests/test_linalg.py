@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +63,90 @@ class TestRationalMatrix:
     def test_hash_eq(self):
         assert mat([[1]]) == mat([[Fraction(1)]])
         assert hash(mat([[1]])) == hash(mat([[Fraction(1)]]))
+
+    def test_equal_values_give_equal_matrices(self):
+        # 2/4 and 1/2, int and Fraction(int): one canonical pair each
+        half = mat([[Fraction(1, 2), 1]])
+        for same in (
+            RationalMatrix.from_ints(np.array([[2, 4]]), 4),
+            mat([[2, 4]]).scale(Fraction(1, 4)),
+            mat([[Fraction(2, 4), Fraction(4, 4)]]),
+        ):
+            assert same == half and hash(same) == hash(half)
+        big = mat([[3, 2**70]])
+        same = mat([[Fraction(3), Fraction(2**70)]])
+        assert same == big and hash(same) == hash(big)
+        assert mat([[Fraction(1, 2)]]) != mat([[1]])
+
+
+# textbook reference: rational matrices as lists of Fraction rows
+def ref_dot(u, v):
+    return sum((x * y for x, y in zip(u, v)), Fraction(0))
+
+
+def ref_matmul(a, b):
+    return [[ref_dot(row, col) for col in zip(*b)] for row in a]
+
+
+def ref_entrywise(a, b, op):
+    return [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+# numerators up to 2^70 and mixed denominators: int64 and Python-int arrays
+rationals = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=2**40)),
+    ),
+)
+
+
+def rational_rows(nrows, ncols):
+    return st.lists(st.lists(rationals, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def matrix_operands(draw):
+    r, k, c = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+    return (
+        draw(rational_rows(r, k)),
+        draw(rational_rows(r, k)),
+        draw(rational_rows(k, c)),
+        draw(st.lists(rationals, min_size=k, max_size=k)),
+        draw(rationals),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_operands())
+def test_rational_matrix_matches_fraction_reference(operands):
+    a, b, c, v, s = operands
+    r, k = len(a), len(a[0])
+    ma, mb, mc = mat(a), mat(b), mat(c)
+    assert ma.shape == (r, k)
+    for i in range(r):
+        assert ma.row(i) == tuple(a[i])
+        for j in range(k):
+            e = ma.entry(i, j)
+            assert e == a[i][j]
+            # an int where the division is exact, a Fraction otherwise
+            assert type(e) is (int if Fraction(a[i][j]).denominator == 1 else Fraction)
+    for j in range(k):
+        assert ma.column(j) == tuple(row[j] for row in a)
+    assert ma.to_rows() == a
+    assert (ma + mb).to_rows() == ref_entrywise(a, b, lambda x, y: x + y)
+    assert (ma - mb).to_rows() == ref_entrywise(a, b, lambda x, y: x - y)
+    assert ma.scale(s).to_rows() == [[s * x for x in row] for row in a]
+    assert ma.transpose().to_rows() == [list(col) for col in zip(*a)]
+    assert (ma @ mc).to_rows() == ref_matmul(a, c)
+    assert ma.matvec(v) == tuple(ref_dot(row, v) for row in a)
+    assert (ma - mb).is_zero() == (a == b)
+    assert (ma == mb) == (a == b)
+    same = mat([[Fraction(x) for x in row] for row in a])
+    assert same == ma and hash(same) == hash(ma)
 
 
 class TestRank:
