@@ -74,7 +74,6 @@ from .lie import (
 from .linalg import (
     ComputationCancelled,
     DimensionError,
-    PrimeDivisorError,
     Rational,
     RationalMatrix,
     is_negative_definite,
@@ -82,7 +81,6 @@ from .linalg import (
     nullspace_basis,
     principal_minor_signs,
     rank,
-    rank_modular_probe,
 )
 
 __version__ = "0.1.0"

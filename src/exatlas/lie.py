@@ -171,21 +171,24 @@ class LieAlgebraBasis:
         """Coordinates of a matrix in the basis; raises if outside the span."""
         if m.shape != (self.ambient_dim, self.ambient_dim):
             raise DimensionError("matrix has the wrong ambient dimension")
-        c_int = m._ints.reshape(-1)[list(self.free_coords)]
-        if self._combination(c_int, m._den) != m:
+        c_int = _span_coords(m._ints, self._d_int, self._d_scale, self.free_coords)
+        if c_int is None:
             raise ValueError("matrix lies outside the span of the basis")
         return tuple(Fraction(v, m._den) for v in c_int.tolist())
 
-    def element_matrix(self, coords: Sequence) -> RationalMatrix:
-        return self._combination(*_scaled_int_array(coords, (self.dim,)))
+    def _coord_array(self, coords: Sequence) -> tuple[np.ndarray, int]:
+        if len(coords) != self.dim:
+            raise DimensionError(f"expected {self.dim} coordinates, got {len(coords)}")
+        return _scaled_int_array(coords, (self.dim,))
 
-    def _combination(self, c_int: np.ndarray, c_scale: int) -> RationalMatrix:
+    def element_matrix(self, coords: Sequence) -> RationalMatrix:
+        c_int, c_scale = self._coord_array(coords)
         m_int = _contract("t,tij->ij", self.dim, c_int, self._d_int)
         return RationalMatrix.from_ints(m_int, c_scale * self._d_scale)
 
     def ad_matrix(self, coords: Sequence) -> RationalMatrix:
         """Matrix of ad_x on the Lie algebra for x with the given coordinates."""
-        x_int, x_scale = _scaled_int_array(coords, (self.dim,))
+        x_int, x_scale = self._coord_array(coords)
         return RationalMatrix.from_ints(self._ad(x_int), x_scale * self._f_scale)
 
     def _ad(self, x_int: np.ndarray) -> np.ndarray:
@@ -198,6 +201,31 @@ def bracket(x: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
     if x.shape != y.shape or x.rows != x.cols:
         raise DimensionError(f"bracket needs equal square shapes, got {x.shape}, {y.shape}")
     return x @ y - y @ x
+
+
+def _span_coords(
+    vectors: np.ndarray, basis_int: np.ndarray, basis_scale: int, free: Sequence[int]
+) -> np.ndarray | None:
+    """Coordinates of vectors in the span of an echelon basis, or None.
+
+    The basis is ``basis_int / basis_scale``, one vector per index of
+    its leading axis; vector t is 1 at the flat coordinate ``free[t]``
+    and 0 at the other free coordinates.  ``vectors`` holds integer
+    multiples (any common scale s) of the vectors to place, in the
+    basis vectors' shape on its trailing axes, after any batch axes.
+    An element of the span has its coordinates (times s) at the free
+    coordinates; the certificate rebuilds each vector from them and
+    compares with ``basis_scale`` times the input.  The free coordinates
+    are unravelled over the trailing axes, so a strided view is indexed
+    in place, never flattened into a copy.
+    """
+    trail = "ijkl"[: basis_int.ndim - 1]
+    lead = "abcd"[: vectors.ndim - len(trail)]
+    free_idx = np.unravel_index(np.asarray(free, dtype=np.intp), basis_int.shape[1:])
+    coeffs = vectors[(..., *free_idx)]
+    recon = _contract(f"{lead}t,t{trail}->{lead}{trail}", basis_int.shape[0], coeffs, basis_int)
+    scaled = _contract(",...->...", 1, _int_array([basis_scale], ()), vectors)
+    return coeffs if np.array_equal(recon, scaled) else None
 
 
 def _leibniz_defect_is_zero(c_int: np.ndarray, d_int: np.ndarray) -> bool:
@@ -225,13 +253,8 @@ def derivation_algebra(
     n = algebra.dim
     rows, ncols = leibniz_constraint_rows(algebra)
     vectors, free_cols, _ = nullspace_with_info(rows, ncols, cancel)
-
-    d = len(vectors)
-    flat_vals = [v for vec in vectors for v in vec]
-    if d:
-        d_int, d_scale = _scaled_int_array(flat_vals, (d, n, n))
-    else:
-        d_int, d_scale = np.zeros((0, n, n), dtype=np.int64), 1
+    d = vectors.rows
+    d_int, d_scale = vectors._ints.reshape(d, n, n), vectors._den
 
     c_int = algebra.tensor
     for t in range(d):
@@ -246,26 +269,20 @@ def derivation_algebra(
 
     basis = tuple(RationalMatrix.from_ints(m, d_scale) for m in d_int)
 
-    # brackets of all basis pairs, scaled by d_scale^2
-    if d:
-        # bounded for 2n terms, so that the commutator is exact too
-        prod = _contract("aij,bjk->abik", 2 * n, d_int, d_int, optimize=True)
-        # prod is a transposed view, so comm is kept 4-d: flattening it would copy
-        comm = prod - prod.transpose(1, 0, 2, 3)
-        free_i, free_k = np.divmod(free_cols, n)
-        f_int = comm[:, :, free_i, free_k]
-        # closure certificate: reconstruction from read-off coordinates
-        lhs = _contract("abt,tik->abik", d, f_int, d_int)
-        rhs = _contract(",abik->abik", 1, _int_array([d_scale], ()), comm)
-        if not np.array_equal(lhs, rhs):
-            raise RuntimeError("internal error: bracket closure certification failed")
-        f_scale = d_scale * d_scale
-        g = math.gcd(int(np.gcd.reduce(np.abs(f_int), axis=None)), f_scale)
-        if g > 1:
-            f_int = f_int // g
-            f_scale //= g
-    else:
-        f_int, f_scale = np.zeros((0, 0, 0), dtype=np.int64), 1
+    # brackets of all basis pairs, scaled by d_scale^2;
+    # bounded for 2n terms, so that the commutator is exact too
+    prod = _contract("aij,bjk->abik", 2 * n, d_int, d_int, optimize=True)
+    # prod is a transposed view, so comm is kept 4-d: flattening it would copy
+    comm = prod - prod.transpose(1, 0, 2, 3)
+    # closure certificate: every bracket lies in the span
+    f_int = _span_coords(comm, d_int, d_scale, free_cols)
+    if f_int is None:
+        raise RuntimeError("internal error: bracket closure certification failed")
+    f_scale = d_scale * d_scale
+    g = math.gcd(int(np.gcd.reduce(np.abs(f_int), axis=None)), f_scale)
+    if g > 1:
+        f_int = f_int // g
+        f_scale //= g
 
     return LieAlgebraBasis(
         algebra=algebra,
@@ -363,22 +380,17 @@ def induced_involution(
     else:
         sigma = Involution.certify(algebra, sigma).matrix
 
-    d = l.dim
-    if d == 0:
-        return RationalMatrix.zeros(0, 0)
     s_int = sigma._ints
+    # scaled by s^2 * d_scale
     transported = _contract("ij,tjk,kl->til", n * n, s_int, l._d_int, s_int, optimize=True)
-    t_flat = transported.reshape(d, n * n)  # scale s^2 * d_scale
-    coords = t_flat[:, list(l.free_coords)]  # coords[t, u] = theta[u, t], scaled
-    # span certificate: reconstruct each transported derivation
-    lhs = _contract("tu,ux->tx", d, coords, l._d_int.reshape(d, n * n))
-    rhs = _contract(",tx->tx", 1, _int_array([l._d_scale], ()), t_flat)
-    if not np.array_equal(lhs, rhs):
+    coords = _span_coords(transported, l._d_int, l._d_scale, l.free_coords)
+    if coords is None:
         raise InvalidInvolutionError(
             "transported derivation leaves the span; sigma is not compatible"
         )
+    # coords[t, u] = theta[u, t], scaled
     theta = RationalMatrix.from_ints(coords.T, sigma._den**2 * l._d_scale)
-    if theta @ theta != RationalMatrix.identity(d):
+    if theta @ theta != RationalMatrix.identity(l.dim):
         raise InvalidInvolutionError("induced map is not an involution")
     return theta
 
@@ -391,31 +403,30 @@ def induced_involution(
 class CartanPair:
     """Eigenspace split g = k + p under an involutive automorphism.
 
-    k is the (+1)-eigenspace, p the (-1)-eigenspace, both as canonical
-    coordinate bases with their read-off coordinates, and as integer
-    arrays (each a positive multiple of its basis).  The three bracket
-    inclusions [k,k] in k, [k,p] in p, [p,p] in k are certified exactly
-    on construction; the span flags record whether the inclusions are
-    onto.
+    k is the (+1)-eigenspace, p the (-1)-eigenspace, each as the
+    reduced echelon ``RationalMatrix`` the solver certified (one row per
+    basis vector, in coordinates of the Lie algebra) with its free
+    columns, at which the coordinates of an element are read off.  The
+    three bracket inclusions [k,k] in k, [k,p] in p, [p,p] in k are
+    certified exactly on construction; the span flags record whether the
+    inclusions are onto.
     """
 
     lie: LieAlgebraBasis
-    k_basis: tuple[tuple[Fraction, ...], ...]
-    p_basis: tuple[tuple[Fraction, ...], ...]
+    k_basis: RationalMatrix
+    p_basis: RationalMatrix
     k_free: tuple[int, ...]
     p_free: tuple[int, ...]
     pp_spans_k: bool
     kp_spans_p: bool
-    _k_int: np.ndarray = field(repr=False)
-    _p_int: np.ndarray = field(repr=False)
 
     @property
     def k_dim(self) -> int:
-        return len(self.k_basis)
+        return self.k_basis.rows
 
     @property
     def p_dim(self) -> int:
-        return len(self.p_basis)
+        return self.p_basis.rows
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -435,18 +446,6 @@ def _subspace_brackets(
 ) -> np.ndarray:
     """Scaled bracket coordinates of all pairs from two integer bases."""
     return _contract("ia,jb,abc->ijc", l.dim * l.dim, left, right, l._f_int, optimize=True)
-
-
-def _contained_in(
-    brackets: np.ndarray, basis_int: np.ndarray, basis_scale: int, free: Sequence[int]
-) -> bool:
-    """Every bracket (scaled coords) lies in the span of the given basis."""
-    if brackets.size == 0:
-        return True
-    coeffs = brackets[:, :, list(free)]
-    recon = _contract("ijt,tc->ijc", basis_int.shape[0], coeffs, basis_int, optimize=True)
-    scaled = _contract(",ijc->ijc", 1, _int_array([basis_scale], ()), brackets)
-    return bool(np.array_equal(recon, scaled))
 
 
 def _int_rank(rows: np.ndarray) -> int:
@@ -470,43 +469,33 @@ def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
     if not _theta_is_lie_automorphism(l, theta):
         raise InvalidInvolutionError("map does not preserve the bracket")
     if d == 0:
-        empty = np.zeros((0, 0), dtype=np.int64)
-        return CartanPair(l, (), (), (), (), True, True, empty, empty)
+        empty = RationalMatrix.zeros(0, 0)
+        return CartanPair(l, empty, empty, (), (), True, True)
 
-    k_vecs, k_free, _ = nullspace_with_info(integer_rows(theta - ident), d)
-    p_vecs, p_free, _ = nullspace_with_info(integer_rows(theta + ident), d)
-    if len(k_vecs) + len(p_vecs) != d:
+    k, k_free, _ = nullspace_with_info(integer_rows(theta - ident), d)
+    p, p_free, _ = nullspace_with_info(integer_rows(theta + ident), d)
+    if k.rows + p.rows != d:
         raise InvalidInvolutionError("eigenspaces do not fill the algebra")
 
-    def as_int(vectors):
-        if not vectors:
-            return np.zeros((0, d), dtype=np.int64), 1
-        return _scaled_int_array([v for vec in vectors for v in vec], (len(vectors), d))
-
-    k_int, k_scale = as_int(k_vecs)
-    p_int, p_scale = as_int(p_vecs)
-
-    kk = _subspace_brackets(l, k_int, k_int)
-    kp = _subspace_brackets(l, k_int, p_int)
-    pp = _subspace_brackets(l, p_int, p_int)
-
-    if not _contained_in(kk, k_int, k_scale, k_free):
-        raise RuntimeError("internal error: [k, k] escapes k")
-    if not _contained_in(kp, p_int, p_scale, p_free):
-        raise RuntimeError("internal error: [k, p] escapes p")
-    if not _contained_in(pp, k_int, k_scale, k_free):
-        raise RuntimeError("internal error: [p, p] escapes k")
+    kk = _subspace_brackets(l, k._ints, k._ints)
+    kp = _subspace_brackets(l, k._ints, p._ints)
+    pp = _subspace_brackets(l, p._ints, p._ints)
+    for brackets, basis, free, what in (
+        (kk, k, k_free, "[k, k] escapes k"),
+        (kp, p, p_free, "[k, p] escapes p"),
+        (pp, k, k_free, "[p, p] escapes k"),
+    ):
+        if _span_coords(brackets, basis._ints, basis._den, free) is None:
+            raise RuntimeError(f"internal error: {what}")
 
     return CartanPair(
         lie=l,
-        k_basis=tuple(k_vecs),
-        p_basis=tuple(p_vecs),
+        k_basis=k,
+        p_basis=p,
         k_free=tuple(k_free),
         p_free=tuple(p_free),
-        pp_spans_k=_int_rank(pp.reshape(-1, d)) == len(k_vecs),
-        kp_spans_p=_int_rank(kp.reshape(-1, d)) == len(p_vecs),
-        _k_int=k_int,
-        _p_int=p_int,
+        pp_spans_k=_int_rank(pp.reshape(-1, d)) == k.rows,
+        kp_spans_p=_int_rank(kp.reshape(-1, d)) == p.rows,
     )
 
 
@@ -569,7 +558,7 @@ def flat_rank(
         return 0
     if rng is None:
         rng = random.Random(_alg.DEFAULT_SEED)
-    p_int = pair._p_int
+    p_int = pair.p_basis._ints
     best = np_dim
     for _ in range(trials):
         c = np.array([rng.randint(-9, 9) for _ in range(np_dim)], dtype=np.int64)

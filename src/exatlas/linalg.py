@@ -2,14 +2,14 @@
 
 A rational matrix is one integer array over one positive denominator,
 and every product of integer arrays is one ``_contract``: in int64 when
-its bound is proven, on Python ints otherwise.  Rank, nullspace bases,
-and modular rank probes work on those integers.  Every system, of any
+its bound is proven, on Python ints otherwise.  Every system, of any
 size, is solved one way: after clearing denominators, the reduced
 echelon form is computed modulo seeded 31-bit primes, the residues of
 primes that agree are combined by CRT, the nullspace candidates are
 lifted by rational reconstruction, and each is certified by exact
-substitution; the certified count together with the modular rank pins
-the exact rank.
+substitution on integers; the certified count together with the modular
+rank pins the exact rank.  The certified basis comes back as one
+echelon ``RationalMatrix``.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ CancelToken = Callable[[], bool]
 
 class DimensionError(ValueError):
     """Matrix shape makes the requested operation meaningless."""
-
-
-class PrimeDivisorError(ArithmeticError):
-    """The chosen prime divides a denominator; retry with a new prime."""
 
 
 class ComputationCancelled(RuntimeError):
@@ -339,10 +335,6 @@ class _ModPEchelon:
         self._pivcols: list[int] = []
         self._is_piv = np.zeros(ncols, dtype=bool)
 
-    @property
-    def rank(self) -> int:
-        return len(self._pivcols)
-
     def absorb(self, block: np.ndarray) -> None:
         p = self.p
         _check_cancel(self.cancel)
@@ -456,26 +448,36 @@ def _lift(
     free_cols: list[int],
     residues: list[list[int]],
     modulus: int,
-) -> list[tuple[Fraction, ...]] | None:
-    """The nullspace vectors the RREF residues stand for, or None.
+) -> RationalMatrix | None:
+    """The nullspace basis the RREF residues stand for, or None.
 
+    Each vector is cleared to integers over its own denominator and
+    certified on them; the basis is then one matrix over their lcm.
     None when an entry does not reconstruct or a vector fails exact
     substitution: the modulus is still too small, or a prime was bad.
     """
-    basis: list[tuple[Fraction, ...]] = []
+    vectors: list[list[int]] = []
+    dens: list[int] = []
     for j, f in enumerate(free_cols):
-        v: list[Fraction] = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        lifted = {}
         for t, c in enumerate(pivcols):
             if residues[t][j]:
-                lifted = rational_reconstruct(residues[t][j], modulus)
-                if lifted is None:
+                q = rational_reconstruct(residues[t][j], modulus)
+                if q is None:
                     return None
-                v[c] = lifted
+                lifted[c] = q
+        v_den = math.lcm(*(q.denominator for q in lifted.values()))
+        v = [0] * ncols
+        v[f] = v_den
+        for c, q in lifted.items():
+            v[c] = q.numerator * (v_den // q.denominator)
         if not _verify_in_nullspace(sparse_rows, v):
             return None
-        basis.append(tuple(v))
-    return basis
+        vectors.append(v)
+        dens.append(v_den)
+    den = math.lcm(*dens)
+    flat = [x * (den // v_den) for v, v_den in zip(vectors, dens) for x in v]
+    return RationalMatrix.from_ints(_int_array(flat, (len(vectors), ncols)), den)
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +488,15 @@ def nullspace_with_info(
     sparse_rows: Sequence[SparseRow],
     ncols: int,
     cancel: CancelToken | None = None,
-) -> tuple[list[tuple[Fraction, ...]], list[int], int]:
+) -> tuple[RationalMatrix, list[int], int]:
     """Nullspace basis, free columns, and rank for pre-cleared integer rows.
 
     The workhorse behind ``nullspace_basis``/``rank``, also called
     directly by the derivation engine to avoid building dense matrices.
-    The t-th basis vector has a 1 at the t-th free column, so span
-    coordinates can be read off at the free columns.
+    The basis is one nullity x ncols ``RationalMatrix`` in reduced
+    echelon form (shape (0, ncols) when the rows have full column rank):
+    row t has a 1 at the t-th free column and 0 at the other free
+    columns, so span coordinates can be read off at the free columns.
 
     One seeded 31-bit prime at a time: the RREF mod p, combined by CRT
     with the earlier primes that found the same pivot columns, lifted
@@ -545,39 +549,16 @@ def rank(m: RationalMatrix, cancel: CancelToken | None = None) -> int:
     return r
 
 
-def nullspace_basis(
-    m: RationalMatrix, cancel: CancelToken | None = None
-) -> list[tuple[Fraction, ...]]:
+def nullspace_basis(m: RationalMatrix, cancel: CancelToken | None = None) -> list[tuple]:
     """Canonical basis of the right nullspace, verified by substitution.
 
     Returns exactly cols - rank vectors; each vector has a 1 at its free
-    column and 0 at every other free column.
+    column and 0 at every other free column.  Entries are ints where
+    they are whole and Fractions otherwise.
     """
     _require_nonempty(m)
     basis, _, _ = nullspace_with_info(integer_rows(m), m.cols, cancel)
-    return basis
-
-
-def rank_modular_probe(m: RationalMatrix, prime: int) -> int:
-    """Rank of m reduced mod prime: a fast lower bound for the true rank.
-
-    Never a final answer on its own; pair it with certified nullspace
-    vectors to sandwich the exact rank.
-    """
-    _require_nonempty(m)
-    if not 2**30 < prime < 2**31:
-        # the int64 echelon kernel is exact only for p < 2^31
-        raise ValueError(f"prime must lie between 2**30 and 2**31, got {prime}")
-    if not is_probable_prime(prime):
-        raise ValueError(f"{prime} is not prime")
-    if m._den % prime == 0:
-        raise PrimeDivisorError(
-            f"prime {prime} divides a denominator; retry with a new prime"
-        )
-    # the denominator is a unit mod prime, so the integer array has the rank
-    eng = _ModPEchelon(m.cols, prime)
-    eng.absorb((m._ints % prime).astype(np.int64))
-    return eng.rank
+    return [tuple(v) for v in basis.to_rows()]
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from exatlas.lie import (
     generic_rank,
     induced_involution,
     killing_form,
-    _contained_in,
     _leibniz_row_items,
+    _span_coords,
     leibniz_constraint_rows,
     named_derivation_algebra,
 )
@@ -125,7 +125,7 @@ class TestDerivationCertificates:
         assert rank_ == 729 - 52
         pivot_cols, _ = _modp_rref(rows, ncols, 2**31 - 1)
         assert len(pivot_cols) == 677
-        assert len(basis) == 52
+        assert basis.rows == 52
 
     def test_j3o_rows_whose_lift_needs_several_primes(self, j3o):
         # e_k -> 1000^(k mod 3) e_k: one prime cannot lift these entries;
@@ -134,7 +134,7 @@ class TestDerivationCertificates:
         rows, ncols = leibniz_constraint_rows(copy)
         deadline = time.monotonic() + 60
         basis, _, rank_ = nullspace_with_info(rows, ncols, cancel=lambda: time.monotonic() > deadline)
-        assert (len(basis), rank_) == (52, 677)
+        assert (basis.rows, rank_) == (52, 677)
 
 
 def reference_leibniz_rows(a):
@@ -218,9 +218,20 @@ class TestBracket:
             for b in range(der_o.dim):
                 assert ad.column(b) == der_o.bracket_in_basis(a, b)
 
+    def test_coords_of_inverts_element_matrix(self, der_o):
+        coords = tuple(Fraction(t - 6, 1 + t % 4) for t in range(der_o.dim))
+        assert der_o.coords_of(der_o.element_matrix(coords)) == coords
+
     def test_coords_of_rejects_outsiders(self, der_o):
         with pytest.raises(ValueError):
             der_o.coords_of(RationalMatrix.identity(8))
+
+    @pytest.mark.parametrize("length", [0, 2])
+    def test_wrong_coordinate_count_rejected(self, der_h, length):
+        with pytest.raises(DimensionError):
+            der_h.element_matrix([1] * length)
+        with pytest.raises(DimensionError):
+            der_h.ad_matrix([1] * length)
 
 
 class TestKillingForm:
@@ -290,11 +301,37 @@ class TestInducedInvolution:
         with pytest.raises(InvalidInvolutionError):
             induced_involution(octonions(), sigma, der_o)
 
+    def test_transport_leaving_the_span_rejected(self, der_h):
+        # one derivation of H alone; swapping e1, e2 and negating e3 is an
+        # automorphism of H that moves it out of its own span
+        m = der_h.basis[1]
+        line = LieAlgebraBasis(
+            algebra=der_h.algebra,
+            ambient_dim=4,
+            basis=(m,),
+            free_coords=(der_h.free_coords[1],),
+            _d_int=m._ints[None],
+            _d_scale=m._den,
+            _f_int=np.zeros((1, 1, 1), dtype=np.int64),
+            _f_scale=1,
+        )
+        sigma = RationalMatrix.from_rows(
+            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]]
+        )
+        with pytest.raises(InvalidInvolutionError, match="leaves the span"):
+            induced_involution(der_h.algebra, sigma, line)
+
     def test_j3o_diagonal_conjugation(self, der_j3o, j3o):
         sigma = diagonal_sign_involution(j3o, (-1, 1, 1))
         theta = induced_involution(j3o, sigma, der_j3o)
         fixed = nullspace_basis(theta - RationalMatrix.identity(52))
         assert len(fixed) == 36
+
+
+def assert_eigenbases(pair, theta):
+    """k and p are rows of eigenvectors of theta, for +1 and -1."""
+    assert pair.k_basis @ theta.transpose() == pair.k_basis
+    assert pair.p_basis @ theta.transpose() == pair.p_basis.scale(-1)
 
 
 class TestCartanSplit:
@@ -309,6 +346,7 @@ class TestCartanSplit:
         assert pair.dims == (6, 8)
         assert pair.pp_spans_k
         assert pair.kp_spans_p
+        assert_eigenbases(pair, theta)
 
     def test_f4_split(self, der_j3o, j3o):
         sigma = diagonal_sign_involution(j3o, (-1, 1, 1))
@@ -317,6 +355,7 @@ class TestCartanSplit:
         assert pair.dims == (36, 16)
         assert pair.pp_spans_k
         assert pair.kp_spans_p
+        assert_eigenbases(pair, theta)
 
     def test_zero_algebra_splits_trivially(self):
         # Der C = 0: the induced map is 0x0, and the split used to raise
@@ -396,8 +435,8 @@ class TestBasisIndependence:
         # brackets near 2^61 times the basis scale 4 leave int64
         basis = np.array([[4, 0], [0, 4]], dtype=np.int64)
         inside = np.array([[[2**61, 1]]], dtype=np.int64)
-        assert _contained_in(inside, basis, 4, (0, 1))
-        assert not _contained_in(inside, basis[:1], 4, (0,))
+        assert _span_coords(inside, basis, 4, (0, 1)) is not None
+        assert _span_coords(inside, basis[:1], 4, (0,)) is None
 
     def test_j3h_in_a_rescaled_basis(self):
         j3h = jordan_algebra(quaternions())

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from exatlas.linalg import (
     DimensionError,
     _verify_in_nullspace,
-    PrimeDivisorError,
     RationalMatrix,
     integer_rows,
     is_negative_definite,
@@ -19,7 +18,6 @@ from exatlas.linalg import (
     nullspace_with_info,
     principal_minor_signs,
     rank,
-    rank_modular_probe,
     rational_reconstruct,
 )
 
@@ -179,6 +177,11 @@ class TestNullspace:
         for v in nullspace_basis(m):
             assert all(s == 0 for s in m.matvec(v))
 
+    def test_entries_are_ints_where_whole(self):
+        basis = nullspace_basis(mat([[2, 1, 0]]))
+        assert basis == [(Fraction(-1, 2), 1, 0), (0, 0, 1)]
+        assert [[type(v) for v in vec] for vec in basis] == [[Fraction, int, int], [int, int, int]]
+
     def test_free_column_pattern(self):
         m = mat([[1, 2, 3], [0, 0, 1]])
         (v,) = nullspace_basis(m)
@@ -217,53 +220,6 @@ def test_rank_invariant_under_row_ops(rows, rnd):
         s = Fraction(rnd.choice([1, 2, 3, -1, -5]), rnd.choice([1, 2, 7]))
         scaled.append([s * v for v in row])
     assert rank(mat(scaled)) == r
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.integers(min_value=-9, max_value=9), min_size=4, max_size=4),
-        min_size=1,
-        max_size=4,
-    )
-)
-def test_modular_probe_bounds_rank(rows):
-    m = mat(rows)
-    assert rank_modular_probe(m, PRIME31) <= rank(m)
-
-
-class TestModularProbe:
-    def test_identity(self):
-        assert rank_modular_probe(RationalMatrix.identity(3), PRIME31) == 3
-
-    def test_sign_difference(self):
-        assert rank_modular_probe(mat([[1, -1]]), PRIME31) == 1
-
-    def test_prime_divides_denominator(self):
-        m = mat([[Fraction(1, PRIME31)]])
-        with pytest.raises(PrimeDivisorError):
-            rank_modular_probe(m, PRIME31)
-
-    def test_prime_validation(self):
-        with pytest.raises(ValueError):
-            rank_modular_probe(mat([[1]]), 97)  # too small
-        with pytest.raises(ValueError):
-            rank_modular_probe(mat([[1]]), 2**31 - 2)  # not prime
-
-    def test_prime_beyond_int64_kernel_rejected(self):
-        # the int64 echelon kernel is exact only below 2**31; this case
-        # used to run without returning instead of raising
-        rng = random.Random(5)
-        m = mat([[rng.randint(-10**6, 10**6) for _ in range(6)] for _ in range(6)])
-        assert is_probable_prime(2**40 - 87)
-        with pytest.raises(ValueError):
-            rank_modular_probe(m, 2**40 - 87)
-
-    def test_probe_can_undershoot(self):
-        # the single entry vanishes mod p, so the probe sees rank 0
-        m = mat([[PRIME31]])
-        assert rank_modular_probe(m, PRIME31) == 0
-        assert rank(m) == 1
 
 
 def gauss_jordan_nullspace(rows, ncols):
@@ -309,7 +265,7 @@ class TestModularNullspacePath:
         got, _, rank_got = nullspace_with_info(sparse, 9)
         want, _, rank_want = gauss_jordan_nullspace(base, 9)
         assert rank_got == rank_want
-        assert got == want
+        assert [tuple(r) for r in got.to_rows()] == want
 
     def test_half_integer_entries(self):
         rng = random.Random(13)
@@ -320,7 +276,25 @@ class TestModularNullspacePath:
         tall = base * 200
         got, _, r1 = nullspace_with_info(integer_rows(mat(tall)), 7)
         want, _, r2 = gauss_jordan_nullspace(base, 7)
-        assert (got, r1) == (want, r2)
+        assert ([tuple(r) for r in got.to_rows()], r1) == (want, r2)
+
+    def test_entry_that_vanishes_mod_a_31_bit_prime(self):
+        # the elimination primes are 31-bit; the rank must not follow a residue
+        assert rank(mat([[PRIME31]])) == 1
+
+    def test_full_rank_gives_an_empty_basis(self):
+        basis, free, r = nullspace_with_info(integer_rows(mat([[1, 2], [3, 4]])), 2)
+        assert isinstance(basis, RationalMatrix)
+        assert (basis.shape, free, r) == ((0, 2), [], 2)
+
+    def test_basis_rows_are_echelon_at_the_free_columns(self):
+        rows = [[2, -1, 0, 3, 1], [0, 4, 1, -2, 5]]
+        basis, free, r = nullspace_with_info(integer_rows(mat(rows)), 5)
+        assert isinstance(basis, RationalMatrix)
+        assert (basis.shape, r) == ((3, 5), 2)
+        for t in range(basis.rows):
+            assert [basis.entry(t, f) for f in free] == [int(s == t) for s in range(len(free))]
+            assert all(v == 0 for v in mat(rows).matvec(basis.row(t)))
 
 
 @st.composite
@@ -341,7 +315,8 @@ def integer_systems(draw):
 def test_nullspace_matches_gauss_jordan(system):
     # entries this large need several primes, combined by CRT
     rows, ncols = system
-    assert nullspace_with_info(integer_rows(mat(rows)), ncols) == gauss_jordan_nullspace(rows, ncols)
+    got, free, r = nullspace_with_info(integer_rows(mat(rows)), ncols)
+    assert ([tuple(v) for v in got.to_rows()], free, r) == gauss_jordan_nullspace(rows, ncols)
 
 
 class TestCertification:
