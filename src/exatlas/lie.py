@@ -244,8 +244,8 @@ def derivation_algebra(
     """All derivations of the algebra, as a certified Lie algebra basis.
 
     Solves the Leibniz constraint system exactly (modular elimination,
-    CRT and rational reconstruction, then exact substitution; see
-    ``linalg.nullspace_with_info``), certifies every basis vector
+    p-adic lifting and rational reconstruction, then exact substitution;
+    see ``linalg.nullspace_with_info``), certifies every basis vector
     against the full ordered constraint set and against killing the
     unit, and certifies bracket closure while computing the structure
     constants.

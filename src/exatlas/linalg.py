@@ -4,12 +4,13 @@ A rational matrix is one integer array over one positive denominator,
 and every product of integer arrays is one ``_contract``: in int64 when
 its bound is proven, on Python ints otherwise.  Every system, of any
 size, is solved one way: after clearing denominators, the reduced
-echelon form is computed modulo seeded 31-bit primes, the residues of
-primes that agree are combined by CRT, the nullspace candidates are
-lifted by rational reconstruction, and each is certified by exact
-substitution on integers; the certified count together with the modular
-rank pins the exact rank.  The certified basis comes back as one
-echelon ``RationalMatrix``.
+echelon form is computed modulo a seeded 31-bit prime p, its residues
+are lifted p-adically to higher powers of p (Dixon) as far as needed,
+the nullspace candidates are recovered by rational reconstruction, and
+each is certified by exact substitution on integers; the certified
+count together with the modular rank pins the exact rank.  A prime
+whose candidates still fail past the Hadamard bound is dropped for the
+next.  The certified basis comes back as one echelon ``RationalMatrix``.
 """
 
 from __future__ import annotations
@@ -333,11 +334,15 @@ class _ModPEchelon:
         self.cancel = cancel
         self._piv = np.zeros((ncols, ncols), dtype=np.int64)
         self._pivcols: list[int] = []
+        self._pivrows: list[int] = []  # input row that became each pivot
         self._is_piv = np.zeros(ncols, dtype=bool)
+        self._absorbed = 0
 
     def absorb(self, block: np.ndarray) -> None:
         p = self.p
         _check_cancel(self.cancel)
+        first_row = self._absorbed
+        self._absorbed += block.shape[0]
         # bulk pass: clear support on the pivots known so far
         npiv = len(self._pivcols)
         for t in range(npiv):
@@ -359,6 +364,7 @@ class _ModPEchelon:
             if rest.size:
                 block[rest] = (block[rest] - block[rest, c, None] * row[None, :]) % p
             self._insert_pivot(c, row)
+            self._pivrows.append(first_row + int(nz[0]))
 
     def _insert_pivot(self, col: int, row: np.ndarray) -> None:
         # row must already be clear of every other pivot column
@@ -373,11 +379,12 @@ class _ModPEchelon:
         self._pivcols.append(col)
         self._is_piv[col] = True
 
-    def reduced_rows(self) -> tuple[list[int], np.ndarray]:
-        """Pivot columns (ascending) and matching reduced pivot rows."""
+    def reduced_rows(self) -> tuple[list[int], np.ndarray, list[int]]:
+        """Pivot columns (ascending), the matching reduced pivot rows, and
+        the index of the absorbed row that became each of those pivots."""
         order = np.argsort(self._pivcols, kind="stable")
         cols = [self._pivcols[i] for i in order]
-        return cols, self._piv[order]
+        return cols, self._piv[order], [self._pivrows[i] for i in order]
 
 
 def _sparse_rows_mod_p(
@@ -406,7 +413,7 @@ def _modp_rref(
     ncols: int,
     p: int,
     cancel: CancelToken | None = None,
-) -> tuple[list[int], np.ndarray]:
+) -> tuple[list[int], np.ndarray, list[int]]:
     eng = _ModPEchelon(ncols, p, cancel)
     for block in _sparse_rows_mod_p(sparse_rows, ncols, p):
         eng.absorb(block)
@@ -416,9 +423,10 @@ def _modp_rref(
 def rational_reconstruct(residue: int, p: int) -> Fraction | None:
     """Balanced lift or Wang reconstruction of a residue mod p.
 
-    p may be any modulus, prime or a product of primes.  Returns None
-    when no fraction with numerator and denominator below sqrt(p/2)
-    matches; the caller must treat that as a failed lift.
+    p may be any modulus: a prime, a power of one, or a product of
+    primes.  Returns None when no fraction with numerator and
+    denominator below sqrt(p/2) matches; the caller must treat that as
+    a failed lift.
     """
     r = residue % p
     if r == 0:
@@ -480,6 +488,87 @@ def _lift(
     return RationalMatrix.from_ints(_int_array(flat, (len(vectors), ncols)), den)
 
 
+def _padic_residues(
+    sparse_rows: Sequence[SparseRow],
+    pivcols: list[int],
+    free_cols: list[int],
+    pivrows: list[int],
+    rref: np.ndarray,
+    p: int,
+    cancel: CancelToken | None = None,
+) -> Iterable[tuple[list[list[int]], int]]:
+    """Residues of the nullspace's pivot entries modulo p^k, yielded at
+    each k worth a lift (Dixon's p-adic lifting).
+
+    B, the input rows that became pivots, taken at the pivot columns,
+    is invertible mod p, so the pivot entries X of the vectors with unit
+    free parts solve B X = R_0 with R_0 = -(the same rows at the free
+    columns).  Digit 0 comes from the RREF; then, with B inverted once
+    mod p, each step takes X_k = B^-1 R_k mod p and
+    R_(k+1) = (R_k - B X_k) / p.  By Cramer's rule every entry of X is
+    a fraction with numerator and denominator at most H, the Hadamard
+    bound of the pivot rows, so reconstruction is exact once
+    p^k > 2 H^2: the last residues are yielded there.  Between, they
+    are yielded whenever a sentinel entry reconstructs to the same
+    value on two consecutive steps.
+    """
+    acc = (-rref[:, free_cols] % p).astype(object)  # X mod p^k
+    pk = p
+    yield acc.tolist(), pk
+    r, f = len(pivcols), len(free_cols)
+    col_pos = {c: t for t, c in enumerate(pivcols)}
+    free_pos = {c: j for j, c in enumerate(free_cols)}
+    b_row, b_col, b_val, r0 = [], [], [], [0] * (r * f)
+    h_sq = 1
+    for a, i in enumerate(pivrows):
+        h_sq *= sum(c * c for _, c in sparse_rows[i])
+        for j, c in sparse_rows[i]:
+            if j in col_pos:
+                b_row.append(a)
+                b_col.append(col_pos[j])
+                b_val.append(c)
+            else:
+                r0[a * f + free_pos[j]] = -c
+    if pk > 2 * h_sq:
+        return
+    b_eye = np.zeros((r, 2 * r), dtype=np.int64)  # [B | I] mod p
+    b_eye[b_row, b_col] = [c % p for c in b_val]
+    b_eye[range(r), range(r, 2 * r)] = 1
+    eng = _ModPEchelon(2 * r, p, cancel)
+    eng.absorb(b_eye)
+    b_inv = eng.reduced_rows()[1][:, r:]
+    # 16-bit limbs keep each product with a residue below 2^47
+    limbs = (b_inv & 0xFFFF, b_inv >> 16)
+    # B times a digit, summed from B's sparse rows; every row has a pivot entry
+    starts = np.searchsorted(b_row, np.arange(r))
+    cols = np.array(b_col, dtype=np.intp)
+    coef = _int_array(b_val, (len(b_val), 1))
+    row_len = int(np.diff(np.append(starts, len(b_val))).max())
+    if row_len * _max_abs(coef) * p >= _INT64_SAFE:
+        coef = coef.astype(object)
+    resid = _int_array(r0, (r, f))
+    digit = acc
+    nonzero = np.flatnonzero(acc)  # entries nonzero mod p are nonzero over Q
+    sentinel = int(nonzero[-1]) if nonzero.size else 0
+    last = None
+    while True:
+        _check_cancel(cancel)
+        b_digit = np.add.reduceat(coef * digit[cols].astype(coef.dtype), starts, axis=0)
+        resid = (resid - b_digit) // p
+        rm = (resid % p).astype(np.int64)
+        lo, hi = (_contract("ij,jk->ik", r, limb, rm) % p for limb in limbs)
+        digit = ((lo + (hi << 16)) % p).astype(np.int64)
+        acc = acc + digit.astype(object) * pk
+        pk *= p
+        if pk > 2 * h_sq:
+            yield acc.tolist(), pk
+            return
+        q = rational_reconstruct(acc.flat[sentinel], pk)
+        if q is not None and q == last:
+            yield acc.tolist(), pk
+        last = q
+
+
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -498,43 +587,32 @@ def nullspace_with_info(
     row t has a 1 at the t-th free column and 0 at the other free
     columns, so span coordinates can be read off at the free columns.
 
-    One seeded 31-bit prime at a time: the RREF mod p, combined by CRT
-    with the earlier primes that found the same pivot columns, lifted
-    by rational reconstruction and certified by exact substitution.  A
-    prime that finds more pivots, or as many and a lexicographically
-    earlier list, replaces what was combined; only finitely many primes
-    are bad, and the lift is exact once the modulus passes 2*|num|*den,
-    so the loop ends.  The certified vectors, one per free column, bound
-    the nullity below and the rank mod p bounds the rank below, so both
-    outputs are exact.
+    One seeded 31-bit prime p at a time: the RREF mod p, whose residues
+    are lifted p-adically (``_padic_residues``) and then by rational
+    reconstruction, each candidate certified by exact substitution; the
+    first lift is tried at modulus p.  The certified vectors, one per
+    free column, bound the nullity below and the rank mod p bounds the
+    rank below, so both outputs are exact.  It ends: past the Hadamard
+    bound of the pivot rows the lift is exact, so a prime whose lift
+    still fails there has a rank mod p below the rank, and only the
+    finitely many primes dividing a nonzero maximal minor do (at any
+    other prime the pivot rows span the rows over Q).
     """
     if ncols < 1:
         raise DimensionError("matrix must have at least one column")
     rng = random.Random(_PROBE_SEED)
-    used: set[int] = set()
-    pivcols: list[int] = []
-    modulus = 0
     while True:
         _check_cancel(cancel)
         p = _random_prime31(rng)
-        if p in used:
-            continue
-        used.add(p)
-        cols, rref = _modp_rref(sparse_rows, ncols, p, cancel)
-        pivot_set = set(cols)
-        free = [c for c in range(ncols) if c not in pivot_set]
-        new = (-rref[:, free] % p).astype(object)
-        if not modulus or (-len(cols), cols) < (-len(pivcols), pivcols):
-            pivcols, free_cols, acc, modulus = cols, free, new, p
-        elif cols == pivcols:
-            # the residue that is acc mod modulus and new mod p
-            acc = acc + modulus * ((new - acc) * pow(modulus, -1, p) % p)
-            modulus *= p
-        else:
-            continue
-        basis = _lift(sparse_rows, ncols, pivcols, free_cols, acc.tolist(), modulus)
-        if basis is not None:
-            return basis, free_cols, len(pivcols)
+        pivcols, rref, pivrows = _modp_rref(sparse_rows, ncols, p, cancel)
+        pivot_set = set(pivcols)
+        free_cols = [c for c in range(ncols) if c not in pivot_set]
+        for residues, modulus in _padic_residues(
+            sparse_rows, pivcols, free_cols, pivrows, rref, p, cancel
+        ):
+            basis = _lift(sparse_rows, ncols, pivcols, free_cols, residues, modulus)
+            if basis is not None:
+                return basis, free_cols, len(pivcols)
 
 
 def _require_nonempty(m: RationalMatrix) -> None:

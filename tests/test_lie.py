@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exatlas import linalg
 from exatlas.algebras import DEFAULT_SEED, complex_algebra, octonions, quaternions, real_algebra
 from exatlas.jordan import jordan_algebra
 from exatlas.lie import (
@@ -123,7 +124,7 @@ class TestDerivationCertificates:
         assert ncols == 729
         basis, _, rank_ = nullspace_with_info(rows, ncols)
         assert rank_ == 729 - 52
-        pivot_cols, _ = _modp_rref(rows, ncols, 2**31 - 1)
+        pivot_cols, _, _ = _modp_rref(rows, ncols, 2**31 - 1)
         assert len(pivot_cols) == 677
         assert basis.rows == 52
 
@@ -488,6 +489,20 @@ class TestGenericRank:
 
     def test_f4_rank_four(self, der_j3o):
         assert generic_rank(der_j3o) == 4
+
+    def test_f4_probes_eliminate_once_per_trial(self, der_j3o, monkeypatch):
+        # the 4 kernel vectors need 8-9 primes' worth of digits; those come
+        # from p-adic steps, not from one elimination per extra prime
+        calls = []
+        modp_rref = linalg._modp_rref
+
+        def counted(*args):
+            calls.append(args)
+            return modp_rref(*args)
+
+        monkeypatch.setattr(linalg, "_modp_rref", counted)
+        assert generic_rank(der_j3o, trials=5) == 4
+        assert len(calls) <= 2 * 5
 
     def test_more_trials_never_increase(self, der_o):
         few = generic_rank(der_o, trials=1, rng=random.Random(3))

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exatlas.linalg import (
+    _PROBE_SEED,
     DimensionError,
+    _random_prime31,
     _verify_in_nullspace,
     RationalMatrix,
     integer_rows,
@@ -282,6 +285,18 @@ class TestModularNullspacePath:
         # the elimination primes are 31-bit; the rank must not follow a residue
         assert rank(mat([[PRIME31]])) == 1
 
+    @pytest.mark.parametrize("a, b", [(1, 1), (2**40 + 17, 3**25)], ids=["unit", "needs-steps"])
+    def test_bad_first_prime(self, a, b):
+        # mod the first prime the rank is 1, over Q it is 2: the p-adic lift
+        # of -b/a is exact and fails certification, so the solve must stop
+        # lifting at the Hadamard bound and move to the next prime
+        p = _random_prime31(random.Random(_PROBE_SEED))
+        rows = [[(0, a), (1, b)], [(0, a), (1, b + p)]]
+        deadline = time.monotonic() + 30
+        basis, free, r = nullspace_with_info(rows, 3, cancel=lambda: time.monotonic() > deadline)
+        assert (r, free) == (2, [2])
+        assert [tuple(v) for v in basis.to_rows()] == [(0, 0, 1)]
+
     def test_full_rank_gives_an_empty_basis(self):
         basis, free, r = nullspace_with_info(integer_rows(mat([[1, 2], [3, 4]])), 2)
         assert isinstance(basis, RationalMatrix)
@@ -313,7 +328,7 @@ def integer_systems(draw):
 @settings(max_examples=200, deadline=None)
 @given(integer_systems())
 def test_nullspace_matches_gauss_jordan(system):
-    # entries this large need several primes, combined by CRT
+    # entries this large need several p-adic digits before they lift
     rows, ncols = system
     got, free, r = nullspace_with_info(integer_rows(mat(rows)), ncols)
     assert ([tuple(v) for v in got.to_rows()], free, r) == gauss_jordan_nullspace(rows, ncols)
