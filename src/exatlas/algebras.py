@@ -209,9 +209,6 @@ class AlgebraElement:
             tuple(Fraction(c) / n for c in self.algebra.conjugate_coords(self.coeffs)),
         )
 
-    def scalar_part(self):
-        return self.coeffs[0]
-
     def __repr__(self) -> str:
         terms = []
         for k, c in enumerate(self.coeffs):

@@ -301,22 +301,14 @@ def verify_record(r: SymmetricSpaceRecord) -> RecordCheck:
 
 def family_space_dim(label: str, **params: int) -> int:
     """Dimension formula of one of the seven classical families."""
-    one_param = {
-        "AI": "(n-1)*(n+2)/2",
-        "CI": "n*(n+1)",
-        "AII": "(2*n+1)*(n-1)",
-        "DIII": "n*(n-1)",
-    }
-    two_param = {"BDI": "p*q", "AIII": "2*p*q", "CII": "4*p*q"}
-    if label in one_param:
-        if "n" not in params or params["n"] < 1:
-            raise ValueError(f"family {label} needs a parameter n >= 1")
-        return _eval_int(one_param[label], {"n": params["n"]})
-    if label in two_param:
-        if not {"p", "q"} <= params.keys() or params["p"] < 1 or params["q"] < 1:
-            raise ValueError(f"family {label} needs parameters p, q >= 1")
-        return _eval_int(two_param[label], {"p": params["p"], "q": params["q"]})
-    raise ValueError(f"unknown family label {label!r}")
+    record = next((r for r in classical_families() if r.cartan_label == label), None)
+    if record is None:
+        raise ValueError(f"unknown family label {label!r}")
+    names = record.family_params
+    if not set(names) <= params.keys() or any(params[k] < 1 for k in names):
+        what = "a parameter" if len(names) == 1 else "parameters"
+        raise ValueError(f"family {label} needs {what} {', '.join(names)} >= 1")
+    return _eval_int(record.dim_formula, {k: params[k] for k in names})
 
 
 def classical_families() -> list[SymmetricSpaceRecord]:

@@ -2,15 +2,17 @@
 
 A rational matrix is one integer array over one positive denominator,
 and every product of integer arrays is one ``_contract``: in int64 when
-its bound is proven, on Python ints otherwise.  Every system, of any
-size, is solved one way: after clearing denominators, the reduced
-echelon form is computed modulo a seeded 31-bit prime p, its residues
-are lifted p-adically to higher powers of p (Dixon) as far as needed,
-the nullspace candidates are recovered by rational reconstruction, and
-each is certified by exact substitution on integers; the certified
-count together with the modular rank pins the exact rank.  A prime
-whose candidates still fail past the Hadamard bound is dropped for the
-next.  The certified basis comes back as one echelon ``RationalMatrix``.
+its bound is proven, on Python ints otherwise.  A linear system is one
+``SparseRows``, integer rows in compressed sparse form, and
+``SparseRows.dot`` is its one product, under the same overflow rule.
+Every system, of any size, is solved one way: the reduced echelon form
+is computed modulo a seeded 31-bit prime p, its residues are lifted
+p-adically to higher powers of p (Dixon) as far as needed, the
+nullspace candidates are recovered by rational reconstruction, and each
+is certified by exact substitution on integers; the certified count
+together with the modular rank pins the exact rank.  A prime whose
+candidates still fail past the Hadamard bound is dropped for the next.
+The certified basis comes back as one echelon ``RationalMatrix``.
 """
 
 from __future__ import annotations
@@ -250,37 +252,61 @@ class RationalMatrix:
 # sparse integer form
 # ---------------------------------------------------------------------------
 
-SparseRow = list[tuple[int, int]]  # sorted (column, integer coefficient) pairs
+class SparseRows:
+    """An integer linear system in compressed sparse row (CSR) form.
 
-
-def integer_rows(m: RationalMatrix) -> list[SparseRow]:
-    """The rows of the integer array, each divided by its gcd; zero rows dropped.
-
-    Scaling rows by positive integers changes neither rank nor nullspace.
+    Row r holds the entries ``vals[starts[r]:starts[r + 1]]`` at the
+    ascending columns ``cols[...]``.  Every row is nonzero and divided
+    by the gcd of its entries: scaling a row by a positive integer
+    changes neither rank nor nullspace.  ``vals`` is int64 while every
+    entry is below 2^62 and Python ints (dtype=object) otherwise.
     """
-    g = np.gcd.reduce(m._ints, axis=1)
-    ints = m._ints[g != 0] // g[g != 0, None]
+
+    __slots__ = ("starts", "cols", "vals")
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+        """From entries sorted by (row, column), one per position at most.
+
+        Zero entries are dropped, and with them any row left empty.
+        """
+        keep = vals != 0
+        rows, vals = rows[keep], vals[keep]
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        gcds = np.gcd.reduceat(np.abs(vals), first)
+        vals = vals // np.repeat(gcds, np.diff(first, append=vals.size))
+        self.starts = np.append(first, vals.size)
+        self.cols = cols[keep].astype(np.intp)
+        self.vals = vals.astype(object if _max_abs(vals) >= _INT64_SAFE else np.int64)
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def take(self, idx: Sequence[int]) -> "SparseRows":
+        """The rows at the given indices, in that order."""
+        lens = np.diff(self.starts)[idx]
+        ent = np.arange(lens.sum()) + np.repeat(self.starts[idx] - np.cumsum(lens) + lens, lens)
+        return SparseRows(np.repeat(np.arange(len(lens)), lens), self.cols[ent], self.vals[ent])
+
+    def dot(self, dense: np.ndarray) -> np.ndarray:
+        """Exact product with an integer array whose rows match the columns.
+
+        The entries are gathered, multiplied and summed per row; in int64
+        when the longest row times the largest entries of both operands
+        stays below 2^62, and on Python ints otherwise.
+        """
+        bound = int(np.diff(self.starts).max(initial=0)) * _max_abs(self.vals) * _max_abs(dense)
+        dtype = np.int64 if bound < _INT64_SAFE else object
+        terms = self.vals.astype(dtype, copy=False).reshape((-1,) + (1,) * (dense.ndim - 1))
+        terms = terms * dense.astype(dtype, copy=False)[self.cols]
+        return np.add.reduceat(terms, self.starts[:-1], axis=0)
+
+
+def integer_rows(m: RationalMatrix | np.ndarray) -> SparseRows:
+    """The nonzero rows of an integer array, or of a matrix times its
+    denominator, as a ``SparseRows``."""
+    ints = m._ints if isinstance(m, RationalMatrix) else m
     i, j = np.nonzero(ints)
-    items = list(zip(j.tolist(), ints[i, j].tolist()))
-    bounds = np.searchsorted(i, np.arange(ints.shape[0] + 1)).tolist()
-    return [items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def _verify_in_nullspace(rows: Sequence[SparseRow], vector: Sequence) -> bool:
-    """Exact substitution check: every row dotted with vector is zero.
-
-    The vector's denominators are cleared once (their lcm), so the
-    substitution runs on Python ints: exact at any size, no bound needed.
-    """
-    den = math.lcm(*(v.denominator for v in vector))
-    ints = [v.numerator * (den // v.denominator) for v in vector]
-    for row in rows:
-        dot = 0  # a plain loop: rows are short, and a generator per row costs more
-        for j, c in row:
-            dot += c * ints[j]
-        if dot:
-            return False
-    return True
+    return SparseRows(i, j, ints[i, j])
 
 
 # ---------------------------------------------------------------------------
@@ -387,36 +413,25 @@ class _ModPEchelon:
         return cols, self._piv[order], [self._pivrows[i] for i in order]
 
 
-def _sparse_rows_mod_p(
-    sparse_rows: Sequence[SparseRow], ncols: int, p: int
-) -> Iterable[np.ndarray]:
-    """Yield dense int64 blocks of the rows reduced mod p."""
-    block = np.zeros((min(_BLOCK_ROWS, len(sparse_rows)), ncols), dtype=np.int64)
-    fill = 0
-    for sr in sparse_rows:
-        if fill == block.shape[0]:
-            yield block
-            block = np.zeros(
-                (min(_BLOCK_ROWS, len(sparse_rows)), ncols), dtype=np.int64
-            )
-            fill = 0
-        block[fill].fill(0)
-        for j, c in sr:
-            block[fill, j] = c % p
-        fill += 1
-    if fill:
-        yield block[:fill]
+def _rows_mod_p(rows: SparseRows, lo: int, p: int, block: np.ndarray) -> np.ndarray:
+    """The block, its rows set to rows lo, lo+1, ... reduced mod p in one scatter."""
+    hi = lo + block.shape[0]
+    ent = slice(rows.starts[lo], rows.starts[hi])
+    at = np.repeat(np.arange(hi - lo), np.diff(rows.starts[lo : hi + 1]))
+    block.fill(0)
+    block[at, rows.cols[ent]] = rows.vals[ent] % p
+    return block
 
 
 def _modp_rref(
-    sparse_rows: Sequence[SparseRow],
-    ncols: int,
-    p: int,
-    cancel: CancelToken | None = None,
+    rows: SparseRows, ncols: int, p: int, cancel: CancelToken | None = None
 ) -> tuple[list[int], np.ndarray, list[int]]:
     eng = _ModPEchelon(ncols, p, cancel)
-    for block in _sparse_rows_mod_p(sparse_rows, ncols, p):
-        eng.absorb(block)
+    # one buffer for every block: a fresh block per step (12 MB on J3(O))
+    # left about 10 MB of freed heap resident after the solve
+    buf = np.empty((min(_BLOCK_ROWS, len(rows)), ncols), dtype=np.int64)
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        eng.absorb(_rows_mod_p(rows, lo, p, buf[: len(rows) - lo]))
     return eng.reduced_rows()
 
 
@@ -450,7 +465,7 @@ def rational_reconstruct(residue: int, p: int) -> Fraction | None:
 
 
 def _lift(
-    sparse_rows: Sequence[SparseRow],
+    rows: SparseRows,
     ncols: int,
     pivcols: list[int],
     free_cols: list[int],
@@ -460,9 +475,10 @@ def _lift(
     """The nullspace basis the RREF residues stand for, or None.
 
     Each vector is cleared to integers over its own denominator and
-    certified on them; the basis is then one matrix over their lcm.
-    None when an entry does not reconstruct or a vector fails exact
-    substitution: the modulus is still too small, or a prime was bad.
+    certified on them by exact substitution, ``rows.dot``; the basis is
+    then one matrix over their lcm.  None when an entry does not
+    reconstruct or a vector fails the substitution: the modulus is
+    still too small, or a prime was bad.
     """
     vectors: list[list[int]] = []
     dens: list[int] = []
@@ -479,7 +495,7 @@ def _lift(
         v[f] = v_den
         for c, q in lifted.items():
             v[c] = q.numerator * (v_den // q.denominator)
-        if not _verify_in_nullspace(sparse_rows, v):
+        if rows.dot(_int_array(v, (ncols,))).any():
             return None
         vectors.append(v)
         dens.append(v_den)
@@ -489,7 +505,7 @@ def _lift(
 
 
 def _padic_residues(
-    sparse_rows: Sequence[SparseRow],
+    rows: SparseRows,
     pivcols: list[int],
     free_cols: list[int],
     pivrows: list[int],
@@ -500,14 +516,15 @@ def _padic_residues(
     """Residues of the nullspace's pivot entries modulo p^k, yielded at
     each k worth a lift (Dixon's p-adic lifting).
 
-    B, the input rows that became pivots, taken at the pivot columns,
-    is invertible mod p, so the pivot entries X of the vectors with unit
-    free parts solve B X = R_0 with R_0 = -(the same rows at the free
-    columns).  Digit 0 comes from the RREF; then, with B inverted once
-    mod p, each step takes X_k = B^-1 R_k mod p and
-    R_(k+1) = (R_k - B X_k) / p.  By Cramer's rule every entry of X is
-    a fraction with numerator and denominator at most H, the Hadamard
-    bound of the pivot rows, so reconstruction is exact once
+    P, the input rows that became pivots, is B at the pivot columns,
+    invertible mod p, and -R_0 at the free columns, so the pivot
+    entries X of the vectors with unit free parts solve B X = R_0.
+    Digit 0 comes from the RREF; then, with B inverted once mod p, each
+    step takes X_k = B^-1 R_k mod p and R_(k+1) = (R_k - B X_k) / p,
+    where R_1 = -P V_0 / p for the vectors V_0 of digit 0 and each B X_k
+    is P times X_k placed at the pivot columns.  By Cramer's rule every
+    entry of X is a fraction with numerator and denominator at most H,
+    the Hadamard bound of P, so reconstruction is exact once
     p^k > 2 H^2: the last residues are yielded there.  Between, they
     are yielded whenever a sentinel entry reconstructs to the same
     value on two consecutive steps.
@@ -515,46 +532,29 @@ def _padic_residues(
     acc = (-rref[:, free_cols] % p).astype(object)  # X mod p^k
     pk = p
     yield acc.tolist(), pk
-    r, f = len(pivcols), len(free_cols)
-    col_pos = {c: t for t, c in enumerate(pivcols)}
-    free_pos = {c: j for j, c in enumerate(free_cols)}
-    b_row, b_col, b_val, r0 = [], [], [], [0] * (r * f)
-    h_sq = 1
-    for a, i in enumerate(pivrows):
-        h_sq *= sum(c * c for _, c in sparse_rows[i])
-        for j, c in sparse_rows[i]:
-            if j in col_pos:
-                b_row.append(a)
-                b_col.append(col_pos[j])
-                b_val.append(c)
-            else:
-                r0[a * f + free_pos[j]] = -c
+    piv = rows.take(pivrows)
+    h_sq = math.prod(np.add.reduceat(piv.vals.astype(object) ** 2, piv.starts[:-1]).tolist())
     if pk > 2 * h_sq:
         return
+    r, ncols = rref.shape
     b_eye = np.zeros((r, 2 * r), dtype=np.int64)  # [B | I] mod p
-    b_eye[b_row, b_col] = [c % p for c in b_val]
+    b_eye[:, :r] = _rows_mod_p(piv, 0, p, np.empty((r, ncols), dtype=np.int64))[:, pivcols]
     b_eye[range(r), range(r, 2 * r)] = 1
     eng = _ModPEchelon(2 * r, p, cancel)
     eng.absorb(b_eye)
     b_inv = eng.reduced_rows()[1][:, r:]
     # 16-bit limbs keep each product with a residue below 2^47
     limbs = (b_inv & 0xFFFF, b_inv >> 16)
-    # B times a digit, summed from B's sparse rows; every row has a pivot entry
-    starts = np.searchsorted(b_row, np.arange(r))
-    cols = np.array(b_col, dtype=np.intp)
-    coef = _int_array(b_val, (len(b_val), 1))
-    row_len = int(np.diff(np.append(starts, len(b_val))).max())
-    if row_len * _max_abs(coef) * p >= _INT64_SAFE:
-        coef = coef.astype(object)
-    resid = _int_array(r0, (r, f))
-    digit = acc
+    placed = np.zeros((ncols, len(free_cols)), dtype=np.int64)  # V_0, then each X_k
+    placed[free_cols, range(len(free_cols))] = 1
+    placed[pivcols] = acc
+    resid = -piv.dot(placed) // p
+    placed[free_cols] = 0
     nonzero = np.flatnonzero(acc)  # entries nonzero mod p are nonzero over Q
     sentinel = int(nonzero[-1]) if nonzero.size else 0
     last = None
     while True:
         _check_cancel(cancel)
-        b_digit = np.add.reduceat(coef * digit[cols].astype(coef.dtype), starts, axis=0)
-        resid = (resid - b_digit) // p
         rm = (resid % p).astype(np.int64)
         lo, hi = (_contract("ij,jk->ik", r, limb, rm) % p for limb in limbs)
         digit = ((lo + (hi << 16)) % p).astype(np.int64)
@@ -567,6 +567,8 @@ def _padic_residues(
         if q is not None and q == last:
             yield acc.tolist(), pk
         last = q
+        placed[pivcols] = digit
+        resid = (resid - piv.dot(placed)) // p
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +576,12 @@ def _padic_residues(
 # ---------------------------------------------------------------------------
 
 def nullspace_with_info(
-    sparse_rows: Sequence[SparseRow],
+    sparse_rows: SparseRows,
     ncols: int,
     cancel: CancelToken | None = None,
 ) -> tuple[RationalMatrix, list[int], int]:
-    """Nullspace basis, free columns, and rank for pre-cleared integer rows.
+    """Nullspace basis, free columns, and rank of a ``SparseRows`` system
+    in ``ncols`` unknowns; a system with no rows has rank 0.
 
     The workhorse behind ``nullspace_basis``/``rank``, also called
     directly by the derivation engine to avoid building dense matrices.
@@ -589,14 +592,15 @@ def nullspace_with_info(
 
     One seeded 31-bit prime p at a time: the RREF mod p, whose residues
     are lifted p-adically (``_padic_residues``) and then by rational
-    reconstruction, each candidate certified by exact substitution; the
-    first lift is tried at modulus p.  The certified vectors, one per
-    free column, bound the nullity below and the rank mod p bounds the
-    rank below, so both outputs are exact.  It ends: past the Hadamard
-    bound of the pivot rows the lift is exact, so a prime whose lift
-    still fails there has a rank mod p below the rank, and only the
-    finitely many primes dividing a nonzero maximal minor do (at any
-    other prime the pivot rows span the rows over Q).
+    reconstruction, each candidate certified by exact substitution
+    (``SparseRows.dot`` on every row); the first lift is tried at
+    modulus p.  The certified vectors, one per free column, bound the
+    nullity below and the rank mod p bounds the rank below, so both
+    outputs are exact.  It ends: past the Hadamard bound of the pivot
+    rows the lift is exact, so a prime whose lift still fails there has
+    a rank mod p below the rank, and only the finitely many primes
+    dividing a nonzero maximal minor do (at any other prime the pivot
+    rows span the rows over Q).
     """
     if ncols < 1:
         raise DimensionError("matrix must have at least one column")

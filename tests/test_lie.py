@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exatlas import linalg
-from exatlas.algebras import DEFAULT_SEED, complex_algebra, octonions, quaternions, real_algebra
+from exatlas.algebras import (
+    DEFAULT_SEED,
+    FiniteAlgebra,
+    complex_algebra,
+    octonions,
+    quaternions,
+    real_algebra,
+)
 from exatlas.jordan import jordan_algebra
 from exatlas.lie import (
     InvalidInvolutionError,
@@ -24,7 +31,6 @@ from exatlas.lie import (
     generic_rank,
     induced_involution,
     killing_form,
-    _leibniz_row_items,
     _span_coords,
     leibniz_constraint_rows,
     named_derivation_algebra,
@@ -112,15 +118,18 @@ class TestDerivationCertificates:
                 assert flat[s][fc] == (1 if s == t else 0)
 
     def test_constraint_matrix_shape_and_rank(self, der_h):
-        # n^2 (n+1) / 2 equations, zero rows included, in n^2 unknowns
-        assert sum(1 for _ in _leibniz_row_items(quaternions())) == 40
+        # H is not commutative: one equation per ordered pair and output
+        # coordinate, n^3 in all, none of them zero, in n^2 unknowns
         rows, ncols = leibniz_constraint_rows(quaternions())
+        assert len(rows) == 64
         assert ncols == 16
         assert nullspace_with_info(rows, ncols)[2] == 16 - 3
 
     def test_j3o_constraint_matrix_rank(self, j3o):
-        assert sum(1 for _ in _leibniz_row_items(j3o)) == 10206
+        # J3(O) is commutative: pairs i <= j only, 10206 equations of
+        # which 9063 are not zero
         rows, ncols = leibniz_constraint_rows(j3o)
+        assert len(rows) == 9063
         assert ncols == 729
         basis, _, rank_ = nullspace_with_info(rows, ncols)
         assert rank_ == 729 - 52
@@ -139,12 +148,14 @@ class TestDerivationCertificates:
 
 
 def reference_leibniz_rows(a):
-    """Nonzero constraint rows by direct loops over the rational constants."""
+    """Nonzero constraint rows by direct loops over the rational constants:
+    every ordered pair, or pairs i <= j when the algebra is commutative."""
     n = a.dim
     c = [[[a.structure_constant(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
+    commutative = all(c[i][j] == c[j][i] for i in range(n) for j in range(n))
     rows = []
     for i in range(n):
-        for j in range(i, n):
+        for j in range(i if commutative else 0, n):
             for k in range(n):
                 acc = {}
                 for m in range(n):
@@ -175,7 +186,65 @@ class TestLeibnizRows:
         a = build()
         rows, ncols = leibniz_constraint_rows(a)
         assert ncols == a.dim**2
-        assert rows == reference_leibniz_rows(a)
+        as_lists = [
+            list(zip(rows.cols[lo:hi].tolist(), rows.vals[lo:hi].tolist()))
+            for lo, hi in zip(rows.starts[:-1], rows.starts[1:])
+        ]
+        assert as_lists == reference_leibniz_rows(a)
+
+
+def unital_algebra(n, products):
+    """Unit e0; products maps (i, j, k) to the coefficient of e_k in e_i e_j."""
+    t = np.zeros((n, n, n), dtype=np.int64)
+    for j in range(n):
+        t[0, j, j] = t[j, 0, j] = 1
+    for (i, j, k), v in products.items():
+        t[i, j, k] = v
+    return FiniteAlgebra("A", t)
+
+
+def satisfies_ordered_leibniz(a, d_matrix):
+    """D(e_i e_j) = D(e_i) e_j + e_i D(e_j) for every ordered pair, in Fractions."""
+    n = a.dim
+    c = a.structure_constant
+    d = d_matrix.to_rows()
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = sum(Fraction(c(i, j, m)) * d[k][m] for m in range(n))
+                rhs = sum(
+                    Fraction(c(m, j, k)) * d[m][i] + Fraction(c(i, m, k)) * d[m][j]
+                    for m in range(n)
+                )
+                if lhs != rhs:
+                    return False
+    return True
+
+
+class TestNoncommutativeDerivations:
+    def test_product_in_one_order_only(self):
+        # e2 e1 = e0 and e1 e2 = 0: pairs i <= j alone also admit D(e1) = e1,
+        # D(e2) = 0, which fails Leibniz on the pair (e2, e1)
+        a = unital_algebra(3, {(2, 1, 0): 1})
+        l = derivation_algebra(a)
+        assert l.dim == 1
+        assert l.basis[0] == RationalMatrix.from_rows([[0, 0, 0], [0, -1, 0], [0, 0, 1]])
+
+    def test_random_unital_algebras(self):
+        # for 6 of these 20, the rows of pairs i <= j alone admit non-derivations
+        rng = random.Random(DEFAULT_SEED)
+        for _ in range(20):
+            n = rng.randint(2, 4)
+            products = {
+                (i, j, k): rng.randint(-2, 2)
+                for i in range(1, n)
+                for j in range(1, n)
+                for k in range(n)
+                if rng.random() < 0.2
+            }
+            a = unital_algebra(n, products)
+            for d_matrix in derivation_algebra(a).basis:
+                assert satisfies_ordered_leibniz(a, d_matrix)
 
 
 class TestBracket:

@@ -11,7 +11,7 @@ from exatlas.linalg import (
     _PROBE_SEED,
     DimensionError,
     _random_prime31,
-    _verify_in_nullspace,
+    _scaled_int_array,
     RationalMatrix,
     integer_rows,
     is_negative_definite,
@@ -291,11 +291,16 @@ class TestModularNullspacePath:
         # of -b/a is exact and fails certification, so the solve must stop
         # lifting at the Hadamard bound and move to the next prime
         p = _random_prime31(random.Random(_PROBE_SEED))
-        rows = [[(0, a), (1, b)], [(0, a), (1, b + p)]]
+        rows = integer_rows(mat([[a, b, 0], [a, b + p, 0]]))
         deadline = time.monotonic() + 30
         basis, free, r = nullspace_with_info(rows, 3, cancel=lambda: time.monotonic() > deadline)
         assert (r, free) == (2, [2])
         assert [tuple(v) for v in basis.to_rows()] == [(0, 0, 1)]
+
+    def test_no_rows_give_rank_zero(self):
+        basis, free, r = nullspace_with_info(integer_rows(RationalMatrix.zeros(3, 4)), 4)
+        assert (r, free) == (0, [0, 1, 2, 3])
+        assert basis == RationalMatrix.identity(4)
 
     def test_full_rank_gives_an_empty_basis(self):
         basis, free, r = nullspace_with_info(integer_rows(mat([[1, 2], [3, 4]])), 2)
@@ -334,20 +339,30 @@ def test_nullspace_matches_gauss_jordan(system):
     assert ([tuple(v) for v in got.to_rows()], free, r) == gauss_jordan_nullspace(rows, ncols)
 
 
+def certified(rows, vector):
+    """The solver's certificate: denominators cleared, then exact substitution."""
+    ints, _ = _scaled_int_array(vector, (len(vector),))
+    return not rows.dot(ints).any()
+
+
 class TestCertification:
-    ROWS = [[(0, 2), (1, -3)], [(1, 1), (2, 1)]]
+    ROWS = integer_rows(mat([[2, -3, 0], [0, 1, 1]]))
 
     def test_mixed_denominators_accepted(self):
         v = (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 3))
-        assert _verify_in_nullspace(self.ROWS, v)
+        assert certified(self.ROWS, v)
 
     def test_entry_off_by_a_sixth_rejected(self):
         v = (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 3) + Fraction(1, 6))
-        assert not _verify_in_nullspace(self.ROWS, v)
+        assert not certified(self.ROWS, v)
 
     def test_integer_entries(self):
-        assert _verify_in_nullspace(self.ROWS, (3, 2, -2))
-        assert not _verify_in_nullspace(self.ROWS, (3, 2, -1))
+        assert certified(self.ROWS, (3, 2, -2))
+        assert not certified(self.ROWS, (3, 2, -1))
+
+    def test_product_past_int64_rejected(self):
+        # 2^40 * 2^24 = 2^64 wraps to 0 in int64
+        assert not certified(integer_rows(mat([[2**40, 3]])), (2**24, 0))
 
 
 class TestRationalReconstruction:
