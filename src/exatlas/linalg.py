@@ -1,15 +1,17 @@
 """Exact linear algebra over the rationals.
 
 A rational matrix is one integer array over one positive denominator,
-and every product of integer arrays is one ``_contract``: in int64 when
-its bound is proven, on Python ints otherwise.  A linear system is one
-``SparseRows``, integer rows in compressed sparse form, and
-``SparseRows.dot`` is its one product, under the same overflow rule.
+and every product of integer arrays is one ``_contract``.  A linear
+system is one ``SparseRows``, integer rows in compressed sparse form,
+and ``SparseRows.dot`` is its one product.  Both run in the dtype
+``_exact_dtype`` proves: int64 when the bound allows, Python ints
+otherwise.
+
 Every system, of any size, is solved one way: the reduced echelon form
 is computed modulo a seeded 31-bit prime p, its residues are lifted
 p-adically to higher powers of p (Dixon) as far as needed, the
-nullspace candidates are recovered by rational reconstruction, and each
-is certified by exact substitution on integers; the certified count
+nullspace candidates are recovered by rational reconstruction, and all
+are certified by one exact substitution on integers; the certified count
 together with the modular rank pins the exact rank.  A prime whose
 candidates still fail past the Hadamard bound is dropped for the next.
 The certified basis comes back as one echelon ``RationalMatrix``.
@@ -79,25 +81,31 @@ def _max_abs(arr: np.ndarray) -> int:
     return int(np.max(np.abs(arr), initial=0))
 
 
+def _exact_dtype(sum_terms: int, *arrays: np.ndarray):
+    """int64 when a sum of ``sum_terms`` products of the arrays' largest
+    entries stays below 2^62, where wraparound would be silent; object
+    (Python ints) otherwise.  An all-zero array counts as 1, so an
+    operand too large for int64 is never cast to it."""
+    bound = sum_terms
+    for a in arrays:
+        bound *= max(_max_abs(a), 1)
+    return np.int64 if bound < _INT64_SAFE else object
+
+
 def _contract(
     subscripts: str, sum_terms: int, *arrays: np.ndarray, optimize: bool = False
 ) -> np.ndarray:
     """Exact ``einsum`` of integer arrays with at most ``sum_terms`` terms
     per output entry.
 
-    It runs in int64 when the sum of ``sum_terms`` products of the
-    largest entries stays below 2^62, where wraparound would be silent,
-    and on Python ints (dtype=object) otherwise.  Every product of
-    integer arrays that can grow is formed here, a scale times an array
-    too (as a 0-d operand), so no caller repeats this rule.
+    It runs in the dtype ``_exact_dtype`` proves for ``sum_terms``.
+    Every dense product of integer arrays that can grow is formed here,
+    a scale times an array too (as a 0-d operand).
     ``optimize`` picks a pairwise contraction order; it pays off on
     large contractions, while on a single product its path search costs
     more than the contraction.
     """
-    bound = sum_terms
-    for a in arrays:
-        bound *= max(_max_abs(a), 1)
-    dtype = np.int64 if bound < _INT64_SAFE else object
+    dtype = _exact_dtype(sum_terms, *arrays)
     arrays = tuple(a.astype(dtype, copy=False) for a in arrays)
     return np.einsum(subscripts, *arrays, optimize=optimize)
 
@@ -290,12 +298,10 @@ class SparseRows:
     def dot(self, dense: np.ndarray) -> np.ndarray:
         """Exact product with an integer array whose rows match the columns.
 
-        The entries are gathered, multiplied and summed per row; in int64
-        when the longest row times the largest entries of both operands
-        stays below 2^62, and on Python ints otherwise.
+        The entries are gathered, multiplied and summed per row, in the
+        dtype ``_exact_dtype`` proves for the longest row.
         """
-        bound = int(np.diff(self.starts).max(initial=0)) * _max_abs(self.vals) * _max_abs(dense)
-        dtype = np.int64 if bound < _INT64_SAFE else object
+        dtype = _exact_dtype(int(np.diff(self.starts).max(initial=0)), self.vals, dense)
         terms = self.vals.astype(dtype, copy=False).reshape((-1,) + (1,) * (dense.ndim - 1))
         terms = terms * dense.astype(dtype, copy=False)[self.cols]
         return np.add.reduceat(terms, self.starts[:-1], axis=0)
@@ -474,10 +480,10 @@ def _lift(
 ) -> RationalMatrix | None:
     """The nullspace basis the RREF residues stand for, or None.
 
-    Each vector is cleared to integers over its own denominator and
-    certified on them by exact substitution, ``rows.dot``; the basis is
-    then one matrix over their lcm.  None when an entry does not
-    reconstruct or a vector fails the substitution: the modulus is
+    Each vector is cleared to integers over its own denominator, and all
+    are certified at once by exact substitution, one ``rows.dot``; the
+    basis is then one matrix over their lcm.  None when an entry does
+    not reconstruct or a vector fails the substitution: the modulus is
     still too small, or a prime was bad.
     """
     vectors: list[list[int]] = []
@@ -495,13 +501,14 @@ def _lift(
         v[f] = v_den
         for c, q in lifted.items():
             v[c] = q.numerator * (v_den // q.denominator)
-        if rows.dot(_int_array(v, (ncols,))).any():
-            return None
         vectors.append(v)
         dens.append(v_den)
+    ints = _int_array([x for v in vectors for x in v], (len(vectors), ncols))
+    if rows.dot(ints.T).any():
+        return None
     den = math.lcm(*dens)
-    flat = [x * (den // v_den) for v, v_den in zip(vectors, dens) for x in v]
-    return RationalMatrix.from_ints(_int_array(flat, (len(vectors), ncols)), den)
+    scales = _int_array([den // v_den for v_den in dens], (len(dens),))
+    return RationalMatrix.from_ints(_contract("i,ij->ij", 1, scales, ints), den)
 
 
 def _padic_residues(
@@ -592,8 +599,8 @@ def nullspace_with_info(
 
     One seeded 31-bit prime p at a time: the RREF mod p, whose residues
     are lifted p-adically (``_padic_residues``) and then by rational
-    reconstruction, each candidate certified by exact substitution
-    (``SparseRows.dot`` on every row); the first lift is tried at
+    reconstruction, the candidates certified together by exact
+    substitution (one ``SparseRows.dot``); the first lift is tried at
     modulus p.  The certified vectors, one per free column, bound the
     nullity below and the rank mod p bounds the rank below, so both
     outputs are exact.  It ends: past the Hadamard bound of the pivot

@@ -297,6 +297,13 @@ class TestModularNullspacePath:
         assert (r, free) == (2, [2])
         assert [tuple(v) for v in basis.to_rows()] == [(0, 0, 1)]
 
+    def test_entry_past_int64_whose_lift_takes_a_few_digits(self):
+        # 2^70 does not reconstruct mod p; once the p-adic digits of the
+        # pivot entry run out, B times an all-zero digit must stay exact
+        basis, free, r = nullspace_with_info(integer_rows(mat([[1, -2**70]])), 2)
+        assert (r, free) == (1, [1])
+        assert [tuple(v) for v in basis.to_rows()] == [(2**70, 1)]
+
     def test_no_rows_give_rank_zero(self):
         basis, free, r = nullspace_with_info(integer_rows(RationalMatrix.zeros(3, 4)), 4)
         assert (r, free) == (0, [0, 1, 2, 3])
@@ -363,6 +370,10 @@ class TestCertification:
     def test_product_past_int64_rejected(self):
         # 2^40 * 2^24 = 2^64 wraps to 0 in int64
         assert not certified(integer_rows(mat([[2**40, 3]])), (2**24, 0))
+
+    def test_zero_candidate_against_entries_past_int64(self):
+        # an all-zero operand must not cast 2^70 to int64
+        assert certified(integer_rows(mat([[2**70, 3]])), (0, 0))
 
 
 class TestRationalReconstruction:
