@@ -14,6 +14,7 @@ import ast
 import json
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -63,20 +64,33 @@ _EXCEPTIONAL = {
 }
 
 
-def special_unitary(n: int) -> GroupRecord:
+def classical_group_dim(series: str, n: int) -> int:
+    """Dimension of the named compact series at parameter n >= 1."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"series parameter must be >= 1, got {n}")
+    if series in ("SO", "O", "Spin"):
+        return n * (n - 1) // 2
+    if series == "SU":
+        return n * n - 1
+    if series == "U":
+        return n * n
+    if series == "Sq":
+        return n * (2 * n + 1)
+    if series == "q":  # Sq(n) x Sq(1) modulo shared center
+        return n * (2 * n + 1) + 3
+    raise ValueError(f"unknown group series {series!r}")
+
+
+def special_unitary(n: int) -> GroupRecord:
     return GroupRecord(
-        f"SU({n})", "A", n * n - 1,
+        f"SU({n})", "A", classical_group_dim("SU", n),
         rank=n - 1, exponents=_a_exponents(n - 1) or None, is_simple=n >= 2,
     )
 
 
 def special_orthogonal(n: int, spin_name: bool = False) -> GroupRecord:
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    dim = classical_group_dim("SO", n)
     name = f"Spin({n})" if spin_name else f"SO({n})"
-    dim = n * (n - 1) // 2
     if n % 2:
         r = (n - 1) // 2
         exps = _bc_exponents(r) or None
@@ -91,39 +105,20 @@ def special_orthogonal(n: int, spin_name: bool = False) -> GroupRecord:
 
 
 def compact_symplectic(n: int) -> GroupRecord:
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return GroupRecord(
-        f"Sq({n})", "C", n * (2 * n + 1), rank=n, exponents=_bc_exponents(n)
+        f"Sq({n})", "C", classical_group_dim("Sq", n), rank=n, exponents=_bc_exponents(n)
     )
 
 
 def unitary(n: int) -> GroupRecord:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return GroupRecord(f"U({n})", "U", n * n, rank=n, exponents=None, is_simple=False)
+    return GroupRecord(
+        f"U({n})", "U", classical_group_dim("U", n), rank=n, exponents=None, is_simple=False
+    )
 
 
 def exceptional_group(name: str) -> GroupRecord:
     series, dim, rank, exps = _EXCEPTIONAL[name]
     return GroupRecord(name, series, dim, rank=rank, exponents=exps)
-
-
-def classical_group_dim(series: str, n: int) -> int:
-    """Dimension of the named compact series at parameter n."""
-    if n < 1:
-        raise ValueError(f"series parameter must be >= 1, got {n}")
-    if series in ("SO", "O", "Spin"):
-        return n * (n - 1) // 2
-    if series == "SU":
-        return n * n - 1
-    if series == "U":
-        return n * n
-    if series == "Sq":
-        return n * (2 * n + 1)
-    if series == "q":  # Sq(n) x Sq(1) modulo shared center
-        return n * (2 * n + 1) + 3
-    raise ValueError(f"unknown group series {series!r}")
 
 
 _LABEL_RE = re.compile(r"^([A-Za-z]+)\(([^()]+)\)(?:\^(\d+))?$")
@@ -227,7 +222,10 @@ class SymmetricSpaceRecord:
     The isotropy group is stored as simple factors plus an explicit
     abelian dimension, so quotients written loosely elsewhere (U(n) vs
     SU(n) x U(1)) have unambiguous arithmetic here.  Parametric family
-    records carry formulas instead of a concrete dimension.
+    records carry formulas instead of a concrete dimension: ``dim_formula``
+    is evaluated and checked, while ``rank_formula`` is for display only
+    (``[n/2]`` and ``min(p,q)`` lie outside ``_eval_int``'s grammar and
+    are never evaluated).
     """
 
     cartan_label: str
@@ -289,14 +287,11 @@ def verify_record(r: SymmetricSpaceRecord) -> RecordCheck:
         if r.family_params == ("n",)
         else [{"p": p, "q": q} for p, q in _FAMILY_SAMPLE_PQ]
     )
-    expected = []
-    computed = []
-    for env in samples:
-        expected.append(_eval_int(r.dim_formula, env))
-        computed.append(_quotient_dim(r, env))
-    ok = expected == computed
-    detail = "" if ok else f"mismatch at {samples[computed.index(next(c for e, c in zip(expected, computed) if e != c))]}"
-    return RecordCheck(r.cartan_label, ok, expected, computed, detail)
+    expected = [_eval_int(r.dim_formula, env) for env in samples]
+    computed = [_quotient_dim(r, env) for env in samples]
+    mismatch = next((env for env, e, c in zip(samples, expected, computed) if e != c), None)
+    detail = "" if mismatch is None else f"mismatch at {mismatch}"
+    return RecordCheck(r.cartan_label, mismatch is None, expected, computed, detail)
 
 
 def family_space_dim(label: str, **params: int) -> int:
@@ -402,10 +397,7 @@ def exceptional_atlas() -> list[SymmetricSpaceRecord]:
 
 
 def exceptional_partition() -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for r in exceptional_atlas():
-        counts[r.numerator] = counts.get(r.numerator, 0) + 1
-    return counts
+    return dict(Counter(r.numerator for r in exceptional_atlas()))
 
 
 def projective_spaces() -> list[SymmetricSpaceRecord]:
@@ -457,27 +449,23 @@ class MagicSquareCell:
     note: str = ""
 
 
-_DIVISION_ALGEBRAS = ("R", "C", "H", "O")
+_DIVISION_ALGEBRAS = {"R": 1, "C": 2, "H": 4, "O": 8}  # name: dimension
 
-_LEVEL3_LABELS = {
-    ("R", "R"): "so(3)",
-    ("R", "C"): "su(3)",
-    ("R", "H"): "sp(3)",
-    ("R", "O"): "f4",
-    ("C", "C"): "su(3)+su(3)",
-    ("C", "H"): "su(6)",
-    ("C", "O"): "e6",
-    ("H", "H"): "so(12)",
-    ("H", "O"): "e7",
-    ("O", "O"): "e8",
+#: Cell labels by level: compact groups at matrix size 2, Lie algebras at 3.
+_MAGIC_LABELS = {
+    2: [
+        ["O(2)", "U(2)", "Sq(2)", "Spin(9)"],
+        ["U(2)", "U(2)^2", "U(4)", "Spin(10)"],
+        ["Sq(2)", "U(4)", "SO(8)", "Spin(12)"],
+        ["Spin(9)", "Spin(10)", "Spin(12)", "Spin(16)"],
+    ],
+    3: [
+        ["so(3)", "su(3)", "sp(3)", "f4"],
+        ["su(3)", "su(3)+su(3)", "su(6)", "e6"],
+        ["sp(3)", "su(6)", "so(12)", "e7"],
+        ["f4", "e6", "e7", "e8"],
+    ],
 }
-
-_LEVEL2_LABELS = [
-    ["O(2)", "U(2)", "Sq(2)", "Spin(9)"],
-    ["U(2)", "U(2)^2", "U(4)", "Spin(10)"],
-    ["Sq(2)", "U(4)", "SO(8)", "Spin(12)"],
-    ["Spin(9)", "Spin(10)", "Spin(12)", "Spin(16)"],
-]
 
 #: The level-3 table the live computation must reproduce.
 EXPECTED_LEVEL3_DIMS = (
@@ -493,26 +481,17 @@ def derivation_dimension(key: str) -> int:
     """Live derivation-algebra dimension for R, C, H, O or J3 over them."""
     if key == "R":
         return _lie.derivation_algebra(_alg.real_algebra()).dim
-    named = {
-        "C": "complex",
-        "H": "quaternions",
-        "O": "octonions",
-        "j3r": "j3r",
-        "j3c": "j3c",
-        "j3h": "j3h",
-        "j3o": "j3o",
-    }
-    return _lie.named_derivation_algebra(named[key]).dim
+    named = {"C": "complex", "H": "quaternions", "O": "octonions"}
+    return _lie.named_derivation_algebra(named.get(key, key)).dim
 
 
 def tits_dimension(a: str, b: str) -> int:
     """dim Der(A) + dim Der(J3(B)) + (dim A - 1)(dim J3(B) - 1), live."""
-    dim_a = {"R": 1, "C": 2, "H": 4, "O": 8}[a]
-    j3_dim = 3 + 3 * {"R": 1, "C": 2, "H": 4, "O": 8}[b]
+    j3_dim = 3 + 3 * _DIVISION_ALGEBRAS[b]
     return (
         derivation_dimension(a)
         + derivation_dimension(f"j3{b.lower()}")
-        + (dim_a - 1) * (j3_dim - 1)
+        + (_DIVISION_ALGEBRAS[a] - 1) * (j3_dim - 1)
     )
 
 
@@ -523,28 +502,19 @@ def magic_square(level: int) -> list[list[MagicSquareCell]]:
     derivation dimensions; level 2 is recorded data whose dimensions are
     resolved from the group labels.
     """
-    if level == 3:
-        table = []
-        for a in _DIVISION_ALGEBRAS:
-            row = []
-            for b in _DIVISION_ALGEBRAS:
-                label = _LEVEL3_LABELS.get((a, b)) or _LEVEL3_LABELS[(b, a)]
-                note = (
-                    "semisimple part of u(3)+u(3)" if {a, b} == {"C"} else ""
-                )
-                row.append(MagicSquareCell(a, b, tits_dimension(a, b), label, note))
-            table.append(row)
-        return table
-    if level == 2:
-        table = []
-        for i, a in enumerate(_DIVISION_ALGEBRAS):
-            row = []
-            for j, b in enumerate(_DIVISION_ALGEBRAS):
-                label = _LEVEL2_LABELS[i][j]
-                row.append(MagicSquareCell(a, b, group_dim(label), label))
-            table.append(row)
-        return table
-    raise ValueError(f"magic square level must be 2 or 3, got {level}")
+    if level not in _MAGIC_LABELS:
+        raise ValueError(f"magic square level must be 2 or 3, got {level}")
+
+    def cell(a: str, b: str, label: str) -> MagicSquareCell:
+        if level == 2:
+            return MagicSquareCell(a, b, group_dim(label), label)
+        note = "semisimple part of u(3)+u(3)" if a == b == "C" else ""
+        return MagicSquareCell(a, b, tits_dimension(a, b), label, note)
+
+    return [
+        [cell(a, b, label) for b, label in zip(_DIVISION_ALGEBRAS, labels)]
+        for a, labels in zip(_DIVISION_ALGEBRAS, _MAGIC_LABELS[level])
+    ]
 
 
 def magic_square_dims(level: int) -> list[list[int]]:
@@ -597,8 +567,17 @@ def supergravity_chain() -> list[ChainRecord]:
 
 
 # ---------------------------------------------------------------------------
-# whole-atlas serialization
+# tables
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Table:
+    """A catalog table: its JSON-ready document and, unless JSON-only, its markdown."""
+
+    document: dict | list
+    headers: list[str] | None = None
+    rows: list[list[str]] | None = None
+
 
 def _record_to_dict(r: SymmetricSpaceRecord) -> dict:
     d: dict = {
@@ -622,52 +601,110 @@ def _record_to_dict(r: SymmetricSpaceRecord) -> dict:
     return d
 
 
-def _chain_to_dict(c: ChainRecord) -> dict:
-    return {
-        "spacetime_dim": c.spacetime_dim,
-        "split_group": c.split_group.name,
-        "split_dim": c.split_group.dim,
-        "compact_subgroup": c.compact_subgroup.name,
-        "compact_dim": c.compact_subgroup.dim,
-        "scalar_count": c.scalar_count,
-    }
+def _spaces_table(records: list[SymmetricSpaceRecord]) -> Table:
+    """Symmetric spaces; a family shows its formulas in the Dim and Rank columns."""
+    return Table(
+        [_record_to_dict(r) for r in records],
+        ["Cartan", "Space", "Dim", "Rank"],
+        [
+            [
+                r.cartan_label,
+                f"{r.numerator} / {r.isotropy_display()}",
+                r.dim_formula if r.is_parametric else str(r.dim),
+                (r.rank_formula or "") if r.is_parametric else str(r.rank),
+            ]
+            for r in records
+        ],
+    )
+
+
+def _magic_square_table(level: int) -> Table:
+    cells = magic_square(level)
+    return Table(
+        {
+            "level": level,
+            "algebras": list(_DIVISION_ALGEBRAS),
+            "labels": [[c.group_label for c in row] for row in cells],
+            "dims": [[c.lie_dim for c in row] for row in cells],
+        },
+        ["K", *_DIVISION_ALGEBRAS],
+        [[a] + [f"{c.group_label} ({c.lie_dim})" for c in row]
+         for a, row in zip(_DIVISION_ALGEBRAS, cells)],
+    )
+
+
+def _chains_table() -> Table:
+    chain = supergravity_chain()
+    return Table(
+        [
+            {
+                "spacetime_dim": c.spacetime_dim,
+                "split_group": c.split_group.name,
+                "split_dim": c.split_group.dim,
+                "compact_subgroup": c.compact_subgroup.name,
+                "compact_dim": c.compact_subgroup.dim,
+                "scalar_count": c.scalar_count,
+            }
+            for c in chain
+        ],
+        ["d", "Split group", "Compact subgroup", "Scalars"],
+        [
+            [
+                str(c.spacetime_dim),
+                f"{c.split_group.name} ({c.split_group.dim})",
+                f"{c.compact_subgroup.name} ({c.compact_subgroup.dim})",
+                str(c.scalar_count),
+            ]
+            for c in chain
+        ],
+    )
 
 
 def atlas_document() -> dict:
     """Canonical JSON-ready document with the whole verified atlas."""
-    groups = [
-        {
-            "name": g.name,
-            "series": g.series,
-            "dim": g.dim,
-            "rank": g.rank,
-            "exponents": list(g.exponents) if g.exponents else None,
-        }
-        for g in standard_simple_groups()
-    ]
+    squares = {}
+    for level in (2, 3):
+        doc = _magic_square_table(level).document
+        squares[f"level{level}"] = {"labels": doc["labels"], "dims": doc["dims"]}
     return {
-        "groups": groups,
-        "families": [_record_to_dict(r) for r in classical_families()],
-        "exceptional_spaces": [_record_to_dict(r) for r in exceptional_atlas()],
-        "magic_squares": {
-            "level2": {
-                "labels": _LEVEL2_LABELS,
-                "dims": magic_square_dims(2),
-            },
-            "level3": {
-                "labels": [
-                    [_LEVEL3_LABELS.get((a, b)) or _LEVEL3_LABELS[(b, a)] for b in _DIVISION_ALGEBRAS]
-                    for a in _DIVISION_ALGEBRAS
-                ],
-                "dims": magic_square_dims(3),
-            },
-        },
-        "chains": [_chain_to_dict(c) for c in supergravity_chain()],
+        "groups": [
+            {
+                "name": g.name,
+                "series": g.series,
+                "dim": g.dim,
+                "rank": g.rank,
+                "exponents": list(g.exponents) if g.exponents else None,
+            }
+            for g in standard_simple_groups()
+        ],
+        "families": _spaces_table(classical_families()).document,
+        "exceptional_spaces": _spaces_table(exceptional_atlas()).document,
+        "magic_squares": squares,
+        "chains": _chains_table().document,
     }
 
 
 def atlas_json() -> str:
     return json.dumps(atlas_document(), indent=2, sort_keys=True)
+
+
+#: Table builders by name, in the order the CLI lists them.
+_TABLES = {
+    "magic-square": _magic_square_table,
+    "exceptional-spaces": lambda level: _spaces_table(exceptional_atlas()),
+    "chains": lambda level: _chains_table(),
+    "families": lambda level: _spaces_table(classical_families()),
+    "atlas": lambda level: Table(atlas_document()),
+}
+
+TABLE_NAMES = tuple(_TABLES)
+
+
+def table(name: str, level: int = 3) -> Table:
+    """The named catalog table; ``level`` (2 or 3) selects the magic square."""
+    if name not in _TABLES:
+        raise ValueError(f"unknown table {name!r}")
+    return _TABLES[name](level)
 
 
 def corrupted_atlas() -> list[SymmetricSpaceRecord]:

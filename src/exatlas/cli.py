@@ -33,7 +33,7 @@ DEFAULT_JORDAN_PAIRS = 500
 VERIFY_SCOPES = (
     "all", "algebras", "derivations", "magic-square", "atlas", "chains", "exponents",
 )
-TABLE_NAMES = ("magic-square", "exceptional-spaces", "chains", "families", "atlas")
+TABLE_NAMES = cat.TABLE_NAMES
 
 _SKIPPED = "skipped (budget)"
 
@@ -156,10 +156,27 @@ def _associator_failures(a: alg.FiniteAlgebra, rng: random.Random, triples: int)
     return int(np.count_nonzero(np.any(assoc, axis=1)))
 
 
+def _inverse_failures(a: alg.FiniteAlgebra, rng: random.Random, count: int) -> int:
+    """Random nonzero x without the two-sided inverse conj(x)/N(x).
+
+    That is N(x) = 0, or x conj(x) or conj(x) x differing from N(x) 1.
+    """
+    x = _random_rows(rng, count, a.dim)
+    xc = x * np.array(a.conjugate_coords((1,) * a.dim), dtype=np.int64)
+    norms = alg.batch_norms(a, x)  # s N(x)
+    scalar = norms[:, None] * np.array(a.unit_coords, dtype=object)
+    bad = (
+        (norms == 0)
+        | np.any(alg.batch_multiply(a.tensor, x, xc) != scalar, axis=1)
+        | np.any(alg.batch_multiply(a.tensor, xc, x) != scalar, axis=1)
+    )
+    return int(np.count_nonzero(bad & np.any(x, axis=1)))
+
+
 def _suite_algebras(seed: int, pairs: int, jordan_pairs: int, budget: Budget) -> VerificationReport:
     r = SuiteRunner("algebras")
     cd = alg.cayley_dickson_algebra
-    triples = max(pairs // 5, 20)
+    small = max(pairs // 5, 20)  # triples, and elements for the inverse law
 
     for dim in (1, 2, 4, 8):
         r.check(
@@ -181,31 +198,21 @@ def _suite_algebras(seed: int, pairs: int, jordan_pairs: int, budget: Budget) ->
     r.check(
         "associator-antisymmetry-octonions",
         0,
-        lambda: _antisymmetry_failures(alg.octonions(), random.Random(seed + 37), triples),
+        lambda: _antisymmetry_failures(alg.octonions(), random.Random(seed + 37), small),
     )
     for dim in (1, 2, 4):
         r.check(
             f"associator-vanishes-dim{dim}",
             0,
-            lambda d=dim: _associator_failures(cd(d), random.Random(seed + 41 + d), triples),
+            lambda d=dim: _associator_failures(cd(d), random.Random(seed + 41 + d), small),
         )
 
-    def inverse_violations(dim: int) -> int:
-        a = alg.cayley_dickson_algebra(dim)
-        rng = random.Random(seed + 53 + dim)
-        unit = a.unit()
-        bad = 0
-        for _ in range(max(pairs // 5, 20)):
-            x = alg.random_element(a, rng)
-            if x.is_zero():
-                continue
-            xi = x.inverse()
-            if x * xi != unit or xi * x != unit:
-                bad += 1
-        return bad
-
     for dim in (2, 4, 8):
-        r.check(f"inverse-law-dim{dim}", 0, lambda d=dim: inverse_violations(d))
+        r.check(
+            f"inverse-law-dim{dim}",
+            0,
+            lambda d=dim: _inverse_failures(cd(d), random.Random(seed + 53 + d), small),
+        )
 
     jordan_algebras = {
         "r": alg.real_algebra,
@@ -321,11 +328,11 @@ def _suite_magic_square(budget: Budget) -> VerificationReport:
 
     r.check("level3-live-matches", cat.EXPECTED_LEVEL3_DIMS, live_dims)
 
-    def level3_symmetric():
-        dims = cat.magic_square_dims(3)
+    def symmetric(level: int) -> bool:
+        dims = cat.magic_square_dims(level)
         return all(dims[i][j] == dims[j][i] for i in range(4) for j in range(4))
 
-    r.check("level3-symmetric", True, level3_symmetric)
+    r.check("level3-symmetric", True, lambda: symmetric(3))
     r.check(
         "level3-bottom-row",
         (52, 78, 133, 248),
@@ -338,11 +345,7 @@ def _suite_magic_square(budget: Budget) -> VerificationReport:
         == cat.group_dim("SO(16)") + 128,
     )
 
-    def level2_symmetric():
-        dims = cat.magic_square_dims(2)
-        return all(dims[i][j] == dims[j][i] for i in range(4) for j in range(4))
-
-    r.check("level2-symmetric", True, level2_symmetric)
+    r.check("level2-symmetric", True, lambda: symmetric(2))
     r.check("level2-corner-spin16", 120, lambda: cat.magic_square_dims(2)[3][3])
     return r.report
 
@@ -539,8 +542,12 @@ def _render_reports_json(reports: list[VerificationReport], out) -> None:
             for r in reports
         ],
     }
-    out.write(json.dumps(doc, indent=2, sort_keys=True))
-    out.write("\n")
+    out.write(_json_text(doc))
+
+
+def _json_text(doc) -> str:
+    """The one JSON form of every document the CLI prints."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _markdown_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -552,78 +559,12 @@ def _markdown_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def render_table(name: str, fmt: str, level: int = 3) -> str:
-    if name == "magic-square":
-        cells = cat.magic_square(level)
-        dims = [[c.lie_dim for c in row] for row in cells]
-        labels = [[c.group_label for c in row] for row in cells]
-        if fmt == "json":
-            return json.dumps(
-                {"level": level, "algebras": ["R", "C", "H", "O"], "labels": labels, "dims": dims},
-                indent=2,
-                sort_keys=True,
-            ) + "\n"
-        headers = ["K"] + ["R", "C", "H", "O"]
-        rows = [
-            [a] + [f"{labels[i][j]} ({dims[i][j]})" for j in range(4)]
-            for i, a in enumerate(["R", "C", "H", "O"])
-        ]
-        return _markdown_table(headers, rows)
-
-    if name == "exceptional-spaces":
-        records = cat.exceptional_atlas()
-        if fmt == "json":
-            return json.dumps(
-                [cat._record_to_dict(r) for r in records], indent=2, sort_keys=True
-            ) + "\n"
-        headers = ["Cartan", "Space", "Dim", "Rank"]
-        rows = [
-            [r.cartan_label, f"{r.numerator} / {r.isotropy_display()}", str(r.dim), str(r.rank)]
-            for r in records
-        ]
-        return _markdown_table(headers, rows)
-
-    if name == "chains":
-        chain = cat.supergravity_chain()
-        if fmt == "json":
-            return json.dumps(
-                [cat._chain_to_dict(c) for c in chain], indent=2, sort_keys=True
-            ) + "\n"
-        headers = ["d", "Split group", "Compact subgroup", "Scalars"]
-        rows = [
-            [
-                str(c.spacetime_dim),
-                f"{c.split_group.name} ({c.split_group.dim})",
-                f"{c.compact_subgroup.name} ({c.compact_subgroup.dim})",
-                str(c.scalar_count),
-            ]
-            for c in chain
-        ]
-        return _markdown_table(headers, rows)
-
-    if name == "families":
-        records = cat.classical_families()
-        if fmt == "json":
-            return json.dumps(
-                [cat._record_to_dict(r) for r in records], indent=2, sort_keys=True
-            ) + "\n"
-        headers = ["Cartan", "Space", "Dim", "Rank"]
-        rows = [
-            [
-                r.cartan_label,
-                f"{r.numerator} / {r.isotropy_display()}",
-                r.dim_formula,
-                r.rank_formula or "",
-            ]
-            for r in records
-        ]
-        return _markdown_table(headers, rows)
-
-    if name == "atlas":
-        if fmt != "json":
-            raise ValueError("the full atlas document is JSON-only")
-        return cat.atlas_json() + "\n"
-
-    raise ValueError(f"unknown table {name!r}")
+    table = cat.table(name, level)
+    if fmt == "json":
+        return _json_text(table.document)
+    if table.headers is None:
+        raise ValueError("the full atlas document is JSON-only")
+    return _markdown_table(table.headers, table.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -675,9 +616,12 @@ def _resolve_seed(value: int | None) -> int:
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "verify":
+        if args.trials is not None and args.trials < 1:
+            parser.error(f"argument --trials: must be >= 1, got {args.trials}")
         reports = run_verify(
             args.scope,
             seed=_resolve_seed(args.seed),
@@ -709,8 +653,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
                     [[str(v) for v in row] for row in m.to_rows()] for m in basis.basis
                 ],
             }
-            out.write(json.dumps(doc, indent=2, sort_keys=True))
-            out.write("\n")
+            out.write(_json_text(doc))
         else:
             out.write(f"{basis.dim}\n")
         return 0

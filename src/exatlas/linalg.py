@@ -19,6 +19,7 @@ The certified basis comes back as one echelon ``RationalMatrix``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -351,6 +352,17 @@ def _random_prime31(rng: random.Random) -> int:
             return c
 
 
+_SEEDED_DRAWS = random.Random(_PROBE_SEED)
+_SEEDED_PRIMES: list[int] = []
+
+
+def _seeded_prime(i: int) -> int:
+    """The i-th prime drawn from ``_PROBE_SEED``; the sequence is searched once."""
+    while len(_SEEDED_PRIMES) <= i:
+        _SEEDED_PRIMES.append(_random_prime31(_SEEDED_DRAWS))
+    return _SEEDED_PRIMES[i]
+
+
 class _ModPEchelon:
     """Streaming reduced echelon form over GF(p), vectorized with int64.
 
@@ -611,10 +623,9 @@ def nullspace_with_info(
     """
     if ncols < 1:
         raise DimensionError("matrix must have at least one column")
-    rng = random.Random(_PROBE_SEED)
-    while True:
+    for i in itertools.count():
         _check_cancel(cancel)
-        p = _random_prime31(rng)
+        p = _seeded_prime(i)
         pivcols, rref, pivrows = _modp_rref(sparse_rows, ncols, p, cancel)
         pivot_set = set(pivcols)
         free_cols = [c for c in range(ncols) if c not in pivot_set]

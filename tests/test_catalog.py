@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -140,6 +141,14 @@ class TestFamilies:
         ]
         for f in families:
             assert cat.verify_record(f).passed, f.cartan_label
+
+    def test_mismatch_names_the_first_failing_sample(self):
+        # p*q + (p-1) agrees with p*q at every p = 1 sample, and its value
+        # at the first mismatch, (2, 1), is also the value at (1, 2)
+        bdi = next(f for f in cat.classical_families() if f.cartan_label == "BDI")
+        check = cat.verify_record(dataclasses.replace(bdi, dim_formula="p*q + (p-1)"))
+        assert not check.passed
+        assert check.detail == "mismatch at {'p': 2, 'q': 1}"
 
 
 class TestExceptionalAtlas:

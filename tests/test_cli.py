@@ -15,6 +15,7 @@ from exatlas.cli import (
     _antisymmetry_failures,
     _associator_failures,
     _composition_failures,
+    _inverse_failures,
     _perm_sign,
     main,
     render_table,
@@ -79,6 +80,14 @@ class TestGoldenTables:
         code, out = run_cli(argv)
         assert code == 0
         assert out == (DATA / fname).read_text()
+
+    def test_level2_json_is_pinned(self):
+        # no golden file covers this output; its sha256 pins it byte for byte
+        code, out = run_cli(["table", "magic-square", "--level", "2", "--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1a52ef1d8c5418a0c67a62bcd10765b5172aa933b05776203b263eb8ac89a593"
+        )
 
     def test_rendering_deterministic(self):
         first = render_table("exceptional-spaces", "markdown")
@@ -207,6 +216,13 @@ class TestSeedHandling:
         code, _ = run_cli(["verify", "exponents", "--trials", "10"])
         assert code == 0
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_is_usage_error(self, trials):
+        # zero samples would pass every randomized check without testing any
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "algebras", "--trials", trials])
+        assert exc.value.code == 2
+
 
 class TestConsoleScript:
     def test_module_invocation(self):
@@ -281,3 +297,37 @@ class TestBatchedSweeps:
         assert _antisymmetry_failures(a, random.Random(7), 20) == want_sign
         assert _associator_failures(a, random.Random(7), 20) == want_assoc
         assert want_assoc == 20 and (want_sign > 0) == (dim == 16)
+
+    @staticmethod
+    def inverse_reference(a, seed, count):
+        """The per-element loop: nonzero x where x.inverse() fails or is not two-sided."""
+        unit = a.unit()
+        bad = 0
+        for x in TestBatchedSweeps.elements(a, seed, count):
+            if x.is_zero():
+                continue
+            try:
+                xi = x.inverse()
+            except ZeroDivisionError:  # a nonzero element of norm 0
+                bad += 1
+                continue
+            bad += x * xi != unit or xi * x != unit
+        return bad
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_inverse_law(self, dim):
+        a = alg.cayley_dickson_algebra(dim)
+        assert _inverse_failures(a, random.Random(9), 60) == self.inverse_reference(a, 9, 60) == 0
+
+    def test_inverse_law_counts_null_elements(self):
+        # split-complex numbers: a + aj and a - aj are nonzero with norm 0
+        split = alg.FiniteAlgebra(
+            "C'", [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], conjugation_signs=(1, -1),
+        )
+        want = self.inverse_reference(split, 3, 200)
+        assert want > 0
+        assert _inverse_failures(split, random.Random(3), 200) == want
+        assert _inverse_failures(split, random.Random(3), 200) == sum(
+            abs(x.coeffs[0]) == abs(x.coeffs[1]) and not x.is_zero()
+            for x in self.elements(split, 3, 200)
+        )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exatlas import linalg
 from exatlas.linalg import (
     _PROBE_SEED,
     DimensionError,
@@ -400,6 +401,28 @@ class TestRationalReconstruction:
         # a residue corresponding to a huge numerator/denominator pair
         p = PRIME31
         assert rational_reconstruct(123456789, p) != Fraction(123456789)
+
+
+class TestSeededPrimes:
+    def test_sequence_matches_the_seeded_draws(self):
+        rng = random.Random(_PROBE_SEED)
+        assert [linalg._seeded_prime(i) for i in range(6)] == [
+            _random_prime31(rng) for _ in range(6)
+        ]
+
+    def test_second_solve_searches_no_primes(self, monkeypatch):
+        rows = integer_rows(mat([[1, 2, 3], [4, 5, 6]]))
+        first = nullspace_with_info(rows, 3)
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return is_probable_prime(n)
+
+        monkeypatch.setattr(linalg, "is_probable_prime", counted)
+        second = nullspace_with_info(rows, 3)
+        assert calls == []
+        assert (second[0].to_rows(), second[1:]) == (first[0].to_rows(), first[1:])
 
 
 class TestPrimality:
