@@ -13,10 +13,13 @@ Hot paths run on scaled integer numpy arrays, starting from the
 algebra's own structure tensor C' = s*c.  Scales are tracked so the
 integer identities are equivalent to the rational ones; a
 ``RationalMatrix`` is read as its own (integer array, denominator)
-pair.  Every product of those arrays is one ``linalg._contract``, which
-runs in int64 only when its bound is proven and on Python ints
-otherwise, so the results do not depend on the size of the constants,
-that is, on the basis.
+pair.  Every dense product of those arrays is one ``linalg._contract``;
+the bracket constants and the derivation matrices are mostly zero, so
+bracket closure and every reader of the constants join and sum over
+their nonzeros (``linalg._join``, ``linalg._sparse_sum``).  Both run in
+int64 only when the bound is proven and on Python ints otherwise, so the
+results do not depend on the size of the constants, that is, on the
+basis.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ from .linalg import (
     SparseRows,
     _contract,
     _int_array,
+    _join,
     _scaled_int_array,
+    _sparse_sum,
     integer_rows,
     nullspace_with_info,
 )
@@ -86,9 +91,7 @@ def leibniz_constraint_rows(algebra: _alg.FiniteAlgebra) -> tuple[SparseRows, in
     equation (i, j, k), so only i <= j is kept there.
     """
     n = algebra.dim
-    # an equation entry sums at most three constants; the identity
-    # contraction returns the tensor in a dtype that keeps such sums exact
-    c = _contract("abm->abm", 3, algebra.tensor)
+    c = algebra.tensor
     pairs = np.ones((n, n), dtype=bool)  # pairs[i, j]: equations (i, j, *) kept
     if np.array_equal(c, c.transpose(1, 0, 2)):
         pairs = np.triu(pairs)
@@ -106,12 +109,9 @@ def leibniz_constraint_rows(algebra: _alg.FiniteAlgebra) -> tuple[SparseRows, in
         where = np.broadcast_to(where, key.shape)
         keys.append(key[where])
         vals.append(np.broadcast_to(coeff, key.shape)[where])
-    key, val = np.concatenate(keys), np.concatenate(vals)
-    order = np.argsort(key, kind="stable")
-    key, val = key[order], val[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    eq, pos = np.divmod(key[starts], n * n)
-    return SparseRows(eq, pos, np.add.reduceat(val, starts)), n * n
+    key, val = _sparse_sum(np.concatenate(keys), np.concatenate(vals))
+    eq, pos = np.divmod(key, n * n)
+    return SparseRows(eq, pos, val), n * n
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +127,11 @@ class LieAlgebraBasis:
     ``free_coords[t]`` and 0 at the other free coordinates, so the
     coordinates of any element of the span can be read off directly.
     Bracket structure constants satisfy
-    [D_a, D_b] = sum_c f(a, b, c) D_c with f stored as
-    ``_f_int / _f_scale``.
+    [D_a, D_b] = sum_c f(a, b, c) D_c.  f is stored sparse, over one
+    scale: the nonzero f(a, b, c) is ``_f_vals[t] / _f_scale`` at the
+    key ``_f_keys[t] = (a * dim + b) * dim + c``, keys ascending.  Every
+    reader of f (ad, the Killing form, the brackets of subspaces) runs
+    over these nonzeros.
     """
 
     algebra: _alg.FiniteAlgebra
@@ -137,7 +140,8 @@ class LieAlgebraBasis:
     free_coords: tuple[int, ...]
     _d_int: np.ndarray = field(repr=False)
     _d_scale: int = field(repr=False)
-    _f_int: np.ndarray = field(repr=False)
+    _f_keys: np.ndarray = field(repr=False)
+    _f_vals: np.ndarray = field(repr=False)
     _f_scale: int = field(repr=False)
 
     @property
@@ -145,12 +149,15 @@ class LieAlgebraBasis:
         return len(self.basis)
 
     def structure_constant(self, a: int, b: int, c: int) -> Fraction:
-        return Fraction(int(self._f_int[a, b, c]), self._f_scale)
+        return self.bracket_in_basis(a, b)[c]
 
     def bracket_in_basis(self, a: int, b: int) -> tuple[Fraction, ...]:
-        return tuple(
-            Fraction(int(v), self._f_scale) for v in self._f_int[a, b]
-        )
+        d = self.dim
+        if not (0 <= a < d and 0 <= b < d):
+            raise IndexError(f"basis indices ({a}, {b}) out of range for dimension {d}")
+        lo, hi = np.searchsorted(self._f_keys, [(a * d + b) * d, (a * d + b + 1) * d])
+        row = _dense((d,), self._f_keys[lo:hi] % d, self._f_vals[lo:hi])
+        return tuple(Fraction(int(v), self._f_scale) for v in row)
 
     def coords_of(self, m: RationalMatrix) -> tuple[Fraction, ...]:
         """Coordinates of a matrix in the basis; raises if outside the span."""
@@ -178,7 +185,35 @@ class LieAlgebraBasis:
 
     def _ad(self, x_int: np.ndarray) -> np.ndarray:
         """Scaled matrix of ad_x, (c, b) entry sum_a x[a] f(a, b, c), for integer x."""
-        return _contract("a,abc->cb", self.dim, x_int, self._f_int)
+        d = self.dim
+        a, b, c = np.unravel_index(self._f_keys, (d,) * 3)
+        return _dense((d, d), *_sparse_sum(c * d + b, x_int[a], self._f_vals))
+
+
+def _dense(shape: tuple[int, ...], keys: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The array of the given shape holding vals at the flat keys, 0 elsewhere."""
+    out = np.zeros(math.prod(shape), dtype=vals.dtype)
+    out[keys] = vals
+    return out.reshape(shape)
+
+
+def _map_axis(
+    keys: np.ndarray, vals: np.ndarray, shape: tuple[int, ...], axis: int, m: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """A sparse tensor with one axis mapped by the integer matrix m.
+
+    The tensor holds ``vals`` at the flat ``keys`` of ``shape``; entry
+    [..., s, ...] of the result is sum_r m[s, r] [..., r, ...], summed
+    over the nonzeros of both, joined on r.
+    """
+    s, r = np.nonzero(m)
+    idx = list(np.unravel_index(keys, shape))
+    x, y = _join(idx[axis], r)
+    idx = [v[x] for v in idx]
+    idx[axis] = s[y]
+    shape = shape[:axis] + (m.shape[0],) + shape[axis + 1 :]
+    keys, vals = _sparse_sum(np.ravel_multi_index(idx, shape), vals[x], m[s, r][y])
+    return keys, vals, shape
 
 
 def bracket(x: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
@@ -240,20 +275,33 @@ def derivation_algebra(
 
     basis = tuple(RationalMatrix.from_ints(m, d_scale) for m in d_int)
 
-    # brackets of all basis pairs, scaled by d_scale^2;
-    # bounded for 2n terms, so that the commutator is exact too
-    prod = _contract("aij,bjk->abik", 2 * n, d_int, d_int, optimize=True)
-    # prod is a transposed view, so comm is kept 4-d: flattening it would copy
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    # closure certificate: every bracket lies in the span
-    f_int = _span_coords(comm, d_int, d_scale, free_cols)
-    if f_int is None:
+    # the brackets of all basis pairs, scaled by d_scale^2, over the
+    # nonzeros: D_a D_b at (i, k) joins D_a[i, j] with D_b[j, k] on j, and
+    # the same terms, negated at (b, a), complete the commutators
+    t, i, j = np.nonzero(d_int)
+    v = d_int[t, i, j]
+    x, y = _join(j, i)
+    ik = i[x] * n + j[y]
+    comm_keys, comm = _sparse_sum(
+        np.concatenate([(t[x] * d + t[y]) * n * n + ik, (t[y] * d + t[x]) * n * n + ik]),
+        np.concatenate([v[x], -v[x]]),
+        np.concatenate([v[y], v[y]]),
+    )
+    # the coordinates of a bracket are its entries at the free coordinates
+    free_pos = np.full(n * n, -1)
+    free_pos[free_cols] = np.arange(d)
+    pair, coord = np.divmod(comm_keys, n * n)
+    at_free = free_pos[coord] >= 0
+    f_keys, f_int = pair[at_free] * d + free_pos[coord[at_free]], comm[at_free]
+    # closure certificate: sum_c f(a, b, c) D_c equals d_scale [D_a, D_b]
+    x, y = _join(f_keys % d, t)
+    recon_keys, recon = _sparse_sum(f_keys[x] // d * n * n + i[y] * n + j[y], f_int[x], v[y])
+    scaled = _contract(",k->k", 1, _int_array([d_scale], ()), comm)
+    if not (np.array_equal(recon_keys, comm_keys) and np.array_equal(recon, scaled)):
         raise RuntimeError("internal error: bracket closure certification failed")
     f_scale = d_scale * d_scale
-    g = math.gcd(int(np.gcd.reduce(np.abs(f_int), axis=None)), f_scale)
-    if g > 1:
-        f_int = f_int // g
-        f_scale //= g
+    g = math.gcd(int(np.gcd.reduce(np.abs(f_int))), f_scale)
+    f_scale //= g
 
     return LieAlgebraBasis(
         algebra=algebra,
@@ -262,7 +310,8 @@ def derivation_algebra(
         free_coords=tuple(free_cols),
         _d_int=d_int,
         _d_scale=d_scale,
-        _f_int=f_int,
+        _f_keys=f_keys,
+        _f_vals=_int_array([q // g for q in f_int.tolist()], (-1,)),
         _f_scale=f_scale,
     )
 
@@ -272,8 +321,15 @@ def derivation_algebra(
 # ---------------------------------------------------------------------------
 
 def killing_form(l: LieAlgebraBasis) -> RationalMatrix:
-    """B(a, b) = trace(ad_a ad_b) on the basis; symmetric by construction."""
-    k_int = _contract("axy,byx->ab", l.dim * l.dim, l._f_int, l._f_int)
+    """B(a, b) = trace(ad_a ad_b) on the basis; symmetric by construction.
+
+    B(a, b) = sum_xy f(a, x, y) f(b, y, x): the nonzeros of f joined
+    with themselves on (x, y) = (y', x').
+    """
+    d = l.dim
+    a, x, y = np.unravel_index(l._f_keys, (d,) * 3)
+    i, j = _join(x * d + y, y * d + x)
+    k_int = _dense((d, d), *_sparse_sum(a[i] * d + a[j], l._f_vals[i], l._f_vals[j]))
     return RationalMatrix.from_ints(k_int, l._f_scale * l._f_scale)
 
 
@@ -404,19 +460,30 @@ class CartanPair:
         return (self.k_dim, self.p_dim)
 
 
-def _theta_is_lie_automorphism(l: LieAlgebraBasis, theta: RationalMatrix) -> bool:
-    d = l.dim
-    t_int, f = theta._ints, l._f_int
-    lhs = _contract("ca,db,cde->abe", d * d, t_int, t_int, f, optimize=True)
-    rhs = _contract(",ec,abc->abe", d, _int_array([theta._den], ()), t_int, f)
-    return bool(np.array_equal(lhs, rhs))
-
-
 def _subspace_brackets(
     l: LieAlgebraBasis, left: np.ndarray, right: np.ndarray
 ) -> np.ndarray:
-    """Scaled bracket coordinates of all pairs from two integer bases."""
-    return _contract("ia,jb,abc->ijc", l.dim * l.dim, left, right, l._f_int, optimize=True)
+    """Scaled bracket coordinates of all pairs from two integer bases.
+
+    Entry (i, j, c) is sum_ab left[i, a] right[j, b] f(a, b, c): the
+    first axis of f mapped by left and the second by right, over the
+    nonzeros.  It runs in slices of left's rows, each holding the rows
+    whose join terms, bounded from the nonzero counts, add up to about
+    d^3: so dense bases need at most a d-th of the d^4 intermediate of a
+    dense contraction, and sparse ones take one slice.
+    """
+    d, m = l.dim, right.shape[0]
+    per_a = np.bincount(l._f_keys // (d * d), minlength=d)
+    per_b = int((right != 0).sum(axis=0).max(initial=0))
+    cost = (left != 0).astype(np.int64) @ per_a * (1 + per_b)
+    cuts = (np.flatnonzero(np.diff(np.cumsum(cost) // max(d**3, 1))) + 1).tolist()
+    keys, vals = [], []
+    for lo, hi in zip([0, *cuts], [*cuts, left.shape[0]]):
+        f = _map_axis(l._f_keys, l._f_vals, (d, d, d), 0, left[lo:hi])
+        k, v, _ = _map_axis(*f, 1, right)
+        keys.append(k + lo * m * d)
+        vals.append(v)
+    return _dense((left.shape[0], m, d), np.concatenate(keys), np.concatenate(vals))
 
 
 def _int_rank(rows: np.ndarray) -> int:
@@ -429,6 +496,10 @@ def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
     theta must be an involutive Lie-algebra automorphism (both verified).
     Raises InvalidInvolutionError otherwise.  The zero algebra splits
     into two zero spaces, each spanned by the brackets vacuously.
+
+    Once theta squares to the identity, g = k + p, so theta preserves
+    the bracket exactly when the three inclusions hold on the two
+    eigenbases: their certificate is the automorphism check.
     """
     d = l.dim
     if theta.shape != (d, d):
@@ -436,27 +507,23 @@ def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
     ident = RationalMatrix.identity(d)
     if theta @ theta != ident:
         raise InvalidInvolutionError("map does not square to the identity")
-    if not _theta_is_lie_automorphism(l, theta):
-        raise InvalidInvolutionError("map does not preserve the bracket")
     if d == 0:
         empty = RationalMatrix.zeros(0, 0)
         return CartanPair(l, empty, empty, (), (), True, True)
 
     k, k_free, _ = nullspace_with_info(integer_rows(theta - ident), d)
     p, p_free, _ = nullspace_with_info(integer_rows(theta + ident), d)
-    if k.rows + p.rows != d:
-        raise InvalidInvolutionError("eigenspaces do not fill the algebra")
-
-    kk = _subspace_brackets(l, k._ints, k._ints)
-    kp = _subspace_brackets(l, k._ints, p._ints)
-    pp = _subspace_brackets(l, p._ints, p._ints)
-    for brackets, basis, free, what in (
+    eigen = np.concatenate([k._ints, p._ints])
+    brackets = _subspace_brackets(l, eigen, eigen)
+    kd = k.rows
+    kk, kp, pp = brackets[:kd, :kd], brackets[:kd, kd:], brackets[kd:, kd:]
+    for part, basis, free, what in (
         (kk, k, k_free, "[k, k] escapes k"),
         (kp, p, p_free, "[k, p] escapes p"),
         (pp, k, k_free, "[p, p] escapes k"),
     ):
-        if _span_coords(brackets, basis._ints, basis._den, free) is None:
-            raise RuntimeError(f"internal error: {what}")
+        if _span_coords(part, basis._ints, basis._den, free) is None:
+            raise InvalidInvolutionError(f"map does not preserve the bracket: {what}")
 
     return CartanPair(
         lie=l,

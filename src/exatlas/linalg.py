@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals.
 
 A rational matrix is one integer array over one positive denominator,
-and every product of integer arrays is one ``_contract``.  A linear
-system is one ``SparseRows``, integer rows in compressed sparse form,
-and ``SparseRows.dot`` is its one product.  Both run in the dtype
-``_exact_dtype`` proves: int64 when the bound allows, Python ints
-otherwise.
+and every dense product of integer arrays is one ``_contract``.  A
+linear system is one ``SparseRows``, integer rows in compressed sparse
+form, and ``SparseRows.dot`` is its one product.  Sparse operands, as
+(key, value) entries, are paired by ``_join`` and summed per key by
+``_sparse_sum``.  All run in the dtype ``_exact_dtype`` proves: int64
+when the bound allows, Python ints otherwise.
 
 Every system, of any size, is solved one way: the reduced echelon form
 is computed modulo a seeded 31-bit prime p, its residues are lifted
@@ -308,6 +309,39 @@ class SparseRows:
         return np.add.reduceat(terms, self.starts[:-1], axis=0)
 
 
+def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (i, j) with ``left[i] == right[j]``, grouped by i."""
+    order = np.argsort(right, kind="stable")
+    ranked = right[order]
+    lo = np.searchsorted(ranked, left, "left")
+    counts = np.searchsorted(ranked, left, "right") - lo
+    first = np.cumsum(counts) - counts  # where the pairs of each i begin
+    i = np.repeat(np.arange(left.size), counts)
+    return i, order[np.arange(i.size) - first[i] + lo[i]]
+
+
+def _sparse_sum(keys: np.ndarray, *factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact sum per key of a sparse set of terms.
+
+    Term t is the product of the factors' entries t, at the nonnegative
+    key ``keys[t]``.  Returns the ascending keys whose sum is not zero
+    and those sums, in the dtype ``_exact_dtype`` proves for the largest
+    number of terms at one key.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    dtype = _exact_dtype(int(np.diff(starts, append=keys.size).max(initial=0)), *factors)
+    terms = np.ones(keys.size, dtype)
+    for f in factors:
+        terms = terms * f.astype(dtype, copy=False)[order]
+    if not keys.size:
+        return keys, terms
+    sums = np.add.reduceat(terms, starts)
+    keep = sums != 0
+    return keys[starts][keep], sums[keep]
+
+
 def integer_rows(m: RationalMatrix | np.ndarray) -> SparseRows:
     """The nonzero rows of an integer array, or of a matrix times its
     denominator, as a ``SparseRows``."""
@@ -487,40 +521,51 @@ def _lift(
     ncols: int,
     pivcols: list[int],
     free_cols: list[int],
-    residues: list[list[int]],
+    residues: np.ndarray,
     modulus: int,
 ) -> RationalMatrix | None:
-    """The nullspace basis the RREF residues stand for, or None.
+    """The nullspace basis the residues of its pivot entries stand for, or None.
 
-    Each vector is cleared to integers over its own denominator, and all
-    are certified at once by exact substitution, one ``rows.dot``; the
-    basis is then one matrix over their lcm.  None when an entry does
-    not reconstruct or a vector fails the substitution: the modulus is
-    still too small, or a prime was bad.
+    One denominator ``den`` serves the whole basis: residue x gives the
+    numerator den * x mod the modulus, balanced.  Where that exceeds the
+    bound sqrt(modulus / 2) of ``rational_reconstruct``, Wang's method
+    gives the entry instead, and den grows to the lcm with its
+    denominator.  All candidates are certified by exact substitution,
+    one ``rows.dot``.  None when an entry does not reconstruct or the
+    substitution fails: the modulus is still too small, or the prime bad.
+
+    Past modulus > 2 H^2 (H as in ``_padic_residues``) the acceptance is
+    exact.  By Cramer's rule every entry is a minor over det(B), so every
+    denominator, and with them den, divides det(B) <= H, and den * entry
+    is an integer of size at most H, below the bound.  An entry m / q
+    with q not dividing den balances to no y below the bound: q y and
+    den m would agree modulo the modulus, both below half of it, so
+    exactly.
     """
-    vectors: list[list[int]] = []
-    dens: list[int] = []
-    for j, f in enumerate(free_cols):
-        lifted = {}
-        for t, c in enumerate(pivcols):
-            if residues[t][j]:
-                q = rational_reconstruct(residues[t][j], modulus)
-                if q is None:
-                    return None
-                lifted[c] = q
-        v_den = math.lcm(*(q.denominator for q in lifted.values()))
-        v = [0] * ncols
-        v[f] = v_den
-        for c, q in lifted.items():
-            v[c] = q.numerator * (v_den // q.denominator)
-        vectors.append(v)
-        dens.append(v_den)
-    ints = _int_array([x for v in vectors for x in v], (len(vectors), ncols))
+    bound = math.isqrt((modulus - 1) // 2)
+    den, wang = 1, {}
+    while True:
+        nums = den * residues % modulus
+        nums = np.where(nums > modulus // 2, nums - modulus, nums)
+        for k in np.flatnonzero(np.abs(nums) > bound).tolist():
+            if k not in wang:
+                wang[k] = rational_reconstruct(residues.flat[k], modulus)
+            q = wang[k]
+            if q is None:
+                return None
+            if den % q.denominator:
+                den = math.lcm(den, q.denominator)
+                break
+            nums.flat[k] = q.numerator * (den // q.denominator)
+        else:
+            break
+    vectors = np.zeros((len(free_cols), ncols), dtype=object)
+    vectors[:, pivcols] = nums.T
+    vectors[range(len(free_cols)), free_cols] = den
+    ints = _int_array(vectors.ravel().tolist(), vectors.shape)
     if rows.dot(ints.T).any():
         return None
-    den = math.lcm(*dens)
-    scales = _int_array([den // v_den for v_den in dens], (len(dens),))
-    return RationalMatrix.from_ints(_contract("i,ij->ij", 1, scales, ints), den)
+    return RationalMatrix.from_ints(ints, den)
 
 
 def _padic_residues(
@@ -531,9 +576,10 @@ def _padic_residues(
     rref: np.ndarray,
     p: int,
     cancel: CancelToken | None = None,
-) -> Iterable[tuple[list[list[int]], int]]:
-    """Residues of the nullspace's pivot entries modulo p^k, yielded at
-    each k worth a lift (Dixon's p-adic lifting).
+) -> Iterable[tuple[np.ndarray, int]]:
+    """Residues of the nullspace's pivot entries modulo p^k (an object
+    array, one row per pivot), yielded at each k worth a lift (Dixon's
+    p-adic lifting).
 
     P, the input rows that became pivots, is B at the pivot columns,
     invertible mod p, and -R_0 at the free columns, so the pivot
@@ -550,7 +596,7 @@ def _padic_residues(
     """
     acc = (-rref[:, free_cols] % p).astype(object)  # X mod p^k
     pk = p
-    yield acc.tolist(), pk
+    yield acc, pk
     piv = rows.take(pivrows)
     h_sq = math.prod(np.add.reduceat(piv.vals.astype(object) ** 2, piv.starts[:-1]).tolist())
     if pk > 2 * h_sq:
@@ -580,11 +626,11 @@ def _padic_residues(
         acc = acc + digit.astype(object) * pk
         pk *= p
         if pk > 2 * h_sq:
-            yield acc.tolist(), pk
+            yield acc, pk
             return
         q = rational_reconstruct(acc.flat[sentinel], pk)
         if q is not None and q == last:
-            yield acc.tolist(), pk
+            yield acc, pk
         last = q
         placed[pivcols] = digit
         resid = (resid - piv.dot(placed)) // p

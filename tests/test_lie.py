@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,11 +35,13 @@ from exatlas.lie import (
     _span_coords,
     leibniz_constraint_rows,
     named_derivation_algebra,
+    _subspace_brackets,
 )
 from exatlas.linalg import (
     ComputationCancelled,
     DimensionError,
     RationalMatrix,
+    _contract,
     _modp_rref,
     is_negative_definite,
     nullspace_basis,
@@ -136,6 +139,17 @@ class TestDerivationCertificates:
         pivot_cols, _, _ = _modp_rref(rows, ncols, 2**31 - 1)
         assert len(pivot_cols) == 677
         assert basis.rows == 52
+
+    def test_j3o_derive_peak_memory(self, j3o):
+        # the closure certificate once held four 52*52*27*27 int64 arrays
+        # (67 MB at peak); over the nonzeros the derive peaks near 23 MB
+        tracemalloc.start()
+        try:
+            derivation_algebra(j3o)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
     def test_j3o_rows_whose_lift_needs_several_primes(self, j3o):
         # e_k -> 1000^(k mod 3) e_k: one prime cannot lift these entries;
@@ -382,7 +396,8 @@ class TestInducedInvolution:
             free_coords=(der_h.free_coords[1],),
             _d_int=m._ints[None],
             _d_scale=m._den,
-            _f_int=np.zeros((1, 1, 1), dtype=np.int64),
+            _f_keys=np.zeros(0, dtype=np.intp),
+            _f_vals=np.zeros(0, dtype=np.int64),
             _f_scale=1,
         )
         sigma = RationalMatrix.from_rows(
@@ -456,6 +471,18 @@ def _diagonal_in_copy(sigma: RationalMatrix, perm) -> RationalMatrix:
     )
 
 
+def assert_f4_in_rescaled_j3o(j3o, factors):
+    copy = rescaled(j3o, factors)
+    l = derivation_algebra(copy)
+    assert l.dim == 52
+    assert is_negative_definite(killing_form(l))
+    assert generic_rank(l) == 4
+    # a diagonal map keeps its matrix under a diagonal rescaling
+    pair = cartan_split(l, induced_involution(copy, diagonal_sign_involution(j3o), l))
+    assert (pair.dims, pair.pp_spans_k, pair.kp_spans_p) == ((36, 16), True, True)
+    assert flat_rank(pair) == 1
+
+
 class TestBasisIndependence:
     """Copies in other bases: Der, the Killing form and the splits must agree."""
 
@@ -518,6 +545,15 @@ class TestBasisIndependence:
         assert (pair.dims, pair.pp_spans_k, pair.kp_spans_p) == ((13, 8), True, True)
         assert flat_rank(pair) == 1
 
+    def test_f4_in_a_rescaled_j3o_basis(self, j3o):
+        # d_scale is about 2^68 here, so the constants run on Python ints
+        assert_f4_in_rescaled_j3o(j3o, [k + 1 for k in range(j3o.dim)])
+
+    @settings(max_examples=3, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=9), min_size=27, max_size=27))
+    def test_f4_in_random_rescaled_j3o_bases(self, j3o, factors):
+        assert_f4_in_rescaled_j3o(j3o, factors)
+
 
 def _abelian_lie(dim: int) -> LieAlgebraBasis:
     """Commuting diagonal matrices: every bracket vanishes."""
@@ -535,7 +571,8 @@ def _abelian_lie(dim: int) -> LieAlgebraBasis:
         free_coords=tuple(t * dim + t for t in range(dim)),
         _d_int=d_int,
         _d_scale=1,
-        _f_int=np.zeros((dim, dim, dim), dtype=np.int64),
+        _f_keys=np.zeros(0, dtype=np.intp),
+        _f_vals=np.zeros(0, dtype=np.int64),
         _f_scale=1,
     )
 
@@ -608,3 +645,154 @@ class TestCancellation:
         fresh = jordan_algebra(quaternions())
         with pytest.raises(ComputationCancelled):
             derivation_algebra(fresh, cancel=lambda: True)
+
+
+# ---------------------------------------------------------------------------
+# dense references for the sparse readers of the bracket constants
+# ---------------------------------------------------------------------------
+
+def matrix_algebra_2x2():
+    """M2(Q) on I, E11 - E22, 2 E12, E21: noncommutative, unital, Der = sl2."""
+    return unital_algebra(4, {
+        (1, 1, 0): 1,
+        (1, 2, 2): 1, (2, 1, 2): -1,
+        (1, 3, 3): -1, (3, 1, 3): 1,
+        (2, 3, 0): 1, (2, 3, 1): 1,
+        (3, 2, 0): 1, (3, 2, 1): -1,
+    })
+
+
+READER_CASES = {
+    "g2": lambda: named_derivation_algebra("octonions"),
+    "f4": lambda: named_derivation_algebra("j3o"),
+    "O-k+1": lambda: derivation_algebra(rescaled(octonions(), [k + 1 for k in range(8)])),
+    "H-2^40-2^80": lambda: derivation_algebra(rescaled(quaternions(), [1, 1, 2**40, 2**80])),
+    "M2": lambda: derivation_algebra(matrix_algebra_2x2()),
+}
+
+
+@pytest.fixture(scope="module", params=READER_CASES.values(), ids=READER_CASES.keys())
+def lie_case(request):
+    return request.param()
+
+
+def sparse_f(l):
+    """f from its sparse form, as a dense array over l._f_scale."""
+    f = np.zeros(l.dim**3, dtype=l._f_vals.dtype)
+    f[l._f_keys] = l._f_vals
+    return f.reshape((l.dim,) * 3)
+
+
+def dense_f_oracle(l):
+    """f by the dense einsums over the basis matrices, over d_scale^2:
+    all brackets, their entries at the free coordinates, and the
+    closure check that rebuilds every bracket from them."""
+    d, n = l.dim, l.ambient_dim
+    prod = _contract("aij,bjk->abik", 2 * n, l._d_int, l._d_int, optimize=True)
+    comm = (prod - prod.transpose(1, 0, 2, 3)).reshape(d, d, n * n)
+    f = comm[:, :, list(l.free_coords)]
+    recon = _contract("abt,ti->abi", d, f, l._d_int.reshape(d, n * n))
+    assert np.array_equal(recon, comm * l._d_scale)
+    return f
+
+
+def is_automorphism_oracle(l, theta):
+    """theta [x, y] = [theta x, theta y] by the dense einsums over f."""
+    f, t = sparse_f(l), theta._ints
+    lhs = _contract("ca,db,cde->abe", l.dim**2, t, t, f, optimize=True)
+    rhs = _contract(",ec,abc->abe", l.dim, np.array(theta._den, dtype=object), t, f)
+    return np.array_equal(lhs, rhs)
+
+
+def dense_reflection(d, seed):
+    """theta = 1 - 2 u v^T / (v . u) for random integer u, v without
+    zeros: an involution with every off-diagonal entry nonzero."""
+    rng = random.Random(seed)
+    while True:
+        u, v = ([rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(d)] for _ in range(2))
+        uv = sum(a * b for a, b in zip(u, v))
+        if uv:
+            break
+    ints = np.eye(d, dtype=np.int64) * uv - 2 * np.outer(u, v)
+    return RationalMatrix.from_ints(ints, uv)
+
+
+class TestSparseReadersMatchDenseEinsums:
+    def test_structure_constants(self, lie_case):
+        l = lie_case
+        d_sq = l._d_scale**2
+        assert np.array_equal(dense_f_oracle(l) * l._f_scale, sparse_f(l) * d_sq)
+        assert list(l._f_keys) == sorted(l._f_keys)
+        assert all(l._f_vals)
+
+    def test_killing_form(self, lie_case):
+        l = lie_case
+        f = sparse_f(l)
+        k_int = _contract("axy,byx->ab", l.dim**2, f, f)
+        assert killing_form(l) == RationalMatrix.from_ints(k_int, l._f_scale**2)
+
+    def test_ad(self, lie_case):
+        l = lie_case
+        rng = random.Random(DEFAULT_SEED)
+        for span in (9, 2**70):
+            x = np.array([rng.randint(-span, span) for _ in range(l.dim)], dtype=object)
+            assert np.array_equal(l._ad(x), _contract("a,abc->cb", l.dim, x, sparse_f(l)))
+
+    def test_subspace_brackets(self, lie_case):
+        l = lie_case
+        rng = random.Random(DEFAULT_SEED)
+        d = l.dim
+        for rows, density in ((d, 1.0), (3, 0.3), (0, 1.0)):
+            left, right = (
+                np.array(
+                    [[rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(d)]
+                     for _ in range(rows)],
+                    dtype=np.int64,
+                ).reshape(rows, d)
+                for _ in range(2)
+            )
+            expected = _contract("ia,jb,abc->ijc", d * d, left, right, sparse_f(l), optimize=True)
+            assert np.array_equal(_subspace_brackets(l, left, right), expected)
+
+    def test_split_accepts_what_the_dense_check_accepts(self, lie_case):
+        l = lie_case
+        for theta in (RationalMatrix.identity(l.dim), dense_reflection(l.dim, DEFAULT_SEED)):
+            try:
+                cartan_split(l, theta)
+                accepted = True
+            except InvalidInvolutionError:
+                accepted = False
+            assert accepted == is_automorphism_oracle(l, theta)
+
+
+class TestDenseInvolutions:
+    def test_f4_split_certified_against_the_dense_check(self, der_j3o, j3o):
+        theta = induced_involution(j3o, diagonal_sign_involution(j3o, (-1, 1, 1)), der_j3o)
+        assert is_automorphism_oracle(der_j3o, theta)
+        assert cartan_split(der_j3o, theta).dims == (36, 16)
+
+    def test_dense_non_automorphism_rejected_in_slices(self, der_j3o):
+        # every row of theta's +1 eigenbasis is dense, so its brackets run
+        # in slices; the peak stays far below the dense check's d^4 int64
+        theta = dense_reflection(52, 3)
+        assert np.count_nonzero(theta._ints) >= 52 * 51
+        assert not is_automorphism_oracle(der_j3o, theta)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInvolutionError, match="preserve the bracket"):
+                cartan_split(der_j3o, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 52**4 * 8 / 4
+
+    def test_non_diagonal_automorphism_accepted(self, der_h):
+        # swapping i and j and negating k is an automorphism of H; on so(3)
+        # it exchanges basis directions, so theta is not diagonal
+        sigma = RationalMatrix.from_rows(
+            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]]
+        )
+        theta = induced_involution(der_h.algebra, sigma, der_h)
+        assert np.count_nonzero(theta._ints - np.diag(np.diag(theta._ints)))
+        assert is_automorphism_oracle(der_h, theta)
+        assert cartan_split(der_h, theta).dims == (1, 2)

@@ -11,8 +11,14 @@ from exatlas import linalg
 from exatlas.linalg import (
     _PROBE_SEED,
     DimensionError,
+    _join,
+    _lift,
+    _modp_rref,
+    _padic_residues,
     _random_prime31,
     _scaled_int_array,
+    _seeded_prime,
+    _sparse_sum,
     RationalMatrix,
     integer_rows,
     is_negative_definite,
@@ -345,6 +351,88 @@ def test_nullspace_matches_gauss_jordan(system):
     rows, ncols = system
     got, free, r = nullspace_with_info(integer_rows(mat(rows)), ncols)
     assert ([tuple(v) for v in got.to_rows()], free, r) == gauss_jordan_nullspace(rows, ncols)
+
+
+def wang_lift(rows, ncols, pivcols, free_cols, residues, modulus):
+    """Reference lift: every entry by its own Wang reconstruction, each
+    vector over its own denominator, then the exact substitution."""
+    vectors = []
+    for j, f in enumerate(free_cols):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for t, c in enumerate(pivcols):
+            v[c] = rational_reconstruct(int(residues[t, j]), modulus)
+            if v[c] is None:
+                return None
+        vectors.append(v)
+    if not all(certified(rows, v) for v in vectors):
+        return None
+    return RationalMatrix(len(vectors), ncols, [x for v in vectors for x in v])
+
+
+def assert_lift_matches_wang(rows, ncols):
+    """At each modulus the p-adic lift yields, up to the first that
+    certifies (as the solver runs it), the one-denominator lift and the
+    per-entry reference agree where both certify; past the Hadamard
+    bound (the last modulus) both certify or both fail."""
+    rows = integer_rows(mat(rows))
+    p = _seeded_prime(0)
+    pivcols, rref, pivrows = _modp_rref(rows, ncols, p)
+    free = [c for c in range(ncols) if c not in set(pivcols)]
+    for res, m in _padic_residues(rows, pivcols, free, pivrows, rref, p):
+        ours = _lift(rows, ncols, pivcols, free, res, m)
+        ref = wang_lift(rows, ncols, pivcols, free, res, m)
+        if ours is not None and ref is not None:
+            assert ours == ref
+        if ours is not None:
+            return
+    assert ref is None
+
+
+class TestOneDenominatorLift:
+    @settings(max_examples=100, deadline=None)
+    @given(integer_systems())
+    def test_matches_per_entry_reconstruction(self, system):
+        assert_lift_matches_wang(*system)
+
+    def test_entry_past_int64(self):
+        assert_lift_matches_wang([[1, -2**70]], 2)
+
+    def test_mixed_denominators_share_one(self):
+        # x0 = -x2 / 2 and x1 = -x3 / 3: the basis is one matrix over 6
+        basis, _, _ = nullspace_with_info(integer_rows(mat([[2, 0, 1, 0], [0, 3, 0, 1]])), 4)
+        assert basis._den == 6
+        assert basis.to_rows() == [[Fraction(-1, 2), 0, 1, 0], [0, Fraction(-1, 3), 0, 1]]
+
+
+class TestSparseSum:
+    def test_sums_past_int64_are_exact(self):
+        keys, sums = _sparse_sum(
+            np.array([3, 0, 3, 1, 1]),
+            np.array([2**61, 5, 2**61, 7, -7], dtype=np.int64),
+        )
+        assert keys.tolist() == [0, 3]
+        assert sums.tolist() == [5, 2**62]
+        assert sums.dtype == object
+
+    def test_products_past_int64_are_exact(self):
+        big = np.array([2**40, 2**40], dtype=np.int64)
+        keys, sums = _sparse_sum(np.array([2, 2]), big, big)
+        assert (keys.tolist(), sums.tolist()) == ([2], [2**81])
+
+    def test_int64_where_the_bound_allows(self):
+        keys, sums = _sparse_sum(np.array([1, 0, 1]), np.array([2, 3, 4], dtype=np.int64))
+        assert (keys.tolist(), sums.tolist(), sums.dtype) == ([0, 1], [3, 6], np.int64)
+
+    def test_no_terms(self):
+        keys, sums = _sparse_sum(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64))
+        assert keys.size == sums.size == 0
+
+    def test_join_pairs_every_match(self):
+        left, right = np.array([2, 0, 2, 5]), np.array([2, 2, 0, 1])
+        i, j = _join(left, right)
+        expected = sorted((a, b) for a in range(4) for b in range(4) if left[a] == right[b])
+        assert sorted(zip(i.tolist(), j.tolist())) == expected
 
 
 def certified(rows, vector):
