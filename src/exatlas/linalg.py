@@ -9,13 +9,16 @@ form, and ``SparseRows.dot`` is its one product.  Sparse operands, as
 when the bound allows, Python ints otherwise.
 
 Every system, of any size, is solved one way: the reduced echelon form
-is computed modulo a seeded 31-bit prime p, its residues are lifted
-p-adically to higher powers of p (Dixon) as far as needed, the
-nullspace candidates are recovered by rational reconstruction, and all
-are certified by one exact substitution on integers; the certified count
-together with the modular rank pins the exact rank.  A prime whose
-candidates still fail past the Hadamard bound is dropped for the next.
-The certified basis comes back as one echelon ``RationalMatrix``.
+is computed modulo a seeded 31-bit prime p, in blocks of rows, each
+block first reduced by the nullspace basis mod p found so far (one
+``SparseRows.dot``) so that only rows adding rank are eliminated.  Its
+residues are lifted p-adically to higher powers of p (Dixon) as far as
+needed, the nullspace candidates are recovered by rational
+reconstruction, and all are certified by one exact substitution on
+integers; the certified count together with the modular rank pins the
+exact rank.  A prime whose candidates still fail past the Hadamard
+bound is dropped for the next.  The certified basis comes back as one
+echelon ``RationalMatrix``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 Rational = Fraction
 
-_BLOCK_ROWS = 2048
+_BLOCK_ROWS = 1024
 _PROBE_SEED = 0x51BB1E
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -297,6 +300,14 @@ class SparseRows:
         ent = np.arange(lens.sum()) + np.repeat(self.starts[idx] - np.cumsum(lens) + lens, lens)
         return SparseRows(np.repeat(np.arange(len(lens)), lens), self.cols[ent], self.vals[ent])
 
+    def block(self, lo: int, hi: int) -> "SparseRows":
+        """Rows lo to hi - 1, a view of this system's arrays."""
+        part = SparseRows.__new__(SparseRows)
+        part.starts = self.starts[lo : hi + 1] - self.starts[lo]
+        part.cols = self.cols[self.starts[lo] : self.starts[hi]]
+        part.vals = self.vals[self.starts[lo] : self.starts[hi]]
+        return part
+
     def dot(self, dense: np.ndarray) -> np.ndarray:
         """Exact product with an integer array whose rows match the columns.
 
@@ -304,8 +315,8 @@ class SparseRows:
         dtype ``_exact_dtype`` proves for the longest row.
         """
         dtype = _exact_dtype(int(np.diff(self.starts).max(initial=0)), self.vals, dense)
-        terms = self.vals.astype(dtype, copy=False).reshape((-1,) + (1,) * (dense.ndim - 1))
-        terms = terms * dense.astype(dtype, copy=False)[self.cols]
+        terms = dense.astype(dtype, copy=False)[self.cols]  # a copy: scaled in place
+        terms *= self.vals.astype(dtype, copy=False).reshape((-1,) + (1,) * (dense.ndim - 1))
         return np.add.reduceat(terms, self.starts[:-1], axis=0)
 
 
@@ -401,58 +412,78 @@ class _ModPEchelon:
     """Streaming reduced echelon form over GF(p), vectorized with int64.
 
     Invariant: pivot rows are mutually reduced (each is zero at every
-    other pivot column), so clearing a row's pivot-column support takes
-    one subtraction per supported column, in any order.  Products stay
-    below 2^62 because p < 2^31.
+    other pivot column).  ``absorb`` takes only rows already zero at
+    every pivot column; ``clear_pivots`` brings rows there, and drops
+    those left zero, with one sparse product.  Products stay below 2^62
+    because p < 2^31.
     """
 
-    def __init__(self, ncols: int, p: int, cancel: CancelToken | None = None):
+    def __init__(self, ncols: int, p: int):
         self.ncols = ncols
         self.p = p
-        self.cancel = cancel
         self._piv = np.zeros((ncols, ncols), dtype=np.int64)
         self._pivcols: list[int] = []
         self._pivrows: list[int] = []  # input row that became each pivot
         self._is_piv = np.zeros(ncols, dtype=bool)
-        self._absorbed = 0
 
-    def absorb(self, block: np.ndarray) -> None:
+    @property
+    def rank(self) -> int:
+        return len(self._pivcols)
+
+    def clear_pivots(self, rows: SparseRows, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows with every known pivot cleared, less those left zero,
+        written to the front of ``out``; and the indices of the kept rows.
+
+        The nullspace basis mod p, N, is the identity at the free columns
+        and -R at the pivot columns (R the reduced pivot rows), so a row
+        times N is the row with every pivot cleared, read at the free
+        columns: one ``rows.dot`` for all rows.
+        """
         p = self.p
-        _check_cancel(self.cancel)
-        first_row = self._absorbed
-        self._absorbed += block.shape[0]
-        # bulk pass: clear support on the pivots known so far
-        npiv = len(self._pivcols)
-        for t in range(npiv):
-            c = self._pivcols[t]
-            colvals = block[:, c]
-            nz = np.nonzero(colvals)[0]
-            if nz.size:
-                block[nz] = (block[nz] - colvals[nz, None] * self._piv[t][None, :]) % p
-        # the rest of the block in ascending column order: a column's first
-        # nonzero row is its pivot, cleared from the block's other rows, so
-        # each new pivot row is zero left of its column and at every pivot
-        for c in np.nonzero(~self._is_piv)[0].tolist():
-            nz = np.nonzero(block[:, c])[0]
+        free = np.flatnonzero(~self._is_piv)
+        basis = np.zeros((self.ncols, free.size), dtype=np.int64)
+        basis[free, range(free.size)] = 1
+        basis[self._pivcols] = -self._piv[: self.rank, free] % p
+        at_free = np.remainder(rows.dot(basis), p)
+        kept = np.flatnonzero(at_free.any(axis=1))
+        block = out[: kept.size]
+        block.fill(0)
+        block[:, free] = at_free[kept]
+        return block, kept
+
+    def absorb(self, block: np.ndarray, row_ids: Sequence[int]) -> None:
+        """Add the block's rows, input rows ``row_ids``, which must be zero
+        at every pivot column; the block is overwritten.
+
+        In ascending free column order, a column's first nonzero row is
+        its pivot, cleared from the block's other rows, so each new pivot
+        row is zero left of its column and at every pivot; so is every
+        row still in the block, and updates start at the column.
+        """
+        p = self.p
+        for c in np.flatnonzero(~self._is_piv).tolist():
+            nz = np.flatnonzero(block[:, c])
             if nz.size == 0:
                 continue
             row = block[nz[0]] * pow(int(block[nz[0], c]), p - 2, p) % p
             block[nz[0]] = 0
             rest = nz[1:]
             if rest.size:
-                block[rest] = (block[rest] - block[rest, c, None] * row[None, :]) % p
+                block[rest, c:] = (block[rest, c:] - block[rest, c, None] * row[None, c:]) % p
             self._insert_pivot(c, row)
-            self._pivrows.append(first_row + int(nz[0]))
+            self._pivrows.append(int(row_ids[nz[0]]))
 
     def _insert_pivot(self, col: int, row: np.ndarray) -> None:
-        # row must already be clear of every other pivot column
+        # row must already be clear of every other pivot column, and zero
+        # left of its own
         p = self.p
         n = len(self._pivcols)
         if n:
             colvals = self._piv[:n, col]
             nz = np.nonzero(colvals)[0]
             if nz.size:
-                self._piv[nz] = (self._piv[nz] - colvals[nz, None] * row[None, :]) % p
+                right = self._piv[nz, col:]
+                self._piv[nz, col:] = (right - colvals[nz, None] * row[None, col:]) % p
         self._piv[n] = row
         self._pivcols.append(col)
         self._is_piv[col] = True
@@ -465,25 +496,39 @@ class _ModPEchelon:
         return cols, self._piv[order], [self._pivrows[i] for i in order]
 
 
-def _rows_mod_p(rows: SparseRows, lo: int, p: int, block: np.ndarray) -> np.ndarray:
-    """The block, its rows set to rows lo, lo+1, ... reduced mod p in one scatter."""
-    hi = lo + block.shape[0]
-    ent = slice(rows.starts[lo], rows.starts[hi])
-    at = np.repeat(np.arange(hi - lo), np.diff(rows.starts[lo : hi + 1]))
+def _rows_mod_p(rows: SparseRows, p: int, out: np.ndarray) -> np.ndarray:
+    """The rows reduced mod p in one scatter, written to the front of ``out``."""
+    block = out[: len(rows)]
+    at = np.repeat(np.arange(len(rows)), np.diff(rows.starts))
     block.fill(0)
-    block[at, rows.cols[ent]] = rows.vals[ent] % p
+    block[at, rows.cols] = rows.vals % p
     return block
 
 
 def _modp_rref(
     rows: SparseRows, ncols: int, p: int, cancel: CancelToken | None = None
 ) -> tuple[list[int], np.ndarray, list[int]]:
-    eng = _ModPEchelon(ncols, p, cancel)
-    # one buffer for every block: a fresh block per step (12 MB on J3(O))
-    # left about 10 MB of freed heap resident after the solve
+    """The reduced echelon form mod p, read in blocks of ``_BLOCK_ROWS``
+    rows: pivot columns, pivot rows and the input row of each pivot.
+
+    The first block is scattered whole; every later one has the known
+    pivots cleared first, so only rows outside the span mod p are
+    eliminated.  Reading stops at full column rank.
+    """
+    eng = _ModPEchelon(ncols, p)
+    # one buffer for every block: a fresh 2,048-row block per step (12 MB
+    # on J3(O)) left about 10 MB of freed heap resident after the solve
     buf = np.empty((min(_BLOCK_ROWS, len(rows)), ncols), dtype=np.int64)
     for lo in range(0, len(rows), _BLOCK_ROWS):
-        eng.absorb(_rows_mod_p(rows, lo, p, buf[: len(rows) - lo]))
+        if eng.rank == ncols:
+            break
+        _check_cancel(cancel)
+        hi = min(lo + _BLOCK_ROWS, len(rows))
+        if eng.rank:
+            block, kept = eng.clear_pivots(rows.block(lo, hi), buf)
+            eng.absorb(block, kept + lo)
+        else:
+            eng.absorb(_rows_mod_p(rows.block(lo, hi), p, buf), range(lo, hi))
     return eng.reduced_rows()
 
 
@@ -597,16 +642,18 @@ def _padic_residues(
     acc = (-rref[:, free_cols] % p).astype(object)  # X mod p^k
     pk = p
     yield acc, pk
+    if not free_cols:  # full column rank: the empty basis is exact
+        return
     piv = rows.take(pivrows)
     h_sq = math.prod(np.add.reduceat(piv.vals.astype(object) ** 2, piv.starts[:-1]).tolist())
     if pk > 2 * h_sq:
         return
     r, ncols = rref.shape
     b_eye = np.zeros((r, 2 * r), dtype=np.int64)  # [B | I] mod p
-    b_eye[:, :r] = _rows_mod_p(piv, 0, p, np.empty((r, ncols), dtype=np.int64))[:, pivcols]
+    b_eye[:, :r] = _rows_mod_p(piv, p, np.empty((r, ncols), dtype=np.int64))[:, pivcols]
     b_eye[range(r), range(r, 2 * r)] = 1
-    eng = _ModPEchelon(2 * r, p, cancel)
-    eng.absorb(b_eye)
+    eng = _ModPEchelon(2 * r, p)
+    eng.absorb(b_eye, range(r))
     b_inv = eng.reduced_rows()[1][:, r:]
     # 16-bit limbs keep each product with a residue below 2^47
     limbs = (b_inv & 0xFFFF, b_inv >> 16)

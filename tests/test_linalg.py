@@ -8,14 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exatlas import linalg
+from exatlas.algebras import quaternions
+from exatlas.jordan import jordan_algebra
+from exatlas.lie import leibniz_constraint_rows
 from exatlas.linalg import (
     _PROBE_SEED,
+    ComputationCancelled,
     DimensionError,
     _join,
     _lift,
     _modp_rref,
     _padic_residues,
     _random_prime31,
+    _rows_mod_p,
     _scaled_int_array,
     _seeded_prime,
     _sparse_sum,
@@ -403,6 +408,97 @@ class TestOneDenominatorLift:
         basis, _, _ = nullspace_with_info(integer_rows(mat([[2, 0, 1, 0], [0, 3, 0, 1]])), 4)
         assert basis._den == 6
         assert basis.to_rows() == [[Fraction(-1, 2), 0, 1, 0], [0, Fraction(-1, 3), 0, 1]]
+
+
+def test_padic_residues_at_full_column_rank_stop_after_the_first_yield():
+    # with no free columns there is no sentinel entry to watch
+    rows = integer_rows(np.array(
+        [[0, 0, 0, 0, 1], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, 875780421, 0, 0, 1], [1, 0, 0, 0, 0]]
+    ))
+    p = _seeded_prime(0)
+    pivcols, rref, pivrows = _modp_rref(rows, 5, p)
+    yields = list(_padic_residues(rows, pivcols, [], pivrows, rref, p))
+    assert [(res.shape, m) for res, m in yields] == [((5, 0), p)]
+
+
+def per_pivot_rref(rows, ncols, p):
+    """Reference elimination: every block scattered whole, then each known
+    pivot cleared from it one column at a time, before ``absorb``."""
+    eng = linalg._ModPEchelon(ncols, p)
+    buf = np.empty((linalg._BLOCK_ROWS, ncols), dtype=np.int64)
+    for lo in range(0, len(rows), linalg._BLOCK_ROWS):
+        hi = min(lo + linalg._BLOCK_ROWS, len(rows))
+        block = _rows_mod_p(rows.block(lo, hi), p, buf)
+        for t, c in enumerate(eng._pivcols):
+            nz = np.flatnonzero(block[:, c])
+            block[nz] = (block[nz] - block[nz, c, None] * eng._piv[t]) % p
+        eng.absorb(block, range(lo, hi))
+    return eng.reduced_rows()
+
+
+def assert_same_rref(rows, ncols, p):
+    pivcols, rref, pivrows = _modp_rref(rows, ncols, p)
+    ref_cols, ref_rref, ref_rows = per_pivot_rref(rows, ncols, p)
+    assert (pivcols, pivrows) == (ref_cols, ref_rows)
+    assert np.array_equal(rref, ref_rref)
+
+
+class TestBlockedElimination:
+    """Later blocks have the known pivots cleared by one sparse product."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_systems())
+    def test_matches_the_per_pivot_pass(self, system):
+        rows, ncols = integer_rows(mat(system[0])), system[1]
+        for block_rows in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(linalg, "_BLOCK_ROWS", block_rows)
+                for p in (7, _seeded_prime(0)):
+                    assert_same_rref(rows, ncols, p)
+
+    def test_j3h_matches_the_per_pivot_pass(self, monkeypatch):
+        rows, ncols = leibniz_constraint_rows(jordan_algebra(quaternions()))
+        assert len(rows) == 1611
+        monkeypatch.setattr(linalg, "_BLOCK_ROWS", 64)
+        assert_same_rref(rows, ncols, _seeded_prime(0))
+
+    @pytest.fixture
+    def absorbed(self, monkeypatch):
+        """Input rows handed to ``absorb``, in blocks of 2."""
+        monkeypatch.setattr(linalg, "_BLOCK_ROWS", 2)
+        handed = []
+        absorb = linalg._ModPEchelon.absorb
+
+        def counted(eng, block, row_ids):
+            handed.extend(row_ids)
+            return absorb(eng, block, row_ids)
+
+        monkeypatch.setattr(linalg._ModPEchelon, "absorb", counted)
+        return handed
+
+    # the identity, then rows it already spans
+    ROWS = integer_rows(np.vstack([np.eye(6, dtype=np.int64), np.arange(1, 25).reshape(4, 6)]))
+
+    def test_reading_stops_at_full_column_rank(self, absorbed):
+        pivcols, _, pivrows = _modp_rref(self.ROWS, 6, _seeded_prime(0))
+        assert pivcols == pivrows == list(range(6))
+        assert absorbed == list(range(6))
+
+    def test_cancel_fires_between_blocks(self, absorbed):
+        polls = []
+
+        def cancel():
+            polls.append(None)
+            return len(polls) > 2
+
+        with pytest.raises(ComputationCancelled):
+            _modp_rref(self.ROWS, 6, _seeded_prime(0), cancel)
+        assert absorbed == list(range(4))
+
+    def test_a_block_is_the_rows_take_returns(self):
+        part, taken = self.ROWS.block(5, 8), self.ROWS.take([5, 6, 7])
+        for name in ("starts", "cols", "vals"):
+            assert np.array_equal(getattr(part, name), getattr(taken, name))
 
 
 class TestSparseSum:
