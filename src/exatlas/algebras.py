@@ -3,9 +3,10 @@
 The tower R -> C -> H -> O -> sedenions with exact rational coefficients.
 Every algebra stores its structure constants once, as an exact integer
 tensor C' = s*c with a positive integer scale s.  Products, norms, the
-batched identity sweeps, the Jordan algebras downstream and the
-derivation engine all contract that one tensor through ``_contract``:
-in int64 when the bound is proven and on Python ints otherwise.
+Jordan algebras downstream and the derivation engine contract that one
+tensor through ``_contract``; the batched identity sweeps sum over its
+nonzeros in ``batch_multiply``.  Both run in int64 when the bound is
+proven and on Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .linalg import (
     _contract,
     _exact_quotient,
     _int_array,
+    _key_runs,
     _scaled_int_array,
 )
 
@@ -34,7 +36,7 @@ DEFAULT_SEED = 1729
 #: Coefficients for random elements are drawn uniformly from this range.
 RANDOM_COEFF_SPAN = 9
 
-#: Rows per einsum in ``batch_multiply``; bounds the memory of one call.
+#: Rows per block in ``batch_multiply``; bounds the memory of one call.
 _BATCH_ROWS = 256
 
 
@@ -227,15 +229,26 @@ def batch_multiply(tensor: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarr
     """Row-wise products of two (batch, dim) integer coordinate arrays.
 
     Row b of the result is sum_ij x[b, i] y[b, j] tensor[i, j, :], so a
-    tensor scaled by s returns s times the product.  Each block of rows
-    is one ``_contract``, so the result is always exact.
+    tensor scaled by s returns s times the product.  Only the tensor's
+    nonzero terms are formed: for each block of rows, every term
+    x[:, i] y[:, j] tensor[i, j, k] is gathered and the terms are summed
+    per k, in the dtype ``_exact_dtype`` proves for the most terms at
+    one k, so the result is always exact.
     """
     n = tensor.shape[0]
-    blocks = [
-        _contract("bi,bj,ijk->bk", n * n, x[start : start + _BATCH_ROWS],
-                  y[start : start + _BATCH_ROWS], tensor)
-        for start in range(0, x.shape[0], _BATCH_ROWS)
-    ]
+    k, i, j = np.nonzero(tensor.transpose(2, 0, 1))  # sorted by k
+    c = tensor[i, j, k]
+    starts, dtype = _key_runs(k, x, y, c)
+    x, y, c = (a.astype(dtype, copy=False) for a in (x, y, c))
+    blocks = []
+    for lo in range(0, x.shape[0], _BATCH_ROWS):
+        xb, yb = x[lo : lo + _BATCH_ROWS], y[lo : lo + _BATCH_ROWS]
+        block = np.zeros((xb.shape[0], n), dtype)
+        if k.size:
+            terms = xb[:, i] * yb[:, j]
+            terms *= c
+            block[:, k[starts]] = np.add.reduceat(terms, starts, axis=1)
+        blocks.append(block)
     if not blocks:
         return np.zeros((0, n), dtype=np.int64)
     return np.concatenate(blocks)

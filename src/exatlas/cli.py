@@ -100,16 +100,32 @@ def _heavy_lie(name: str, budget: Budget) -> lie.LieAlgebraBasis:
 # ---------------------------------------------------------------------------
 
 # The batched sweeps draw their samples row by row in the order of the
-# per-element loops (x then y per pair) and check them on the scaled
-# structure tensor C' = sC, where an m-fold product carries s^m on both
-# sides of each identity.
+# per-element loops (x then y per pair), the very values random_element
+# draws, and check them on the scaled structure tensor C' = sC, where an
+# m-fold product carries s^m on both sides of each identity.
 
 def _random_rows(rng: random.Random, count: int, dim: int) -> np.ndarray:
-    """count x dim coordinates in [-span, span], drawn as random_element draws them."""
+    """count x dim coordinates in [-span, span]: the values, and the final
+    state of rng, of count * dim calls of ``rng.randint(-span, span)``.
+
+    CPython's randint draws one 32-bit Mersenne Twister word per try,
+    keeps its top bits r = word >> (32 - bit_length(width)) and rejects
+    r >= width; ``getrandbits(32 m)`` returns m such words, least
+    significant first.  Each word gives at most one value, so drawing
+    exactly the shortfall each round never reads past the last word a
+    loop of randint calls would read.
+    """
     span = alg.RANDOM_COEFF_SPAN
-    return np.array(
-        [rng.randint(-span, span) for _ in range(max(count, 0) * dim)], dtype=np.int64
-    ).reshape(-1, dim)
+    width = 2 * span + 1
+    shift = 32 - width.bit_length()
+    need = max(count, 0) * dim
+    drawn = [np.zeros(0, dtype=np.int64)]
+    while need:
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        r = (np.frombuffer(words, dtype="<u4") >> shift).astype(np.int64)
+        drawn.append(r[r < width])
+        need -= drawn[-1].size
+    return (np.concatenate(drawn) - span).reshape(-1, dim)
 
 
 def _associator_rows(c: np.ndarray, x, y, z) -> np.ndarray:

@@ -331,6 +331,14 @@ def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, order[np.arange(i.size) - first[i] + lo[i]]
 
 
+def _key_runs(keys: np.ndarray, *factors: np.ndarray) -> tuple[np.ndarray, object]:
+    """Where each run of equal keys begins in an ascending key array, and
+    the dtype ``_exact_dtype`` proves for a sum, over the longest run, of
+    products of the factors' entries."""
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return starts, _exact_dtype(int(np.diff(starts, append=keys.size).max(initial=0)), *factors)
+
+
 def _sparse_sum(keys: np.ndarray, *factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The exact sum per key of a sparse set of terms.
 
@@ -341,8 +349,7 @@ def _sparse_sum(keys: np.ndarray, *factors: np.ndarray) -> tuple[np.ndarray, np.
     """
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    dtype = _exact_dtype(int(np.diff(starts, append=keys.size).max(initial=0)), *factors)
+    starts, dtype = _key_runs(keys, *factors)
     terms = np.ones(keys.size, dtype)
     for f in factors:
         terms = terms * f.astype(dtype, copy=False)[order]

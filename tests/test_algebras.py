@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from exatlas.algebras import (
+    _BATCH_ROWS,
     DEFAULT_SEED,
     AlgebraMismatchError,
     FiniteAlgebra,
@@ -24,6 +25,7 @@ from exatlas.algebras import (
     sedenion_composition_witness,
     sedenions,
 )
+from exatlas.jordan import jordan_algebra, jordan_algebra_over_sedenions
 from exatlas.lie import is_algebra_automorphism
 from exatlas.linalg import RationalMatrix
 
@@ -297,6 +299,67 @@ class TestBatchedProducts:
             x.norm()
         with pytest.raises(ArithmeticError):
             batch_norms(broken, coord_rows([x]))
+
+
+def dense_batch_multiply(tensor, x, y):
+    """Reference: the dense three-operand einsum on Python ints."""
+    return np.einsum("bi,bj,ijk->bk", x.astype(object), y.astype(object), tensor.astype(object),
+                     optimize=True)
+
+
+def random_rows(a, rng, count, span=9):
+    return coord_rows([random_element(a, rng, span) for _ in range(count)])
+
+
+def assert_matches_dense(tensor, x, y):
+    got = batch_multiply(tensor, x, y)
+    assert got.shape == (x.shape[0], tensor.shape[0])
+    assert got.tolist() == dense_batch_multiply(tensor, x, y).tolist()
+    return got
+
+
+class TestSparseProducts:
+    """``batch_multiply`` sums over the tensor's nonzeros; the dense
+    einsum is the reference."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
+    def test_cayley_dickson_tensors(self, dim):
+        a = cayley_dickson_algebra(dim)
+        rng = random.Random(DEFAULT_SEED + dim)
+        assert_matches_dense(a.tensor, random_rows(a, rng, 40), random_rows(a, rng, 40))
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
+    def test_jordan_tensors(self, dim):
+        j = (jordan_algebra_over_sedenions() if dim == 16
+             else jordan_algebra(cayley_dickson_algebra(dim)))
+        rng = random.Random(DEFAULT_SEED + dim)
+        assert_matches_dense(j.tensor, random_rows(j, rng, 12), random_rows(j, rng, 12))
+
+    def test_batches_of_several_blocks(self):
+        count = 2 * _BATCH_ROWS + 7
+        for a in (octonions(), jordan_algebra(quaternions())):
+            rng = random.Random(DEFAULT_SEED)
+            x, y = random_rows(a, rng, count), random_rows(a, rng, count)
+            assert assert_matches_dense(a.tensor, x, y).dtype == np.int64
+
+    def test_inputs_of_size_1e12_take_the_python_int_path(self):
+        for a in (sedenions(), jordan_algebra(octonions())):
+            rng = random.Random(DEFAULT_SEED)
+            x, y = random_rows(a, rng, 20, 10**12), random_rows(a, rng, 20, 10**12)
+            assert assert_matches_dense(a.tensor, x, y).dtype == object
+
+    def test_all_zero_output_coordinate(self):
+        # the octonion table with e3 dropped from every product
+        o = octonions()
+        t = o.tensor.copy()
+        t[:, :, 3] = 0
+        rng = random.Random(DEFAULT_SEED)
+        got = assert_matches_dense(t, random_rows(o, rng, 30), random_rows(o, rng, 30))
+        assert not got[:, 3].any() and got.any()
+
+    def test_zero_tensor(self):
+        x = np.ones((3, 2), dtype=np.int64)
+        assert batch_multiply(np.zeros((2, 2, 2), dtype=np.int64), x, x).tolist() == [[0, 0]] * 3
 
 
 class TestDoubledTensor:

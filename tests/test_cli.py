@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from exatlas import algebras as alg
@@ -17,6 +18,7 @@ from exatlas.cli import (
     _composition_failures,
     _inverse_failures,
     _perm_sign,
+    _random_rows,
     main,
     render_table,
 )
@@ -331,3 +333,32 @@ class TestBatchedSweeps:
             abs(x.coeffs[0]) == abs(x.coeffs[1]) and not x.is_zero()
             for x in self.elements(split, 3, 200)
         )
+
+
+class TestRandomRows:
+    """The bulk draws are exactly the values, and leave the generator in
+    exactly the state, of one ``randint(-9, 9)`` call per coordinate."""
+
+    class CountingRandom(random.Random):
+        # overriding getrandbits keeps randint on its getrandbits path
+        def getrandbits(self, k):
+            self.calls = getattr(self, "calls", 0) + 1
+            return super().getrandbits(k)
+
+    @pytest.mark.parametrize("seed", [0, 7, 1729, 2**40 + 3])
+    @pytest.mark.parametrize("count, dim", [(0, 8), (1, 1), (1, 27), (3, 8), (1000, 27)])
+    def test_matches_randint_calls(self, seed, count, dim):
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = _random_rows(rng, count, dim)
+        assert got.shape == (count, dim) and got.dtype == np.int64
+        assert got.ravel().tolist() == [ref.randint(-9, 9) for _ in range(count * dim)]
+        assert rng.getstate() == ref.getstate()
+        assert rng.random() == ref.random()
+
+    def test_rejected_words_are_drawn_again(self):
+        # 13 of every 32 words are rejected, so 1,000 values need redraws
+        rng, ref = self.CountingRandom(11), random.Random(11)
+        got = _random_rows(rng, 100, 10)
+        assert rng.calls > 1
+        assert got.ravel().tolist() == [ref.randint(-9, 9) for _ in range(1000)]
+        assert rng.getstate() == ref.getstate()

@@ -35,6 +35,7 @@ from exatlas.linalg import (
     rank,
     rational_reconstruct,
 )
+from test_algebras import rescaled
 
 PRIME31 = 2**31 - 1  # Mersenne prime, comfortably above 2**30
 
@@ -462,6 +463,24 @@ class TestBlockedElimination:
         monkeypatch.setattr(linalg, "_BLOCK_ROWS", 64)
         assert_same_rref(rows, ncols, _seeded_prime(0))
 
+    def test_rescaled_j3o_matches_the_standard_basis(self, j3o):
+        # e_k -> 1000^(k mod 3) e_k: entries up to 2*10^12 pass the int64
+        # bound of the product with N, so known pivots are cleared on
+        # Python ints
+        factors = [1000 ** (k % 3) for k in range(j3o.dim)]
+        p = _seeded_prime(0)
+        rows, ncols = leibniz_constraint_rows(j3o)
+        big, _ = leibniz_constraint_rows(rescaled(j3o, factors))
+        assert linalg._exact_dtype(p, big.vals) is object
+        pivcols, rref, pivrows = _modp_rref(rows, ncols, p)
+        big_cols, big_rref, big_pivrows = _modp_rref(big, ncols, p)
+        assert (big_cols, big_pivrows) == (pivcols, pivrows)
+        # unknown a * n + b, the entry D[a, b], is scaled by factors[a] / factors[b]
+        n = j3o.dim
+        nu = np.array([factors[c // n] * pow(factors[c % n], -1, p) % p for c in range(ncols)])
+        inv = np.array([pow(int(v), -1, p) for v in nu[pivcols]])
+        assert np.array_equal(big_rref, rref * nu % p * inv[:, None] % p)
+
     @pytest.fixture
     def absorbed(self, monkeypatch):
         """Input rows handed to ``absorb``, in blocks of 2."""
@@ -523,6 +542,15 @@ class TestSparseSum:
     def test_no_terms(self):
         keys, sums = _sparse_sum(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64))
         assert keys.size == sums.size == 0
+
+    def test_key_runs_bound_the_longest_run(self):
+        # runs of 1, 3 and 2 terms: 3 products of entries up to 2^30 fit
+        # in int64, a fourth would not
+        keys, vals = np.array([0, 4, 4, 4, 7, 7]), np.full(6, 2**30, dtype=np.int64)
+        starts, dtype = linalg._key_runs(keys, vals, vals)
+        assert (starts.tolist(), dtype) == ([0, 1, 4], np.int64)
+        starts, dtype = linalg._key_runs(np.insert(keys, 1, 4), vals, vals)
+        assert (starts.tolist(), dtype) == ([0, 1, 5], object)
 
     def test_join_pairs_every_match(self):
         left, right = np.array([2, 0, 2, 5]), np.array([2, 2, 0, 1])
