@@ -15,11 +15,7 @@ from .algebras import (
     cayley_dickson_double,
     commutator,
     complex_algebra,
-    conjugate,
     find_composition_law_violation,
-    inverse,
-    multiply,
-    norm,
     octonions,
     quaternions,
     random_element,
@@ -46,14 +42,10 @@ from .catalog import (
     verify_record,
 )
 from .jordan import (
-    HermitianMatrix3,
     JordanAlgebra,
     jordan_algebra,
     jordan_dim,
-    jordan_product,
     sedenion_jordan_witness,
-    trace,
-    traceless_projection,
 )
 from .lie import (
     CartanPair,

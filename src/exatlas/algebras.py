@@ -269,24 +269,8 @@ def batch_norms(algebra: FiniteAlgebra, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# free-function forms of the element operations
+# commutator and associator
 # ---------------------------------------------------------------------------
-
-def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x * y
-
-
-def conjugate(x: AlgebraElement) -> AlgebraElement:
-    return x.conjugate()
-
-
-def norm(x: AlgebraElement) -> Rational:
-    return x.norm()
-
-
-def inverse(x: AlgebraElement) -> AlgebraElement:
-    return x.inverse()
-
 
 def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """xy - yx."""

@@ -598,7 +598,10 @@ def flat_rank(
     p_int = pair.p_basis._ints
     best = np_dim
     for _ in range(trials):
-        c = np.array([rng.randint(-9, 9) for _ in range(np_dim)], dtype=np.int64)
+        c = np.array(
+            [rng.randint(-_alg.RANDOM_COEFF_SPAN, _alg.RANDOM_COEFF_SPAN) for _ in range(np_dim)],
+            dtype=np.int64,
+        )
         ad_x = l._ad(_contract("u,ua->a", np_dim, c, p_int))
         # kernel in p-coefficient space is the flat
         constraint = _contract("cb,ub->cu", l.dim, ad_x, p_int)

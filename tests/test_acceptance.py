@@ -182,8 +182,8 @@ def test_10_jordan_identity():
         j = jordan_algebra(builder())
         rng = random.Random(DEFAULT_SEED)
         for _ in range(pairs):
-            x = j.from_coords(tuple(rng.randint(-9, 9) for _ in range(j.dim)))
-            y = j.from_coords(tuple(rng.randint(-9, 9) for _ in range(j.dim)))
+            x = j.element(tuple(rng.randint(-9, 9) for _ in range(j.dim)))
+            y = j.element(tuple(rng.randint(-9, 9) for _ in range(j.dim)))
             assert jordan_identity_defect(x, y).is_zero()
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"Jordan sweep took {elapsed:.2f}s"

@@ -25,7 +25,7 @@ from exatlas.algebras import (
     sedenion_composition_witness,
     sedenions,
 )
-from exatlas.jordan import jordan_algebra, jordan_algebra_over_sedenions
+from exatlas.jordan import jordan_algebra
 from exatlas.lie import is_algebra_automorphism
 from exatlas.linalg import RationalMatrix
 
@@ -330,8 +330,7 @@ class TestSparseProducts:
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
     def test_jordan_tensors(self, dim):
-        j = (jordan_algebra_over_sedenions() if dim == 16
-             else jordan_algebra(cayley_dickson_algebra(dim)))
+        j = jordan_algebra(cayley_dickson_algebra(dim))
         rng = random.Random(DEFAULT_SEED + dim)
         assert_matches_dense(j.tensor, random_rows(j, rng, 12), random_rows(j, rng, 12))
 

@@ -14,26 +14,22 @@ from exatlas.algebras import (
     sedenions,
 )
 from exatlas.jordan import (
+    OFF_POSITIONS,
     build_jordan_algebra,
     jordan_algebra,
-    jordan_algebra_over_sedenions,
     jordan_dim,
     jordan_identity_defect,
     jordan_identity_failures,
-    jordan_product,
     sedenion_jordan_witness,
-    trace,
     trace_form_gram,
     trace_form_is_positive_definite,
-    traceless_projection,
 )
-from exatlas.linalg import RationalMatrix, rank
 
 COEFFICIENT_ALGEBRAS = [real_algebra, complex_algebra, quaternions, octonions]
 
 
 def random_hermitian(j, rng, span=9):
-    return j.from_coords(tuple(rng.randint(-span, span) for _ in range(j.dim)))
+    return j.element(tuple(rng.randint(-span, span) for _ in range(j.dim)))
 
 
 class TestDimensions:
@@ -49,66 +45,34 @@ class TestDimensions:
         with pytest.raises(ValueError):
             jordan_dim(sedenions())
 
-    def test_traceless_subspace_dimension(self, j3o):
-        # matrix of the traceless projection on coordinates has rank dim - 1
-        n = j3o.dim
-        cols = []
-        for i in range(n):
-            basis_vec = j3o.basis_hermitian(i)
-            cols.append(basis_vec.traceless_projection().to_coords())
-        proj = RationalMatrix.from_rows(list(map(list, zip(*cols))))
-        assert rank(proj) == 26
-
 
 class TestProduct:
     def test_identity_is_unit(self, j3o):
         rng = random.Random(DEFAULT_SEED)
         x = random_hermitian(j3o, rng)
-        assert jordan_product(j3o.identity_element(), x).to_coords() == x.to_coords()
+        assert j3o.unit() * x == x
 
     def test_commutative(self, j3o):
         rng = random.Random(DEFAULT_SEED)
         for _ in range(20):
             x, y = random_hermitian(j3o, rng), random_hermitian(j3o, rng)
-            assert jordan_product(x, y).to_coords() == jordan_product(y, x).to_coords()
+            assert x * y == y * x
 
     def test_table_symmetric(self, j3o):
         assert np.array_equal(j3o.tensor, j3o.tensor.transpose(1, 0, 2))
 
     def test_orthogonal_idempotents(self, j3o):
-        e1, e2 = j3o.basis_hermitian(0), j3o.basis_hermitian(1)
-        assert jordan_product(e1, e2).is_zero()
-        assert jordan_product(e1, e1).to_coords() == e1.to_coords()
+        e1, e2 = j3o.basis_element(0), j3o.basis_element(1)
+        assert (e1 * e2).is_zero()
+        assert e1 * e1 == e1
 
     def test_mismatched_algebras_rejected(self, j3o):
         other = jordan_algebra(quaternions())
         with pytest.raises(AlgebraMismatchError):
-            jordan_product(j3o.identity_element(), other.identity_element())
-
-    def test_hermiticity_of_expansion(self, j3o):
-        rng = random.Random(DEFAULT_SEED)
-        x = random_hermitian(j3o, rng)
-        m = x.full_matrix()
-        for r in range(3):
-            assert not any(m[r][r].coeffs[1:])
-            for c in range(r + 1, 3):
-                assert m[c][r] == m[r][c].conjugate()
+            j3o.unit() * other.unit()
 
 
 class TestTrace:
-    def test_trace_of_identity(self, j3o):
-        assert trace(j3o.identity_element()) == 3
-
-    def test_traceless_projection_of_identity(self, j3o):
-        assert traceless_projection(j3o.identity_element()).is_zero()
-
-    def test_projection_idempotent(self, j3o):
-        rng = random.Random(DEFAULT_SEED)
-        x = random_hermitian(j3o, rng)
-        once = traceless_projection(x)
-        assert traceless_projection(once).to_coords() == once.to_coords()
-        assert trace(once) == 0
-
     def test_trace_form_symmetric(self):
         j = jordan_algebra(complex_algebra())
         assert trace_form_gram(j).is_symmetric()
@@ -128,11 +92,18 @@ class TestJordanIdentity:
             assert jordan_identity_defect(x, y).is_zero()
 
     def test_fails_over_sedenions_frozen_witness(self):
+        # both elements live in the one cached J3(S)
         x, y = sedenion_jordan_witness()
+        assert x.algebra is jordan_algebra(sedenions()) and y.algebra is x.algebra
         assert not jordan_identity_defect(x, y).is_zero()
 
+    def test_defect_rejects_mixed_algebras(self, j3o):
+        other = jordan_algebra(quaternions())
+        with pytest.raises(AlgebraMismatchError):
+            jordan_identity_defect(j3o.unit(), other.unit())
+
     def test_fails_over_sedenions_random_search(self):
-        j = jordan_algebra_over_sedenions()
+        j = jordan_algebra(sedenions())
         rng = random.Random(DEFAULT_SEED)
         found = False
         for _ in range(50):
@@ -143,10 +114,10 @@ class TestJordanIdentity:
         assert found
 
     def test_sedenion_product_still_commutative(self):
-        j = jordan_algebra_over_sedenions()
+        j = jordan_algebra(sedenions())
         rng = random.Random(DEFAULT_SEED)
         x, y = random_hermitian(j, rng), random_hermitian(j, rng)
-        assert jordan_product(x, y).to_coords() == jordan_product(y, x).to_coords()
+        assert x * y == y * x
 
 
 def reference_failures(pairs):
@@ -154,8 +125,8 @@ def reference_failures(pairs):
 
 
 def batched_failures(j, pairs):
-    xs = np.array([x.to_coords() for x, _ in pairs], dtype=np.int64)
-    ys = np.array([y.to_coords() for _, y in pairs], dtype=np.int64)
+    xs = np.array([x.coeffs for x, _ in pairs], dtype=np.int64)
+    ys = np.array([y.coeffs for _, y in pairs], dtype=np.int64)
     return jordan_identity_failures(j, xs, ys)
 
 
@@ -166,12 +137,12 @@ class TestBatchedJordanIdentity:
         assert batched_failures(j3o, pairs) == reference_failures(pairs) == 0
 
     def test_matches_reference_over_sedenions(self):
-        j = jordan_algebra_over_sedenions()
+        j = jordan_algebra(sedenions())
         rng = random.Random(DEFAULT_SEED)
         pairs = [(random_hermitian(j, rng, span=3), random_hermitian(j, rng, span=3))
                  for _ in range(6)]
         pairs.append(sedenion_jordan_witness())
-        zero = j.from_coords((0,) * j.dim)
+        zero = j.zero()
         pairs += [(x, zero) for x, _ in pairs[:3]]  # the identity holds trivially
         expected = reference_failures(pairs)
         assert 0 < expected < len(pairs)
@@ -186,11 +157,24 @@ class TestBatchedJordanIdentity:
         assert batched_failures(j3o, pairs) == reference_failures(pairs) == 0
         x, y = sedenion_jordan_witness()
         big = [(10**6 * x, 10**6 * y)]
-        assert batched_failures(x.jordan, big) == reference_failures(big) == 1
+        assert batched_failures(x.algebra, big) == reference_failures(big) == 1
 
     def test_empty_batch(self, j3o):
         empty = np.zeros((0, j3o.dim), dtype=np.int64)
         assert jordan_identity_failures(j3o, empty, empty) == 0
+
+
+def full_matrix(x):
+    """The explicit hermitian 3x3 matrix over K with the coordinates of x."""
+    j = x.algebra
+    k = j.coefficient_algebra
+    m = [[k.zero()] * 3 for _ in range(3)]
+    for i in range(3):
+        m[i][i] = x.coeffs[i] * k.unit()
+    for pos, (r, c) in enumerate(OFF_POSITIONS):
+        m[r][c] = k.element(x.coeffs[j.coord_index(pos, 0) : j.coord_index(pos, k.dim)])
+        m[c][r] = m[r][c].conjugate()
+    return m
 
 
 class TestExplicitMatrixReference:
@@ -201,7 +185,7 @@ class TestExplicitMatrixReference:
     )
     def test_jordan_product_matches_matrix_product(self, builder):
         k = builder()
-        j = jordan_algebra_over_sedenions() if k is sedenions() else jordan_algebra(k)
+        j = jordan_algebra(k)
         rng = random.Random(DEFAULT_SEED + k.dim)
 
         def entry(a, b, r, c):
@@ -209,12 +193,12 @@ class TestExplicitMatrixReference:
 
         for _ in range(4):
             x, y = random_hermitian(j, rng), random_hermitian(j, rng)
-            mx, my = x.full_matrix(), y.full_matrix()
+            mx, my = full_matrix(x), full_matrix(y)
             want = [
                 [Fraction(1, 2) * (entry(mx, my, r, c) + entry(my, mx, r, c)) for c in range(3)]
                 for r in range(3)
             ]
-            assert jordan_product(x, y).full_matrix() == want
+            assert full_matrix(x * y) == want
 
 
 class TestConstruction:
