@@ -11,14 +11,16 @@ when the bound allows, Python ints otherwise.
 Every system, of any size, is solved one way: the reduced echelon form
 is computed modulo a seeded 31-bit prime p, in blocks of rows, each
 block first reduced by the nullspace basis mod p found so far (one
-``SparseRows.dot``) so that only rows adding rank are eliminated.  Its
-residues are lifted p-adically to higher powers of p (Dixon) as far as
-needed, the nullspace candidates are recovered by rational
-reconstruction, and all are certified by one exact substitution on
-integers; the certified count together with the modular rank pins the
-exact rank.  A prime whose candidates still fail past the Hadamard
-bound is dropped for the next.  The certified basis comes back as one
-echelon ``RationalMatrix``.
+``SparseRows.dot``) so that only rows adding rank are eliminated.  The
+pivot rows and the block share one buffer, and each new pivot is one
+rank-1 update of it.  The residues are lifted p-adically to higher
+powers of p (Dixon) as far as needed, with one inverse mod p of the
+pivot rows at the pivot columns, taken without a pivot search.  The
+nullspace candidates are recovered by rational reconstruction, and all
+are certified by one exact substitution on integers; the certified
+count together with the modular rank pins the exact rank.  A prime
+whose candidates still fail past the Hadamard bound is dropped for the
+next.  The certified basis comes back as one echelon ``RationalMatrix``.
 """
 
 from __future__ import annotations
@@ -418,17 +420,19 @@ def _seeded_prime(i: int) -> int:
 class _ModPEchelon:
     """Streaming reduced echelon form over GF(p), vectorized with int64.
 
-    Invariant: pivot rows are mutually reduced (each is zero at every
-    other pivot column).  ``absorb`` takes only rows already zero at
-    every pivot column; ``clear_pivots`` brings rows there, and drops
-    those left zero, with one sparse product.  Products stay below 2^62
-    because p < 2^31.
+    One buffer holds the pivot rows, in the order they were found, and
+    below them the block being absorbed, which ``clear_pivots`` writes
+    there.  Invariant: pivot rows are mutually reduced (each is zero at
+    every other pivot column), and each was reduced by every earlier
+    pivot before it was chosen.  Products stay below 2^62 because
+    p < 2^31.
     """
 
-    def __init__(self, ncols: int, p: int):
+    def __init__(self, ncols: int, p: int, height: int):
+        """``height`` bounds the rank before a block plus the block's rows."""
         self.ncols = ncols
         self.p = p
-        self._piv = np.zeros((ncols, ncols), dtype=np.int64)
+        self._buf = np.empty((height, ncols), dtype=np.int64)
         self._pivcols: list[int] = []
         self._pivrows: list[int] = []  # input row that became each pivot
         self._is_piv = np.zeros(ncols, dtype=bool)
@@ -437,70 +441,76 @@ class _ModPEchelon:
     def rank(self) -> int:
         return len(self._pivcols)
 
-    def clear_pivots(self, rows: SparseRows, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows with every known pivot cleared, less those left zero,
-        written to the front of ``out``; and the indices of the kept rows.
+    def clear_pivots(self, rows: SparseRows) -> np.ndarray:
+        """Write the rows mod p below the pivots, every known pivot
+        cleared, and return the indices of the rows written: with pivots
+        known, those left zero are dropped.
 
         The nullspace basis mod p, N, is the identity at the free columns
         and -R at the pivot columns (R the reduced pivot rows), so a row
         times N is the row with every pivot cleared, read at the free
         columns: one ``rows.dot`` for all rows.
         """
-        p = self.p
+        p, below = self.p, self._buf[self.rank :]
+        if not self.rank:
+            _rows_mod_p(rows, p, below)
+            return np.arange(len(rows))
         free = np.flatnonzero(~self._is_piv)
         basis = np.zeros((self.ncols, free.size), dtype=np.int64)
         basis[free, range(free.size)] = 1
-        basis[self._pivcols] = -self._piv[: self.rank, free] % p
+        basis[self._pivcols] = -self._buf[: self.rank, free] % p
         at_free = np.remainder(rows.dot(basis), p)
         kept = np.flatnonzero(at_free.any(axis=1))
-        block = out[: kept.size]
+        block = below[: kept.size]
         block.fill(0)
         block[:, free] = at_free[kept]
-        return block, kept
+        return kept
 
-    def absorb(self, block: np.ndarray, row_ids: Sequence[int]) -> None:
-        """Add the block's rows, input rows ``row_ids``, which must be zero
-        at every pivot column; the block is overwritten.
+    def absorb(self, row_ids: Sequence[int]) -> None:
+        """Eliminate the block below the pivots, input rows ``row_ids``,
+        which must be zero at every pivot column.
 
-        In ascending free column order, a column's first nonzero row is
-        its pivot, cleared from the block's other rows, so each new pivot
-        row is zero left of its column and at every pivot; so is every
-        row still in the block, and updates start at the column.
+        In ascending free column order, a column's first nonzero block
+        row not yet a pivot becomes its pivot, and one rank-1 update
+        clears the column from every other row of the buffer that is
+        nonzero there, old pivots included.  Each new pivot row is zero
+        left of its column and at every pivot, so updates start at the
+        column.  They run on a view of the buffer when most rows take
+        part and on a gather of those rows otherwise.  The new pivots
+        move up behind the old ones once the block is done.
         """
-        p = self.p
+        p, r0 = self.p, self.rank
+        buf = self._buf[: r0 + len(row_ids)]
+        live = np.arange(len(buf)) >= r0  # block rows not yet pivots
+        found = []
         for c in np.flatnonzero(~self._is_piv).tolist():
-            nz = np.flatnonzero(block[:, c])
-            if nz.size == 0:
+            if len(found) == len(row_ids):
+                break
+            nz = buf[:, c].nonzero()[0]
+            cand = nz[live[nz]]
+            if not cand.size:
                 continue
-            row = block[nz[0]] * pow(int(block[nz[0], c]), p - 2, p) % p
-            block[nz[0]] = 0
-            rest = nz[1:]
-            if rest.size:
-                block[rest, c:] = (block[rest, c:] - block[rest, c, None] * row[None, c:]) % p
-            self._insert_pivot(c, row)
-            self._pivrows.append(int(row_ids[nz[0]]))
-
-    def _insert_pivot(self, col: int, row: np.ndarray) -> None:
-        # row must already be clear of every other pivot column, and zero
-        # left of its own
-        p = self.p
-        n = len(self._pivcols)
-        if n:
-            colvals = self._piv[:n, col]
-            nz = np.nonzero(colvals)[0]
-            if nz.size:
-                right = self._piv[nz, col:]
-                self._piv[nz, col:] = (right - colvals[nz, None] * row[None, col:]) % p
-        self._piv[n] = row
-        self._pivcols.append(col)
-        self._is_piv[col] = True
+            k = int(cand[0])
+            row = buf[k, c:] * pow(int(buf[k, c]), -1, p) % p
+            whole = 2 * nz.size > len(buf)
+            part = buf[:, c:] if whole else buf[nz, c:]
+            part -= part[:, :1] * row
+            part %= p
+            if not whole:
+                buf[nz, c:] = part
+            buf[k, c:] = row
+            live[k] = False
+            found.append(k)
+            self._pivcols.append(c)
+            self._pivrows.append(int(row_ids[k - r0]))
+        self._is_piv[self._pivcols[r0:]] = True
+        buf[r0 : self.rank] = buf[found]
 
     def reduced_rows(self) -> tuple[list[int], np.ndarray, list[int]]:
-        """Pivot columns (ascending), the matching reduced pivot rows, and
-        the index of the absorbed row that became each of those pivots."""
-        order = np.argsort(self._pivcols, kind="stable")
-        cols = [self._pivcols[i] for i in order]
-        return cols, self._piv[order], [self._pivrows[i] for i in order]
+        """Pivot columns, the matching reduced pivot rows (a copy, so the
+        buffer goes with the engine) and the input row that became each
+        pivot, all in the order the pivots were found."""
+        return list(self._pivcols), self._buf[: self.rank].copy(), list(self._pivrows)
 
 
 def _rows_mod_p(rows: SparseRows, p: int, out: np.ndarray) -> np.ndarray:
@@ -516,26 +526,22 @@ def _modp_rref(
     rows: SparseRows, ncols: int, p: int, cancel: CancelToken | None = None
 ) -> tuple[list[int], np.ndarray, list[int]]:
     """The reduced echelon form mod p, read in blocks of ``_BLOCK_ROWS``
-    rows: pivot columns, pivot rows and the input row of each pivot.
+    rows: pivot columns, pivot rows and the input row of each pivot, in
+    the order the pivots were found.
 
     The first block is scattered whole; every later one has the known
     pivots cleared first, so only rows outside the span mod p are
     eliminated.  Reading stops at full column rank.
     """
-    eng = _ModPEchelon(ncols, p)
-    # one buffer for every block: a fresh 2,048-row block per step (12 MB
-    # on J3(O)) left about 10 MB of freed heap resident after the solve
-    buf = np.empty((min(_BLOCK_ROWS, len(rows)), ncols), dtype=np.int64)
+    # one buffer for the pivots and every block: a fresh 2,048-row block
+    # per step (12 MB on J3(O)) left about 10 MB of freed heap resident
+    eng = _ModPEchelon(ncols, p, min(len(rows), ncols + _BLOCK_ROWS))
     for lo in range(0, len(rows), _BLOCK_ROWS):
         if eng.rank == ncols:
             break
         _check_cancel(cancel)
-        hi = min(lo + _BLOCK_ROWS, len(rows))
-        if eng.rank:
-            block, kept = eng.clear_pivots(rows.block(lo, hi), buf)
-            eng.absorb(block, kept + lo)
-        else:
-            eng.absorb(_rows_mod_p(rows.block(lo, hi), p, buf), range(lo, hi))
+        block = rows.block(lo, min(lo + _BLOCK_ROWS, len(rows)))
+        eng.absorb(eng.clear_pivots(block) + lo)
     return eng.reduced_rows()
 
 
@@ -620,6 +626,35 @@ def _lift(
     return RationalMatrix.from_ints(ints, den)
 
 
+def _inverse_mod_p(b: np.ndarray, p: int) -> np.ndarray:
+    """B^-1 mod p, for a square int64 array B of residues mod p whose
+    leading principal minors are all nonzero mod p.
+
+    Gauss-Jordan on [B | I] without a pivot search: step k scales row k
+    by the inverse of its entry at column k, which is the leading minor
+    of order k + 1 over that of order k, and clears that column from
+    every other row.  Before step k the columns left of k are unit
+    vectors and those of I past r + k are untouched, so the step works
+    on columns k to r + k only, a window of r + 1 columns that slides
+    right by one per step.  A leading minor that vanishes raises
+    ZeroDivisionError.
+    """
+    r = len(b)
+    a = np.zeros((r, 2 * r), dtype=np.int64)
+    a[:, :r] = b
+    a[range(r), range(r, 2 * r)] = 1
+    for k in range(r):
+        w = a[:, k : k + r + 1]
+        lead = int(w[k, 0])
+        if not lead:
+            raise ZeroDivisionError(f"leading minor {k + 1} of B vanishes mod {p}")
+        row = w[k] * pow(lead, -1, p) % p
+        w -= w[:, :1] * row
+        w %= p
+        w[k] = row
+    return a[:, r:]
+
+
 def _padic_residues(
     rows: SparseRows,
     pivcols: list[int],
@@ -633,9 +668,18 @@ def _padic_residues(
     array, one row per pivot), yielded at each k worth a lift (Dixon's
     p-adic lifting).
 
-    P, the input rows that became pivots, is B at the pivot columns,
-    invertible mod p, and -R_0 at the free columns, so the pivot
-    entries X of the vectors with unit free parts solve B X = R_0.
+    P, the input rows that became pivots, is B at the pivot columns
+    and -R_0 at the free columns, so the pivot entries X of the vectors
+    with unit free parts solve B X = R_0.  Rows and columns of B are
+    taken in the order the pivots were found.  Each pivot row was
+    reduced by every earlier pivot before it was chosen: it is its input
+    row less a combination of the earlier ones, zero at every earlier
+    pivot column and nonzero at its own.  So B is L U mod p, L unit
+    lower triangular and U upper triangular with no zero on its
+    diagonal, and every leading minor of B is nonzero mod p;
+    ``_inverse_mod_p`` inverts it without a pivot search, and raises
+    rather than guess if a minor is 0 after all.
+
     Digit 0 comes from the RREF; then, with B inverted once mod p, each
     step takes X_k = B^-1 R_k mod p and R_(k+1) = (R_k - B X_k) / p,
     where R_1 = -P V_0 / p for the vectors V_0 of digit 0 and each B X_k
@@ -652,16 +696,14 @@ def _padic_residues(
     if not free_cols:  # full column rank: the empty basis is exact
         return
     piv = rows.take(pivrows)
-    h_sq = math.prod(np.add.reduceat(piv.vals.astype(object) ** 2, piv.starts[:-1]).tolist())
+    longest = int(np.diff(piv.starts).max(initial=0))
+    sq = piv.vals.astype(_exact_dtype(longest, piv.vals, piv.vals)) ** 2
+    h_sq = math.prod(np.add.reduceat(sq, piv.starts[:-1]).tolist())
     if pk > 2 * h_sq:
         return
     r, ncols = rref.shape
-    b_eye = np.zeros((r, 2 * r), dtype=np.int64)  # [B | I] mod p
-    b_eye[:, :r] = _rows_mod_p(piv, p, np.empty((r, ncols), dtype=np.int64))[:, pivcols]
-    b_eye[range(r), range(r, 2 * r)] = 1
-    eng = _ModPEchelon(2 * r, p)
-    eng.absorb(b_eye, range(r))
-    b_inv = eng.reduced_rows()[1][:, r:]
+    b = _rows_mod_p(piv, p, np.empty((r, ncols), dtype=np.int64))[:, pivcols]
+    b_inv = _inverse_mod_p(b, p)
     # 16-bit limbs keep each product with a residue below 2^47
     limbs = (b_inv & 0xFFFF, b_inv >> 16)
     placed = np.zeros((ncols, len(free_cols)), dtype=np.int64)  # V_0, then each X_k

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,6 @@ from exatlas.linalg import (
     _modp_rref,
     _padic_residues,
     _random_prime31,
-    _rows_mod_p,
     _scaled_int_array,
     _seeded_prime,
     _sparse_sum,
@@ -350,12 +350,16 @@ def integer_systems(draw):
     return base + extra, ncols
 
 
+@pytest.mark.parametrize("block_rows", [1, 2, 3, linalg._BLOCK_ROWS])
 @settings(max_examples=200, deadline=None)
 @given(integer_systems())
-def test_nullspace_matches_gauss_jordan(system):
-    # entries this large need several p-adic digits before they lift
+def test_nullspace_matches_gauss_jordan(block_rows, system):
+    # entries this large need several p-adic digits before they lift;
+    # small blocks find pivots out of column order
     rows, ncols = system
-    got, free, r = nullspace_with_info(integer_rows(mat(rows)), ncols)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_BLOCK_ROWS", block_rows)
+        got, free, r = nullspace_with_info(integer_rows(mat(rows)), ncols)
     assert ([tuple(v) for v in got.to_rows()], free, r) == gauss_jordan_nullspace(rows, ncols)
 
 
@@ -422,19 +426,102 @@ def test_padic_residues_at_full_column_rank_stop_after_the_first_yield():
     assert [(res.shape, m) for res, m in yields] == [((5, 0), p)]
 
 
+@pytest.mark.parametrize(
+    "row",
+    [[2**20 + 7, 3**13, 5], [2**40, 3], [1, -2**70]],
+    ids=["int64", "squares-past-int64", "entries-past-int64"],
+)
+def test_lifting_ends_at_the_first_power_past_twice_the_hadamard_square(row):
+    # one row of gcd 1: H^2 is its squared norm, summed on Python ints here
+    rows = integer_rows(mat([row]))
+    p = _seeded_prime(0)
+    pivcols, rref, pivrows = _modp_rref(rows, len(row), p)
+    free = [c for c in range(len(row)) if c not in pivcols]
+    last = p
+    while last <= 2 * sum(v * v for v in row):
+        last *= p
+    assert list(_padic_residues(rows, pivcols, free, pivrows, rref, p))[-1][1] == last
+
+
+def gauss_jordan_inverse(b, p):
+    """Reference inverse mod p: Gauss-Jordan on [B | I] over Python ints,
+    each pivot the first nonzero entry at or below the diagonal."""
+    r = len(b)
+    a = [[int(v) for v in row] + [int(i == j) for j in range(r)] for i, row in enumerate(b)]
+    for k in range(r):
+        t = next(i for i in range(k, r) if a[i][k] % p)
+        a[k], a[t] = a[t], a[k]
+        inv = pow(a[k][k], -1, p)
+        a[k] = [v * inv % p for v in a[k]]
+        for i in range(r):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
+    return np.array([row[r:] for row in a], dtype=np.int64)
+
+
+def unit_lu(r, p, rng, zero_at=None):
+    """L U mod p for a random unit lower triangular L and upper
+    triangular U: its leading minor of order k + 1 is the product of U's
+    first k + 1 diagonal entries, 0 from ``zero_at`` on."""
+    lower = np.tril(rng.integers(0, p, (r, r)), -1) + np.eye(r, dtype=np.int64)
+    upper = np.triu(rng.integers(0, p, (r, r)), 1)
+    upper[range(r), range(r)] = rng.integers(1, p, r)
+    if zero_at is not None:
+        upper[zero_at, zero_at] = 0
+    return (lower.astype(object) @ upper.astype(object) % p).astype(np.int64)
+
+
+class TestSearchFreeInverse:
+    @pytest.mark.parametrize("p", [7, _seeded_prime(0)])
+    @pytest.mark.parametrize("r", [1, 2, 7, 48])
+    def test_inverts_b_with_nonzero_leading_minors(self, r, p):
+        b = unit_lu(r, p, np.random.default_rng(r))
+        inv = linalg._inverse_mod_p(b, p)
+        assert inv.dtype == np.int64
+        assert np.array_equal(b.astype(object) @ inv.astype(object) % p, np.eye(r, dtype=object))
+        assert np.array_equal(inv, gauss_jordan_inverse(b, p))
+
+    @pytest.mark.parametrize("zero_at", [0, 3, 6])
+    def test_vanishing_leading_minor_raises(self, zero_at):
+        b = unit_lu(7, 7, np.random.default_rng(zero_at), zero_at)
+        with pytest.raises(ZeroDivisionError):
+            linalg._inverse_mod_p(b, 7)
+
+    def test_invertible_b_whose_first_minor_vanishes_raises(self):
+        # a pivot search would swap the rows; this inverse must not guess
+        with pytest.raises(ZeroDivisionError):
+            linalg._inverse_mod_p(np.array([[0, 1], [1, 0]]), _seeded_prime(0))
+
+
 def per_pivot_rref(rows, ncols, p):
-    """Reference elimination: every block scattered whole, then each known
-    pivot cleared from it one column at a time, before ``absorb``."""
-    eng = linalg._ModPEchelon(ncols, p)
-    buf = np.empty((linalg._BLOCK_ROWS, ncols), dtype=np.int64)
+    """Reference elimination, one pivot at a time: each block scattered
+    whole, every known pivot cleared from it one column at a time, then
+    in ascending column order the first nonzero block row not yet a
+    pivot becomes the column's pivot and is cleared from every other
+    row, block and pivots.  Pivots come out in the order found."""
+    dense = np.zeros((len(rows), ncols), dtype=np.int64)
+    dense[np.repeat(np.arange(len(rows)), np.diff(rows.starts)), rows.cols] = rows.vals % p
+    pivots = np.zeros((0, ncols), dtype=np.int64)
+    pivcols, pivrows = [], []
     for lo in range(0, len(rows), linalg._BLOCK_ROWS):
-        hi = min(lo + linalg._BLOCK_ROWS, len(rows))
-        block = _rows_mod_p(rows.block(lo, hi), p, buf)
-        for t, c in enumerate(eng._pivcols):
-            nz = np.flatnonzero(block[:, c])
-            block[nz] = (block[nz] - block[nz, c, None] * eng._piv[t]) % p
-        eng.absorb(block, range(lo, hi))
-    return eng.reduced_rows()
+        if len(pivcols) == ncols:
+            break
+        block = dense[lo : lo + linalg._BLOCK_ROWS]
+        for t, c in enumerate(pivcols):
+            block = (block - block[:, c, None] * pivots[t]) % p
+        live = list(range(len(block)))
+        for c in range(ncols):
+            k = None if c in pivcols else next((i for i in live if block[i, c]), None)
+            if k is None:
+                continue
+            row = block[k] * pow(int(block[k, c]), -1, p) % p
+            block = (block - block[:, c, None] * row) % p
+            pivots = np.vstack([(pivots - pivots[:, c, None] * row) % p, row])
+            live.remove(k)
+            pivcols.append(c)
+            pivrows.append(lo + k)
+    return pivcols, pivots, pivrows
 
 
 def assert_same_rref(rows, ncols, p):
@@ -481,6 +568,23 @@ class TestBlockedElimination:
         inv = np.array([pow(int(v), -1, p) for v in nu[pivcols]])
         assert np.array_equal(big_rref, rref * nu % p * inv[:, None] % p)
 
+    def test_j3o_solve_frees_the_elimination_buffer(self, j3o):
+        # the rows come back as a copy, so the 10 MB buffer of pivots and
+        # block goes with the engine: the solve peaks at 17.5 MB with
+        # numpy 2.4, where rows that were a view of the buffer kept it
+        # alive through the lift and peaked at 23.8 MB; the bound leaves
+        # 2.5 MB of margin
+        rows, ncols = leibniz_constraint_rows(j3o)
+        _, rref, _ = _modp_rref(rows, ncols, _seeded_prime(0))
+        assert rref.base is None
+        tracemalloc.start()
+        try:
+            nullspace_with_info(rows, ncols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
     @pytest.fixture
     def absorbed(self, monkeypatch):
         """Input rows handed to ``absorb``, in blocks of 2."""
@@ -488,9 +592,9 @@ class TestBlockedElimination:
         handed = []
         absorb = linalg._ModPEchelon.absorb
 
-        def counted(eng, block, row_ids):
+        def counted(eng, row_ids):
             handed.extend(row_ids)
-            return absorb(eng, block, row_ids)
+            return absorb(eng, row_ids)
 
         monkeypatch.setattr(linalg._ModPEchelon, "absorb", counted)
         return handed
