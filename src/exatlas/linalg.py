@@ -8,7 +8,11 @@ form, and ``SparseRows.dot`` is its one product.  Sparse operands, as
 ``_sparse_sum``.  All run in the dtype ``_exact_dtype`` proves: int64
 when the bound allows, Python ints otherwise.
 
-Every system, of any size, is solved one way: the reduced echelon form
+A system of more than one block of rows is first split into connected
+components (rows joined by shared columns), packed into groups of at
+most one block each.  The system is block-diagonal in the groups, so
+each is solved on its own columns and the results are put together.
+Every group, of any size, is solved one way: the reduced echelon form
 is computed modulo a seeded 31-bit prime p, in blocks of rows, each
 block first reduced by the nullspace basis mod p found so far (one
 ``SparseRows.dot``) so that only rows adding rank are eliminated.  The
@@ -736,6 +740,51 @@ def _padic_residues(
 # public operations
 # ---------------------------------------------------------------------------
 
+def _column_components(rows: SparseRows, ncols: int) -> np.ndarray:
+    """Each column's connected component, labelled by its smallest
+    column, in the graph where a row joins every column it touches.
+
+    Each round hooks every root to the smallest root among the rows its
+    tree shares, then jumps pointers until each points at a root.  A
+    pointer only ever moves to a smaller column, so no cycle forms, and
+    every round that finds a row over two roots hooks one of them.
+    """
+    label = np.arange(ncols)
+    lens = np.diff(rows.starts)
+    while True:
+        root = label[rows.cols]
+        low = np.repeat(np.minimum.reduceat(root, rows.starts[:-1]), lens)
+        hook = low < root
+        if not hook.any():
+            return label
+        np.minimum.at(label, root[hook], low[hook])
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
+def _column_groups(rows: SparseRows, ncols: int) -> tuple[np.ndarray, int]:
+    """The group of each column (-1 where no row touches it) and the
+    number of groups.
+
+    The components are taken in order of their first column, and each
+    group holds at most ``_BLOCK_ROWS`` rows; a larger component stands
+    alone.
+    """
+    comp = _column_components(rows, ncols)
+    counts = np.bincount(comp[rows.cols[rows.starts[:-1]]], minlength=ncols)
+    group = np.full(ncols, -1)
+    g, filled = -1, _BLOCK_ROWS
+    for c in np.flatnonzero(counts).tolist():
+        if filled + counts[c] > _BLOCK_ROWS:
+            g, filled = g + 1, 0
+        group[c] = g
+        filled += counts[c]
+    return group[comp], g + 1
+
+
 def nullspace_with_info(
     sparse_rows: SparseRows,
     ncols: int,
@@ -751,6 +800,54 @@ def nullspace_with_info(
     row t has a 1 at the t-th free column and 0 at the other free
     columns, so span coordinates can be read off at the free columns.
 
+    A system of more than ``_BLOCK_ROWS`` rows is solved one group of
+    connected components at a time (``_column_groups``), each on its own
+    columns by ``_solve_group``; a column no row touches is free, with a
+    unit basis vector.  This is exact: the system is block-diagonal, so
+    its rank is the sum of the groups' ranks, each row lies in exactly
+    one group, so the groups' certificates together cover every row, and
+    the echelon basis with unit free parts is unique, so the assembled
+    basis is the one a single solve would give.  A system that packs
+    into one group is solved whole.
+    """
+    if ncols < 1:
+        raise DimensionError("matrix must have at least one column")
+    if len(sparse_rows) <= _BLOCK_ROWS:
+        return _solve_group(sparse_rows, ncols, cancel)
+    col_group, ngroups = _column_groups(sparse_rows, ncols)
+    if ngroups == 1:
+        return _solve_group(sparse_rows, ncols, cancel)
+    row_group = col_group[sparse_rows.cols[sparse_rows.starts[:-1]]]
+    untouched = np.flatnonzero(col_group < 0)
+    solved = []
+    for g in range(ngroups):
+        cols = np.flatnonzero(col_group == g)
+        part = sparse_rows.take(np.flatnonzero(row_group == g))
+        part.cols = np.searchsorted(cols, part.cols)
+        basis, free, _ = _solve_group(part, cols.size, cancel)
+        solved.append((cols, cols[free], basis))
+    free_cols = np.sort(np.concatenate([untouched] + [free for _, free, _ in solved]))
+    # every group's basis over the lcm of their denominators
+    den = math.lcm(*(basis._den for _, _, basis in solved))
+    scaled = [
+        _contract(",ij->ij", 1, _int_array([den // basis._den], ()), basis._ints)
+        for _, _, basis in solved
+    ]
+    big = den >= _INT64_SAFE or any(s.dtype == object for s in scaled)
+    ints = np.zeros((free_cols.size, ncols), dtype=object if big else np.int64)
+    ints[np.searchsorted(free_cols, untouched), untouched] = den
+    for (cols, free, _), s in zip(solved, scaled):
+        ints[np.ix_(np.searchsorted(free_cols, free), cols)] = s
+    return RationalMatrix.from_ints(ints, den), free_cols.tolist(), ncols - free_cols.size
+
+
+def _solve_group(
+    sparse_rows: SparseRows,
+    ncols: int,
+    cancel: CancelToken | None = None,
+) -> tuple[RationalMatrix, list[int], int]:
+    """``nullspace_with_info`` of a system solved whole.
+
     One seeded 31-bit prime p at a time: the RREF mod p, whose residues
     are lifted p-adically (``_padic_residues``) and then by rational
     reconstruction, the candidates certified together by exact
@@ -763,8 +860,6 @@ def nullspace_with_info(
     dividing a nonzero maximal minor do (at any other prime the pivot
     rows span the rows over Q).
     """
-    if ncols < 1:
-        raise DimensionError("matrix must have at least one column")
     for i in itertools.count():
         _check_cancel(cancel)
         p = _seeded_prime(i)

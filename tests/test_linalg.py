@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exatlas import linalg
-from exatlas.algebras import quaternions
+from exatlas.algebras import octonions, quaternions
 from exatlas.jordan import jordan_algebra
 from exatlas.lie import leibniz_constraint_rows
 from exatlas.linalg import (
@@ -25,6 +25,7 @@ from exatlas.linalg import (
     _seeded_prime,
     _sparse_sum,
     RationalMatrix,
+    SparseRows,
     integer_rows,
     is_negative_definite,
     is_positive_definite,
@@ -622,6 +623,176 @@ class TestBlockedElimination:
         part, taken = self.ROWS.block(5, 8), self.ROWS.take([5, 6, 7])
         for name in ("starts", "cols", "vals"):
             assert np.array_equal(getattr(part, name), getattr(taken, name))
+
+
+def union_find_labels(rows, ncols):
+    """Reference component labels: union-find over Python ints, each
+    root kept at its component's smallest column."""
+    parent = list(range(ncols))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for r in range(len(rows)):
+        cols = rows.cols[rows.starts[r] : rows.starts[r + 1]].tolist()
+        for c in cols[1:]:
+            a, b = find(cols[0]), find(c)
+            parent[max(a, b)] = min(a, b)
+    return [find(c) for c in range(ncols)]
+
+
+def shuffled_chain(n, seed):
+    """Two-entry rows joining the columns of a shuffled path over n
+    columns, the rows shuffled too: labels must cross the whole path."""
+    rng = np.random.default_rng(seed)
+    path = rng.permutation(n)
+    pairs = np.sort(np.stack([path[:-1], path[1:]], axis=1), axis=1)[rng.permutation(n - 1)]
+    vals = np.tile(np.array([1, -1]), n - 1)
+    return SparseRows(np.repeat(np.arange(n - 1), 2), pairs.ravel(), vals)
+
+
+@st.composite
+def sparse_systems(draw):
+    """Up to 30 rows of one to three nonzeros over up to 40 columns."""
+    ncols = draw(st.integers(min_value=1, max_value=40))
+    col = st.integers(min_value=0, max_value=ncols - 1)
+    rows = draw(st.lists(st.lists(col, min_size=1, max_size=3, unique=True), min_size=1, max_size=30))
+    dense = np.zeros((len(rows), ncols), dtype=np.int64)
+    for i, cols in enumerate(rows):
+        dense[i, cols] = draw(st.lists(st.integers(1, 5), min_size=len(cols), max_size=len(cols)))
+    return integer_rows(dense), ncols
+
+
+@st.composite
+def block_systems(draw):
+    """Small integer blocks along the diagonal, up to three columns that
+    no row touches, and the rows and columns permuted at random."""
+    entry = st.one_of(st.integers(min_value=-3, max_value=3), st.integers(-10**12, 10**12))
+    blocks = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        blocks.append(draw(st.lists(st.lists(entry, min_size=w, max_size=w), min_size=h, max_size=h)))
+    nrows = sum(len(b) for b in blocks)
+    ncols = sum(len(b[0]) for b in blocks) + draw(st.integers(0, 3))
+    dense = np.zeros((nrows, ncols), dtype=np.int64)
+    r = c = 0
+    for b in blocks:
+        dense[r : r + len(b), c : c + len(b[0])] = b
+        r, c = r + len(b), c + len(b[0])
+    row_perm = draw(st.permutations(range(nrows)))
+    col_perm = draw(st.permutations(range(ncols)))
+    return integer_rows(dense[row_perm][:, col_perm]), ncols
+
+
+def assert_split_matches_whole(rows, ncols, cancel=None):
+    split = nullspace_with_info(rows, ncols, cancel)
+    whole = linalg._solve_group(rows, ncols, cancel)
+    assert split == whole
+
+
+class TestComponentSplit:
+    """A large system is solved one group of connected components at a time."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_systems())
+    def test_labels_match_union_find(self, system):
+        rows, ncols = system
+        assert linalg._column_components(rows, ncols).tolist() == union_find_labels(rows, ncols)
+
+    def test_labels_cross_a_shuffled_chain(self):
+        rows = shuffled_chain(4096, 0)
+        labels = linalg._column_components(rows, 4096)
+        assert labels.tolist() == union_find_labels(rows, 4096) == [0] * 4096
+
+    def test_groups_hold_at_most_one_block(self, monkeypatch):
+        # components of 1, 1, 2, 3 and 1 rows, in order of their first
+        # column, and column 2 that no row touches
+        monkeypatch.setattr(linalg, "_BLOCK_ROWS", 2)
+        dense = np.zeros((8, 8), dtype=np.int64)
+        for r, cols in enumerate([[0], [1], [3, 4], [3], [5, 6], [5], [6], [7]]):
+            dense[r, cols] = 1
+        groups, ngroups = linalg._column_groups(integer_rows(dense), 8)
+        assert (groups.tolist(), ngroups) == ([0, 0, -1, 1, 1, 2, 2, 3], 4)
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    @settings(max_examples=100, deadline=None)
+    @given(block_systems())
+    def test_split_matches_the_whole_solve(self, block_rows, system):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_BLOCK_ROWS", block_rows)
+            assert_split_matches_whole(*system)
+
+    @pytest.mark.parametrize(
+        "k, components, groups", [(quaternions, 16, 2), (octonions, 32, 10)], ids=["J3(H)", "J3(O)"]
+    )
+    def test_j3_leibniz_rows(self, k, components, groups):
+        # the Z2^3 grading of O (Z2^2 of H) and the Z2^2 of the three
+        # off-diagonal slots split the derivations into homogeneous parts
+        rows, ncols = leibniz_constraint_rows(jordan_algebra(k()))
+        assert np.unique(linalg._column_components(rows, ncols)).size == components
+        assert linalg._column_groups(rows, ncols)[1] == groups
+        assert_split_matches_whole(rows, ncols)
+
+    def test_rescaled_j3o_rows(self, j3o):
+        # the rows of test_j3o_rows_whose_lift_needs_several_primes: a
+        # basis over Python ints, lifted through several powers of p
+        copy = rescaled(j3o, [1000 ** (k % 3) for k in range(j3o.dim)])
+        rows, ncols = leibniz_constraint_rows(copy)
+        deadline = time.monotonic() + 60
+        assert_split_matches_whole(rows, ncols, lambda: time.monotonic() > deadline)
+        assert nullspace_with_info(rows, ncols)[0]._ints.dtype == object
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The systems handed to the per-group solve, as it returns."""
+        solved = []
+        solve = linalg._solve_group
+
+        def counted(rows, ncols, cancel=None):
+            out = solve(rows, ncols, cancel)
+            solved.append(len(rows))
+            return out
+
+        monkeypatch.setattr(linalg, "_solve_group", counted)
+        return solved
+
+    def test_a_connected_system_is_solved_once(self, monkeypatch, solves):
+        monkeypatch.setattr(linalg, "_BLOCK_ROWS", 2)
+        chain = integer_rows(np.eye(5, 6, dtype=np.int64) - np.eye(5, 6, 1, dtype=np.int64))
+        basis, free, r = nullspace_with_info(chain, 6)
+        assert (basis.to_rows(), free, r) == ([[1] * 6], [5], 5)
+        assert solves == [5]
+
+    def test_cancel_after_the_first_group(self, monkeypatch, solves):
+        # three components of two rows each, one group apiece
+        monkeypatch.setattr(linalg, "_BLOCK_ROWS", 2)
+        rows = integer_rows(np.kron(np.eye(3, dtype=np.int64), np.array([[1, 2], [3, 4]])))
+        rrefs = []
+        rref = linalg._modp_rref
+
+        def counted(*args):
+            rrefs.append(None)
+            return rref(*args)
+
+        monkeypatch.setattr(linalg, "_modp_rref", counted)
+        with pytest.raises(ComputationCancelled):
+            nullspace_with_info(rows, 6, cancel=lambda: bool(solves))
+        assert solves == [2] and len(rrefs) == 1
+
+    def test_j3o_solve_peak_memory(self, j3o):
+        # the unsplit solve peaked at 17.5 MB with numpy 2.4; group by
+        # group it peaks near 1.2 MB
+        rows, ncols = leibniz_constraint_rows(j3o)
+        tracemalloc.start()
+        try:
+            nullspace_with_info(rows, ncols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestSparseSum:
