@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebras import AlgebraElement, FiniteAlgebra, batch_multiply, sedenions
-from .linalg import RationalMatrix, _contract, is_positive_definite
+from .linalg import RationalMatrix, _contract, _join, _sparse_sum, is_positive_definite
 
 #: Off-diagonal slots in basis order: (row, col) above the diagonal.
 OFF_POSITIONS = ((0, 1), (0, 2), (1, 2))
@@ -59,9 +59,11 @@ def build_jordan_algebra(k: FiniteAlgebra) -> JordanAlgebra:
     """Construct J3(K) from scratch over any *-algebra K.
 
     B_a o B_b = (B_a B_b + B_b B_a)/2 for all hermitian basis matrices at
-    once, as one contraction with the tensor of K.  Permitted over the
-    sedenions as well; there the Jordan identity fails, which is exactly
-    what the negative-control tests probe.
+    once, summed over the nonzeros: entry (a, r, t, u) of the hermitian
+    basis joins entry (b, t, c, v) on t, and the pair joins K's tensor
+    at (u, v, w).  Permitted over the sedenions as well; there the
+    Jordan identity fails, which is exactly what the negative-control
+    tests probe.
     """
     if k.conjugation_signs is None:
         raise TypeError("coefficient algebra needs a conjugation")
@@ -76,10 +78,24 @@ def build_jordan_algebra(k: FiniteAlgebra) -> JordanAlgebra:
     for pos, (r, c) in enumerate(OFF_POSITIONS):
         basis[3 + pos * n + units, r, c, units] = 1
         basis[3 + pos * n + units, c, r, units] = conj
-    prod = _contract(
-        "artu,btcv,uvw->abrcw", 3 * n * n, basis, basis, k.tensor, optimize=True
+    a, r, t, u = np.nonzero(basis)
+    x, y = _join(t, r)
+    ku, kv, kw = np.nonzero(k.tensor)
+    i, j = _join(u[x] * n + u[y], ku * n + kv)
+    x, y = x[i], y[i]
+    entry = (r[x] * 3 + t[y]) * n + kw[j]  # (row, col, unit) of the term
+    vals = basis[a, r, t, u]
+    # each term of B_a B_b, at (a, b) and again at (b, a)
+    keys, sums = _sparse_sum(
+        np.concatenate([a[x] * dim + a[y], a[y] * dim + a[x]]) * 9 * n
+        + np.concatenate([entry, entry]),
+        np.tile(vals[x], 2),
+        np.tile(vals[y], 2),
+        np.tile(k.tensor[ku, kv, kw][j], 2),
     )
-    sym = prod + prod.transpose(1, 0, 2, 3, 4)  # 2 s (B_a o B_b), entrywise
+    sym = np.zeros(dim * dim * 9 * n, dtype=sums.dtype)
+    sym[keys] = sums
+    sym = sym.reshape(dim, dim, 3, 3, n)  # 2 s (B_a o B_b), entrywise
 
     rows, cols = (list(t) for t in zip(*OFF_POSITIONS))
     diag = sym[:, :, [0, 1, 2], [0, 1, 2]]

@@ -28,6 +28,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +46,7 @@ from .linalg import (
     _scaled_int_array,
     _sparse_sum,
     integer_rows,
+    is_negative_definite,
     nullspace_with_info,
 )
 
@@ -147,6 +149,15 @@ class LieAlgebraBasis:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def is_compact(self) -> bool:
+        """Whether the Killing form is negative definite.
+
+        Computed on first use and kept, so each algebra's minor signs are
+        found once; ``derivation_algebra`` never asks for it.
+        """
+        return is_negative_definite(killing_form(self))
 
     def structure_constant(self, a: int, b: int, c: int) -> Fraction:
         return self.bracket_in_basis(a, b)[c]
@@ -540,6 +551,48 @@ def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
 # rank by generic centralizers
 # ---------------------------------------------------------------------------
 
+def _probe_coefficients(rng: random.Random | None, trials: int, dim: int) -> np.ndarray:
+    """trials x dim coefficients in [-span, span], drawn trial by trial by
+    ``rng.randint`` (seeded with the default seed when rng is None)."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if rng is None:
+        rng = random.Random(_alg.DEFAULT_SEED)
+    span = _alg.RANDOM_COEFF_SPAN
+    draws = [rng.randint(-span, span) for _ in range(trials * dim)]
+    return np.array(draws, dtype=np.int64).reshape(trials, dim)
+
+
+def _is_maximal_abelian(
+    l: LieAlgebraBasis, x_coords: np.ndarray, kernel: np.ndarray
+) -> bool:
+    """Whether the centralizer of a probe x is certified maximal abelian.
+
+    ``kernel`` holds integer multiples of an echelon basis of the
+    centralizer (one row per vector, in coordinates of l) and
+    ``x_coords`` the coordinates of x in it.  Certified when l is
+    compact, x is not 0 and the centralizer is abelian: dropping one
+    vector at which x's coordinate is nonzero leaves, with x, a basis
+    {x, b_2, ..., b_m}, and [x, b_i] = 0 by definition, so only the
+    pairs [b_i, b_j] are summed, each over the nonzeros of f.
+    """
+    on_x = np.flatnonzero(x_coords)
+    if not on_x.size or not l.is_compact:
+        return False
+    rest = np.delete(kernel, on_x[0], axis=0)
+    i, j = np.triu_indices(rest.shape[0], 1)
+    d = l.dim
+    a, b, c = np.unravel_index(l._f_keys, (d,) * 3)
+    pair = np.arange(i.size)[:, None]
+    _, brackets = _sparse_sum(
+        (pair * d + c).ravel(),
+        rest[i][:, a].ravel(),
+        rest[j][:, b].ravel(),
+        np.tile(l._f_vals, i.size),
+    )
+    return not brackets.size
+
+
 def generic_rank(
     l: LieAlgebraBasis,
     trials: int = 5,
@@ -550,21 +603,29 @@ def generic_rank(
     For a compact form the centralizer of a generic element is a Cartan
     subalgebra, so the minimum is the rank; extra trials guard against
     non-generic samples and can only lower the result.
+
+    Every trial's coefficients are drawn up front, so rng ends in the
+    same state however many trials are solved.  The probes stop at the
+    first x whose centralizer z(x) ``_is_maximal_abelian`` certifies
+    (l compact, x not 0, z(x) abelian); its dimension is then the
+    minimum over all trials.  In a compact Lie algebra all maximal
+    abelian subalgebras are conjugate (Knapp, *Lie Groups Beyond an
+    Introduction*, Thm 4.34), so they share one dimension, the rank.
+    Every y lies in one inside z(y), so dim z(y) >= rank for every
+    trial; and an abelian z(x) is maximal, since an abelian space
+    containing it commutes with x, so dim z(x) = rank.  An algebra that
+    is not compact has every trial solved.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
     d = l.dim
+    probes = _probe_coefficients(rng, trials, d)
     if d == 0:
         return 0
-    if rng is None:
-        rng = random.Random(_alg.DEFAULT_SEED)
     best = d
-    for _ in range(trials):
-        x = np.array(
-            [rng.randint(-_alg.RANDOM_COEFF_SPAN, _alg.RANDOM_COEFF_SPAN) for _ in range(d)],
-            dtype=np.int64,
-        )
-        best = min(best, d - _int_rank(l._ad(x)))
+    for x in probes:
+        kernel, free, r = nullspace_with_info(integer_rows(l._ad(x)), d)
+        best = min(best, d - r)
+        if _is_maximal_abelian(l, x[free], kernel._ints):
+            break
     return best
 
 
@@ -586,26 +647,32 @@ def flat_rank(
     random rational probe in p is one of them unless it is unlucky; an
     unlucky probe has a larger centralizer, so extra trials can only
     lower the result.
+
+    As in ``generic_rank``, every trial is drawn up front and the probes
+    stop at the first x whose centralizer in p, taken in coordinates of
+    g, ``_is_maximal_abelian`` certifies.  For a compact g all maximal
+    abelian subspaces of p are Ad(K)-conjugate (Helgason, *Differential
+    Geometry, Lie Groups, and Symmetric Spaces*, Ch. V, Lemma 6.3), so
+    the same two bounds make that centralizer's dimension the minimum
+    over all trials.  A split of a g that is not compact has every trial
+    solved.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
     l = pair.lie
     np_dim = pair.p_dim
+    probes = _probe_coefficients(rng, trials, np_dim)
     if np_dim == 0:
         return 0
-    if rng is None:
-        rng = random.Random(_alg.DEFAULT_SEED)
     p_int = pair.p_basis._ints
     best = np_dim
-    for _ in range(trials):
-        c = np.array(
-            [rng.randint(-_alg.RANDOM_COEFF_SPAN, _alg.RANDOM_COEFF_SPAN) for _ in range(np_dim)],
-            dtype=np.int64,
-        )
+    for c in probes:
         ad_x = l._ad(_contract("u,ua->a", np_dim, c, p_int))
         # kernel in p-coefficient space is the flat
         constraint = _contract("cb,ub->cu", l.dim, ad_x, p_int)
-        best = min(best, np_dim - _int_rank(constraint))
+        kernel, free, r = nullspace_with_info(integer_rows(constraint), np_dim)
+        best = min(best, np_dim - r)
+        flat = _contract("tu,ua->ta", np_dim, kernel._ints, p_int)
+        if _is_maximal_abelian(l, c[free], flat):
+            break
     return best
 
 

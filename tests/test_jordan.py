@@ -7,6 +7,7 @@ import pytest
 from exatlas.algebras import (
     DEFAULT_SEED,
     AlgebraMismatchError,
+    FiniteAlgebra,
     complex_algebra,
     octonions,
     quaternions,
@@ -201,7 +202,38 @@ class TestExplicitMatrixReference:
             assert full_matrix(x * y) == want
 
 
+def dense_jordan_tensor(k):
+    """The J3(K) tensor and scale by one dense einsum over the hermitian
+    basis matrices and K's tensor: the reference for the sparse build."""
+    n = k.dim
+    dim = 3 + 3 * n
+    conj = np.array(k.conjugation_signs, dtype=np.int64)
+    units = np.arange(n)
+    basis = np.zeros((dim, 3, 3, n), dtype=np.int64)
+    for i in range(3):
+        basis[i, i, i, 0] = 1
+    for pos, (r, c) in enumerate(OFF_POSITIONS):
+        basis[3 + pos * n + units, r, c, units] = 1
+        basis[3 + pos * n + units, c, r, units] = conj
+    prod = np.einsum("artu,btcv,uvw->abrcw", basis, basis, k.tensor, optimize=True)
+    sym = prod + prod.transpose(1, 0, 2, 3, 4)
+    rows, cols = (list(t) for t in zip(*OFF_POSITIONS))
+    diag = sym[:, :, [0, 1, 2], [0, 1, 2], 0]
+    off = sym[:, :, rows, cols].reshape(dim, dim, 3 * n)
+    return FiniteAlgebra("ref", np.concatenate([diag, off], axis=2), 2 * k.scale)
+
+
 class TestConstruction:
+    @pytest.mark.parametrize(
+        "builder", COEFFICIENT_ALGEBRAS + [sedenions], ids=["R", "C", "H", "O", "S"]
+    )
+    def test_tensor_matches_dense_einsum(self, builder):
+        k = builder()
+        j, ref = build_jordan_algebra(k), dense_jordan_tensor(k)
+        assert j.tensor.dtype == ref.tensor.dtype
+        assert j.tensor.tobytes() == ref.tensor.tobytes()
+        assert j.scale == ref.scale
+
     def test_requires_conjugation(self, j3o):
         with pytest.raises(TypeError):
             build_jordan_algebra(j3o)  # a Jordan algebra has no conjugation

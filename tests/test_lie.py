@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exatlas import linalg
+from exatlas import lie, linalg
 from exatlas.algebras import (
     DEFAULT_SEED,
+    RANDOM_COEFF_SPAN,
     FiniteAlgebra,
     complex_algebra,
     octonions,
@@ -638,6 +639,131 @@ class TestFlatRank:
         pair = cartan_split(der_o, induced_involution(octonions(), sigma, der_o))
         with pytest.raises(ValueError):
             flat_rank(pair, trials=trials)
+
+
+def exhaustive_generic_rank(l, trials, rng):
+    """The minimum of dim ker(ad_x) over every trial, with no early stop:
+    the reference for the certified probes."""
+    best = l.dim
+    for _ in range(trials):
+        x = [rng.randint(-RANDOM_COEFF_SPAN, RANDOM_COEFF_SPAN) for _ in range(l.dim)]
+        best = min(best, l.dim - rank(l.ad_matrix(x)))
+    return best
+
+
+def exhaustive_flat_rank(pair, trials, rng):
+    """The minimum over every trial of dim {y in p : [x, y] = 0}."""
+    p_t = pair.p_basis.transpose()
+    best = pair.p_dim
+    for _ in range(trials):
+        c = [rng.randint(-RANDOM_COEFF_SPAN, RANDOM_COEFF_SPAN) for _ in range(pair.p_dim)]
+        constraint = pair.lie.ad_matrix(p_t.matvec(c)) @ p_t
+        best = min(best, pair.p_dim - rank(constraint))
+    return best
+
+
+def rng_after_draws(seed, draws):
+    rng = random.Random(seed)
+    for _ in range(draws):
+        rng.randint(-RANDOM_COEFF_SPAN, RANDOM_COEFF_SPAN)
+    return rng.getstate()
+
+
+class StubRng:
+    """``randint`` returns the given values first, then seeded draws."""
+
+    def __init__(self, first, seed):
+        self.first = list(first)
+        self.rng = random.Random(seed)
+
+    def randint(self, lo, hi):
+        return self.first.pop(0) if self.first else self.rng.randint(lo, hi)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every ``nullspace_with_info`` call made from ``lie``, in order."""
+    calls = []
+    solve = lie.nullspace_with_info
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(lie, "nullspace_with_info", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def compact_splits(der_o, der_j3o, j3o):
+    o = octonions()
+    return {
+        "G": cartan_split(der_o, induced_involution(o, doubled_half_reflection(o), der_o)),
+        "FII": cartan_split(
+            der_j3o, induced_involution(j3o, diagonal_sign_involution(j3o, (-1, 1, 1)), der_j3o)
+        ),
+    }
+
+
+class TestCertifiedRankProbes:
+    """The probes stop at the first trial certified regular, and return the
+    minimum over every trial."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("name", ["quaternions", "octonions", "j3o"])
+    def test_generic_rank_is_the_minimum_over_every_trial(self, name, seed):
+        l = named_derivation_algebra(name)
+        rng = random.Random(seed)
+        assert generic_rank(l, trials=5, rng=rng) == exhaustive_generic_rank(
+            l, 5, random.Random(seed)
+        )
+        assert rng.getstate() == rng_after_draws(seed, 5 * l.dim)
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("name", ["G", "FII"])
+    def test_flat_rank_is_the_minimum_over_every_trial(self, compact_splits, name, seed):
+        pair = compact_splits[name]
+        rng = random.Random(seed)
+        assert flat_rank(pair, trials=5, rng=rng) == exhaustive_flat_rank(
+            pair, 5, random.Random(seed)
+        )
+        assert rng.getstate() == rng_after_draws(seed, 5 * pair.p_dim)
+
+    @pytest.mark.parametrize(
+        "build, expected",
+        [(lambda: derivation_algebra(matrix_algebra_2x2()), 1), (lambda: _abelian_lie(2), 2)],
+        ids=["sl2", "abelian"],
+    )
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_noncompact_algebras_solve_every_trial(self, build, expected, trials, solves):
+        # sl2 = Der M2(Q) has an indefinite Killing form, the abelian one a zero form
+        l = build()
+        solves.clear()  # the sl2 derive solves a system too
+        assert not l.is_compact
+        assert generic_rank(l, trials=trials, rng=random.Random(5)) == expected
+        assert len(solves) == trials
+
+    @pytest.mark.parametrize("first", ["zero", "unit"])
+    def test_f4_moves_past_a_zero_or_singular_first_draw(self, der_j3o, first, solves):
+        # e_0 is singular: its centralizer in f4 has dimension 22
+        draw = [0] * der_j3o.dim
+        if first == "unit":
+            draw[0] = 1
+        rng = StubRng(draw, 3)
+        assert generic_rank(der_j3o, trials=5, rng=rng) == 4
+        assert len(solves) == 2
+        assert rng.rng.getstate() == rng_after_draws(3, 4 * der_j3o.dim)
+
+    def test_g2_split_moves_past_a_singular_first_draw(self, compact_splits, solves):
+        # the first p basis vector has a 3-dimensional centralizer in p
+        pair = compact_splits["G"]
+        rng = StubRng([1] + [0] * (pair.p_dim - 1), 3)
+        assert flat_rank(pair, trials=5, rng=rng) == 2
+        assert len(solves) == 2
+
+    def test_seeded_f4_probe_solves_one_system(self, der_j3o, solves):
+        assert generic_rank(der_j3o, trials=5) == 4
+        assert len(solves) == 1
 
 
 class TestCancellation:
