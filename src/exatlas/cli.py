@@ -619,7 +619,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(value: int | None) -> int:
+def _resolve_seed(value: int | None, parser: argparse.ArgumentParser) -> int:
     if value is not None:
         return value
     env = os.environ.get("ATLAS_SEED")
@@ -627,7 +627,7 @@ def _resolve_seed(value: int | None) -> int:
         try:
             return int(env)
         except ValueError:
-            raise SystemExit(f"ATLAS_SEED must be an integer, got {env!r}")
+            parser.error(f"ATLAS_SEED must be an integer, got {env!r}")
     return DEFAULT_SEED
 
 
@@ -639,9 +639,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
     if args.command == "verify":
         if args.trials is not None and args.trials < 1:
             parser.error(f"argument --trials: must be >= 1, got {args.trials}")
+        if not args.budget >= 0:  # NaN too: no deadline compares past it
+            parser.error(f"argument --budget: must be >= 0 seconds, got {args.budget}")
         reports = run_verify(
             args.scope,
-            seed=_resolve_seed(args.seed),
+            seed=_resolve_seed(args.seed, parser),
             trials=args.trials,
             budget_seconds=args.budget,
             inject_corruption=args.inject_corruption,

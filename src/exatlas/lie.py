@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -124,21 +123,20 @@ def leibniz_constraint_rows(algebra: _alg.FiniteAlgebra) -> tuple[SparseRows, in
 class LieAlgebraBasis:
     """Certified derivation Lie algebra in a canonical echelon basis.
 
-    ``basis[t]`` is an ambient_dim x ambient_dim derivation matrix.  The
-    flattened basis is in reduced-echelon form: vector t has a 1 at
-    ``free_coords[t]`` and 0 at the other free coordinates, so the
-    coordinates of any element of the span can be read off directly.
-    Bracket structure constants satisfy
+    Each datum is stored once.  Basis derivation t is the matrix
+    ``_d_int[t] / _d_scale``, and ``basis``, ``dim`` and ``ambient_dim``
+    are read from that pair.  The flattened basis is in reduced-echelon
+    form: vector t has a 1 at ``free_coords[t]`` and 0 at the other free
+    coordinates, so the coordinates of any element of the span can be
+    read off directly.  Bracket structure constants satisfy
     [D_a, D_b] = sum_c f(a, b, c) D_c.  f is stored sparse, over one
     scale: the nonzero f(a, b, c) is ``_f_vals[t] / _f_scale`` at the
     key ``_f_keys[t] = (a * dim + b) * dim + c``, keys ascending.  Every
-    reader of f (ad, the Killing form, the brackets of subspaces) runs
-    over these nonzeros.
+    reader of f (ad, the Killing form, the brackets of a Cartan split,
+    the abelian test of the rank probes) runs over these nonzeros.
     """
 
     algebra: _alg.FiniteAlgebra
-    ambient_dim: int
-    basis: tuple[RationalMatrix, ...]
     free_coords: tuple[int, ...]
     _d_int: np.ndarray = field(repr=False)
     _d_scale: int = field(repr=False)
@@ -148,7 +146,16 @@ class LieAlgebraBasis:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self._d_int.shape[0]
+
+    @property
+    def ambient_dim(self) -> int:
+        return self._d_int.shape[1]
+
+    @property
+    def basis(self) -> tuple[RationalMatrix, ...]:
+        """The basis derivations, as ambient_dim x ambient_dim matrices."""
+        return tuple(RationalMatrix.from_ints(m, self._d_scale) for m in self._d_int)
 
     @cached_property
     def is_compact(self) -> bool:
@@ -158,41 +165,6 @@ class LieAlgebraBasis:
         found once; ``derivation_algebra`` never asks for it.
         """
         return is_negative_definite(killing_form(self))
-
-    def structure_constant(self, a: int, b: int, c: int) -> Fraction:
-        return self.bracket_in_basis(a, b)[c]
-
-    def bracket_in_basis(self, a: int, b: int) -> tuple[Fraction, ...]:
-        d = self.dim
-        if not (0 <= a < d and 0 <= b < d):
-            raise IndexError(f"basis indices ({a}, {b}) out of range for dimension {d}")
-        lo, hi = np.searchsorted(self._f_keys, [(a * d + b) * d, (a * d + b + 1) * d])
-        row = _dense((d,), self._f_keys[lo:hi] % d, self._f_vals[lo:hi])
-        return tuple(Fraction(int(v), self._f_scale) for v in row)
-
-    def coords_of(self, m: RationalMatrix) -> tuple[Fraction, ...]:
-        """Coordinates of a matrix in the basis; raises if outside the span."""
-        if m.shape != (self.ambient_dim, self.ambient_dim):
-            raise DimensionError("matrix has the wrong ambient dimension")
-        c_int = _span_coords(m._ints, self._d_int, self._d_scale, self.free_coords)
-        if c_int is None:
-            raise ValueError("matrix lies outside the span of the basis")
-        return tuple(Fraction(v, m._den) for v in c_int.tolist())
-
-    def _coord_array(self, coords: Sequence) -> tuple[np.ndarray, int]:
-        if len(coords) != self.dim:
-            raise DimensionError(f"expected {self.dim} coordinates, got {len(coords)}")
-        return _scaled_int_array(coords, (self.dim,))
-
-    def element_matrix(self, coords: Sequence) -> RationalMatrix:
-        c_int, c_scale = self._coord_array(coords)
-        m_int = _contract("t,tij->ij", self.dim, c_int, self._d_int)
-        return RationalMatrix.from_ints(m_int, c_scale * self._d_scale)
-
-    def ad_matrix(self, coords: Sequence) -> RationalMatrix:
-        """Matrix of ad_x on the Lie algebra for x with the given coordinates."""
-        x_int, x_scale = self._coord_array(coords)
-        return RationalMatrix.from_ints(self._ad(x_int), x_scale * self._f_scale)
 
     def _ad(self, x_int: np.ndarray) -> np.ndarray:
         """Scaled matrix of ad_x, (c, b) entry sum_a x[a] f(a, b, c), for integer x."""
@@ -284,8 +256,6 @@ def derivation_algebra(
     if np.any(_contract("tij,j->ti", n, d_int, unit)):
         raise RuntimeError("internal error: derivation does not kill the unit")
 
-    basis = tuple(RationalMatrix.from_ints(m, d_scale) for m in d_int)
-
     # the brackets of all basis pairs, scaled by d_scale^2, over the
     # nonzeros: D_a D_b at (i, k) joins D_a[i, j] with D_b[j, k] on j, and
     # the same terms, negated at (b, a), complete the commutators
@@ -316,8 +286,6 @@ def derivation_algebra(
 
     return LieAlgebraBasis(
         algebra=algebra,
-        ambient_dim=n,
-        basis=basis,
         free_coords=tuple(free_cols),
         _d_int=d_int,
         _d_scale=d_scale,
@@ -385,13 +353,14 @@ def diagonal_sign_involution(
     """Conjugation of hermitian matrices by diag(signs) as a coordinate map.
 
     Diagonal coordinates are fixed; the off-diagonal block at (r, c)
-    picks up the sign signs[r] * signs[c].
+    picks up the sign signs[r] * signs[c].  signs must be three values,
+    each +1 or -1.
     """
-    if any(s * s != 1 for s in signs):
-        raise ValueError("signs must be +1 or -1")
+    if len(signs) != 3 or any(s not in (1, -1) for s in signs):
+        raise ValueError(f"need three signs, each +1 or -1, got {tuple(signs)}")
     k = j.coefficient_algebra
     diag = [1, 1, 1]
-    for pos, (r, c) in enumerate(_jordan.OFF_POSITIONS):
+    for r, c in _jordan.OFF_POSITIONS:
         diag.extend([signs[r] * signs[c]] * k.dim)
     return RationalMatrix.from_ints(np.diag(diag), 1)
 
@@ -443,18 +412,15 @@ class CartanPair:
 
     k is the (+1)-eigenspace, p the (-1)-eigenspace, each as the
     reduced echelon ``RationalMatrix`` the solver certified (one row per
-    basis vector, in coordinates of the Lie algebra) with its free
-    columns, at which the coordinates of an element are read off.  The
-    three bracket inclusions [k,k] in k, [k,p] in p, [p,p] in k are
-    certified exactly on construction; the span flags record whether the
-    inclusions are onto.
+    basis vector, in coordinates of the Lie algebra).  The three bracket
+    inclusions [k,k] in k, [k,p] in p, [p,p] in k are certified exactly
+    on construction, each by an eigen-equation of the involution; the
+    span flags record whether [p,p] spans k and [k,p] spans p.
     """
 
     lie: LieAlgebraBasis
     k_basis: RationalMatrix
     p_basis: RationalMatrix
-    k_free: tuple[int, ...]
-    p_free: tuple[int, ...]
     pp_spans_k: bool
     kp_spans_p: bool
 
@@ -471,17 +437,18 @@ class CartanPair:
         return (self.k_dim, self.p_dim)
 
 
-def _subspace_brackets(
-    l: LieAlgebraBasis, left: np.ndarray, right: np.ndarray
-) -> np.ndarray:
-    """Scaled bracket coordinates of all pairs from two integer bases.
+def _bracket_rows(l: LieAlgebraBasis, left: np.ndarray, right: np.ndarray) -> SparseRows:
+    """The brackets of all pairs from two integer bases, as sparse rows.
 
-    Entry (i, j, c) is sum_ab left[i, a] right[j, b] f(a, b, c): the
-    first axis of f mapped by left and the second by right, over the
-    nonzeros.  It runs in slices of left's rows, each holding the rows
-    whose join terms, bounded from the nonzero counts, add up to about
-    d^3: so dense bases need at most a d-th of the d^4 intermediate of a
-    dense contraction, and sparse ones take one slice.
+    The bracket of left[i] and right[j] has coordinate c equal to
+    sum_ab left[i, a] right[j, b] f(a, b, c): the first axis of f mapped
+    by left and the second by right, over the nonzeros.  Each nonzero
+    bracket is one row, in the order of the pairs (i, j), divided by the
+    gcd of its entries (``SparseRows``); zero brackets have no row.  It
+    runs in slices of left's rows, each holding the rows whose join
+    terms, bounded from the nonzero counts, add up to about d^3: so
+    dense bases need at most a d-th of the d^4 intermediate of a dense
+    contraction, and sparse ones take one slice.
     """
     d, m = l.dim, right.shape[0]
     per_a = np.bincount(l._f_keys // (d * d), minlength=d)
@@ -494,11 +461,8 @@ def _subspace_brackets(
         k, v, _ = _map_axis(*f, 1, right)
         keys.append(k + lo * m * d)
         vals.append(v)
-    return _dense((left.shape[0], m, d), np.concatenate(keys), np.concatenate(vals))
-
-
-def _int_rank(rows: np.ndarray) -> int:
-    return nullspace_with_info(integer_rows(rows), rows.shape[1])[2]
+    pair, c = np.divmod(np.concatenate(keys), d)
+    return SparseRows(pair, c, np.concatenate(vals))
 
 
 def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
@@ -508,9 +472,15 @@ def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
     Raises InvalidInvolutionError otherwise.  The zero algebra splits
     into two zero spaces, each spanned by the brackets vacuously.
 
+    k and p are the nullspaces of theta - 1 and theta + 1, so membership
+    is an eigen-equation: x lies in k exactly when (theta - 1)x = 0, and
+    in p exactly when (theta + 1)x = 0.  Each inclusion is then one
+    sparse product of the bracket rows with theta - 1 or theta + 1.
     Once theta squares to the identity, g = k + p, so theta preserves
-    the bracket exactly when the three inclusions hold on the two
-    eigenbases: their certificate is the automorphism check.
+    the bracket exactly when the three inclusions hold: their
+    certificate is the automorphism check.  Given the inclusions, [p, p]
+    spans k exactly when its rows have rank dim k, and [k, p] spans p
+    exactly when its rows have rank dim p.
     """
     d = l.dim
     if theta.shape != (d, d):
@@ -520,30 +490,27 @@ def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
         raise InvalidInvolutionError("map does not square to the identity")
     if d == 0:
         empty = RationalMatrix.zeros(0, 0)
-        return CartanPair(l, empty, empty, (), (), True, True)
+        return CartanPair(l, empty, empty, True, True)
 
-    k, k_free, _ = nullspace_with_info(integer_rows(theta - ident), d)
-    p, p_free, _ = nullspace_with_info(integer_rows(theta + ident), d)
-    eigen = np.concatenate([k._ints, p._ints])
-    brackets = _subspace_brackets(l, eigen, eigen)
-    kd = k.rows
-    kk, kp, pp = brackets[:kd, :kd], brackets[:kd, kd:], brackets[kd:, kd:]
-    for part, basis, free, what in (
-        (kk, k, k_free, "[k, k] escapes k"),
-        (kp, p, p_free, "[k, p] escapes p"),
-        (pp, k, k_free, "[p, p] escapes k"),
+    minus, plus = theta - ident, theta + ident
+    k = nullspace_with_info(integer_rows(minus), d)[0]
+    p = nullspace_with_info(integer_rows(plus), d)[0]
+    kp = _bracket_rows(l, k._ints, p._ints)
+    pp = _bracket_rows(l, p._ints, p._ints)
+    for rows, eigen, what in (
+        (_bracket_rows(l, k._ints, k._ints), minus, "[k, k] escapes k"),
+        (kp, plus, "[k, p] escapes p"),
+        (pp, minus, "[p, p] escapes k"),
     ):
-        if _span_coords(part, basis._ints, basis._den, free) is None:
+        if rows.dot(eigen._ints.T).any():
             raise InvalidInvolutionError(f"map does not preserve the bracket: {what}")
 
     return CartanPair(
         lie=l,
         k_basis=k,
         p_basis=p,
-        k_free=tuple(k_free),
-        p_free=tuple(p_free),
-        pp_spans_k=_int_rank(pp.reshape(-1, d)) == k.rows,
-        kp_spans_p=_int_rank(kp.reshape(-1, d)) == p.rows,
+        pp_spans_k=nullspace_with_info(pp, d)[2] == k.rows,
+        kp_spans_p=nullspace_with_info(kp, d)[2] == p.rows,
     )
 
 

@@ -198,6 +198,16 @@ class TestBudget:
         code, out = run_cli(["verify", "derivations", "--budget", "0"])
         assert code == 0
 
+    @pytest.mark.parametrize("budget", ["nan", "-1", "-inf"])
+    def test_nan_or_negative_budget_is_usage_error(self, budget):
+        # no deadline compares past NaN, so it used to remove the cap
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "chains", "--budget", budget])
+        assert exc.value.code == 2
+
+    def test_infinite_budget_accepted(self):
+        assert run_cli(["verify", "chains", "--budget", "inf"])[0] == 0
+
 
 class TestSeedHandling:
     def test_seed_flag(self):
@@ -211,8 +221,9 @@ class TestSeedHandling:
 
     def test_bad_env_seed(self, monkeypatch):
         monkeypatch.setenv("ATLAS_SEED", "not-a-number")
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             run_cli(["verify", "chains"])
+        assert exc.value.code == 2  # a usage error, not a failed verification
 
     def test_trials_flag(self):
         code, _ = run_cli(["verify", "exponents", "--trials", "10"])

@@ -24,6 +24,7 @@ from exatlas.lie import (
     InvalidInvolutionError,
     Involution,
     LieAlgebraBasis,
+    _bracket_rows,
     bracket,
     cartan_split,
     derivation_algebra,
@@ -36,7 +37,6 @@ from exatlas.lie import (
     _span_coords,
     leibniz_constraint_rows,
     named_derivation_algebra,
-    _subspace_brackets,
 )
 from exatlas.linalg import (
     ComputationCancelled,
@@ -44,6 +44,7 @@ from exatlas.linalg import (
     RationalMatrix,
     _contract,
     _modp_rref,
+    _scaled_int_array,
     is_negative_definite,
     nullspace_basis,
     nullspace_with_info,
@@ -271,18 +272,9 @@ class TestBracket:
         with pytest.raises(DimensionError):
             bracket(der_o.basis[0], der_h.basis[0])
 
-    def test_closure_coordinates_exact(self, der_o):
-        b = bracket(der_o.basis[0], der_o.basis[1])
-        coords = der_o.coords_of(b)
-        assert coords == der_o.bracket_in_basis(0, 1)
-
     def test_structure_constants_antisymmetric(self, der_o):
-        d = der_o.dim
-        for a in range(d):
-            for b in range(a, d):
-                ab = der_o.bracket_in_basis(a, b)
-                ba = der_o.bracket_in_basis(b, a)
-                assert all(u == -v for u, v in zip(ab, ba))
+        f = sparse_f(der_o)
+        assert np.array_equal(f, -f.transpose(1, 0, 2))
 
     def test_jacobi_identity(self, der_o):
         rng = random.Random(DEFAULT_SEED)
@@ -297,26 +289,15 @@ class TestBracket:
             assert total.is_zero()
 
     def test_ad_matrix_columns_are_brackets(self, der_o):
-        # column b of ad_x for x = D_a holds the coordinates of [D_a, D_b]
+        # column b of ad_x for x = D_a holds the coordinates of the matrix
+        # commutator [D_a, D_b], its entries at the free coordinates
+        n = der_o.ambient_dim
         for a in (0, 5):
-            ad = der_o.ad_matrix([1 if t == a else 0 for t in range(der_o.dim)])
+            ad = ad_matrix(der_o, [1 if t == a else 0 for t in range(der_o.dim)])
             for b in range(der_o.dim):
-                assert ad.column(b) == der_o.bracket_in_basis(a, b)
-
-    def test_coords_of_inverts_element_matrix(self, der_o):
-        coords = tuple(Fraction(t - 6, 1 + t % 4) for t in range(der_o.dim))
-        assert der_o.coords_of(der_o.element_matrix(coords)) == coords
-
-    def test_coords_of_rejects_outsiders(self, der_o):
-        with pytest.raises(ValueError):
-            der_o.coords_of(RationalMatrix.identity(8))
-
-    @pytest.mark.parametrize("length", [0, 2])
-    def test_wrong_coordinate_count_rejected(self, der_h, length):
-        with pytest.raises(DimensionError):
-            der_h.element_matrix([1] * length)
-        with pytest.raises(DimensionError):
-            der_h.ad_matrix([1] * length)
+                comm = bracket(der_o.basis[a], der_o.basis[b])
+                coords = tuple(comm.entry(*divmod(fc, n)) for fc in der_o.free_coords)
+                assert ad.column(b) == coords
 
 
 class TestKillingForm:
@@ -392,8 +373,6 @@ class TestInducedInvolution:
         m = der_h.basis[1]
         line = LieAlgebraBasis(
             algebra=der_h.algebra,
-            ambient_dim=4,
-            basis=(m,),
             free_coords=(der_h.free_coords[1],),
             _d_int=m._ints[None],
             _d_scale=m._den,
@@ -406,6 +385,12 @@ class TestInducedInvolution:
         )
         with pytest.raises(InvalidInvolutionError, match="leaves the span"):
             induced_involution(der_h.algebra, sigma, line)
+
+    @pytest.mark.parametrize("signs", [(-1, 1), (-1, 1, 1, 1), (-1, 2, 1), (0, 1, 1)])
+    def test_diagonal_signs_validated(self, signs):
+        # two signs used to raise IndexError, and a fourth was ignored
+        with pytest.raises(ValueError, match="three signs"):
+            diagonal_sign_involution(jordan_algebra(real_algebra()), signs)
 
     def test_j3o_diagonal_conjugation(self, der_j3o, j3o):
         sigma = diagonal_sign_involution(j3o, (-1, 1, 1))
@@ -461,6 +446,53 @@ class TestCartanSplit:
         shear = RationalMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
         with pytest.raises(InvalidInvolutionError):
             cartan_split(der_h, shear)
+
+    def test_minus_one_fails_only_pp(self, der_h):
+        # k = 0, so [k, k] and [k, p] hold vacuously; [p, p] = so(3) is not 0
+        with pytest.raises(InvalidInvolutionError, match=r"\[p, p\] escapes k"):
+            cartan_split(der_h, RationalMatrix.identity(3).scale(-1))
+
+    def test_center_mixed_into_p_fails_only_kp(self):
+        # theta fixes x1 and z and negates x2 and x3 + z: [x2, x3 + z] = -x1
+        # lies in k and [x1, x3 + z] = x2 in p, but [x1, x2] = -x3 is not in p
+        theta = RationalMatrix.from_rows(
+            [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, -2, 1]]
+        )
+        with pytest.raises(InvalidInvolutionError, match=r"\[k, p\] escapes p"):
+            cartan_split(so3_plus_center(), theta)
+
+    def test_plane_of_so3_fails_kk_first(self, der_h):
+        # so(3) has no 2-dimensional subalgebra, so [k, k] escapes k (and
+        # [k, p] escapes p too); the inclusions are checked in order
+        theta = RationalMatrix.from_ints(np.diag([1, 1, -1]), 1)
+        with pytest.raises(InvalidInvolutionError, match=r"\[k, k\] escapes k"):
+            cartan_split(der_h, theta)
+
+
+def so3_plus_center() -> LieAlgebraBasis:
+    """so(3) + R as 4x4 matrices: x1, x2, x3 rotate pairs of the first
+    three coordinates and z = E_33, each 1 at its own free entry; f is
+    read off the commutators there, and checked to rebuild them."""
+    free = (1, 2, 6, 15)
+    d_int = np.zeros((4, 16), dtype=np.int64)
+    for t, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
+        d_int[t, i * 4 + j], d_int[t, j * 4 + i] = 1, -1
+    d_int[3, 15] = 1
+    d_int = d_int.reshape(4, 4, 4)
+    prod = np.einsum("aij,bjk->abik", d_int, d_int)
+    comm = (prod - prod.transpose(1, 0, 2, 3)).reshape(4, 4, 16)
+    f = comm[:, :, list(free)]
+    assert np.array_equal(np.einsum("abc,cx->abx", f, d_int.reshape(4, 16)), comm)
+    keys = np.flatnonzero(f)
+    return LieAlgebraBasis(
+        algebra=None,
+        free_coords=free,
+        _d_int=d_int,
+        _d_scale=1,
+        _f_keys=keys,
+        _f_vals=f.ravel()[keys],
+        _f_scale=1,
+    )
 
 
 def _diagonal_in_copy(sigma: RationalMatrix, perm) -> RationalMatrix:
@@ -558,17 +590,11 @@ class TestBasisIndependence:
 
 def _abelian_lie(dim: int) -> LieAlgebraBasis:
     """Commuting diagonal matrices: every bracket vanishes."""
-    basis = tuple(
-        RationalMatrix(dim, dim, (1 if (i == j == t) else 0 for i in range(dim) for j in range(dim)))
-        for t in range(dim)
-    )
     d_int = np.zeros((dim, dim, dim), dtype=np.int64)
     for t in range(dim):
         d_int[t, t, t] = 1
     return LieAlgebraBasis(
         algebra=None,
-        ambient_dim=dim,
-        basis=basis,
         free_coords=tuple(t * dim + t for t in range(dim)),
         _d_int=d_int,
         _d_scale=1,
@@ -588,7 +614,7 @@ class TestGenericRank:
     def test_so3_rank_via_explicit_kernel(self, der_h):
         # oracle: kernel of the ad matrix of a fixed generic element
         coords = (1, 2, 3)
-        ad = der_h.ad_matrix(coords)
+        ad = ad_matrix(der_h, coords)
         assert len(nullspace_basis(ad)) == 1
 
     def test_g2_rank_two(self, der_o):
@@ -647,7 +673,7 @@ def exhaustive_generic_rank(l, trials, rng):
     best = l.dim
     for _ in range(trials):
         x = [rng.randint(-RANDOM_COEFF_SPAN, RANDOM_COEFF_SPAN) for _ in range(l.dim)]
-        best = min(best, l.dim - rank(l.ad_matrix(x)))
+        best = min(best, l.dim - rank(ad_matrix(l, x)))
     return best
 
 
@@ -657,7 +683,7 @@ def exhaustive_flat_rank(pair, trials, rng):
     best = pair.p_dim
     for _ in range(trials):
         c = [rng.randint(-RANDOM_COEFF_SPAN, RANDOM_COEFF_SPAN) for _ in range(pair.p_dim)]
-        constraint = pair.lie.ad_matrix(p_t.matvec(c)) @ p_t
+        constraint = ad_matrix(pair.lie, p_t.matvec(c)) @ p_t
         best = min(best, pair.p_dim - rank(constraint))
     return best
 
@@ -809,6 +835,12 @@ def sparse_f(l):
     return f.reshape((l.dim,) * 3)
 
 
+def ad_matrix(l, coords):
+    """The matrix of ad_x on l, for x with the given exact coordinates."""
+    x_int, x_scale = _scaled_int_array(list(coords), (l.dim,))
+    return RationalMatrix.from_ints(l._ad(x_int), x_scale * l._f_scale)
+
+
 def dense_f_oracle(l):
     """f by the dense einsums over the basis matrices, over d_scale^2:
     all brackets, their entries at the free coordinates, and the
@@ -864,7 +896,8 @@ class TestSparseReadersMatchDenseEinsums:
             x = np.array([rng.randint(-span, span) for _ in range(l.dim)], dtype=object)
             assert np.array_equal(l._ad(x), _contract("a,abc->cb", l.dim, x, sparse_f(l)))
 
-    def test_subspace_brackets(self, lie_case):
+    def test_bracket_rows(self, lie_case):
+        # the dense brackets' nonzero rows, in pair order, each over its gcd
         l = lie_case
         rng = random.Random(DEFAULT_SEED)
         d = l.dim
@@ -877,8 +910,17 @@ class TestSparseReadersMatchDenseEinsums:
                 ).reshape(rows, d)
                 for _ in range(2)
             )
-            expected = _contract("ia,jb,abc->ijc", d * d, left, right, sparse_f(l), optimize=True)
-            assert np.array_equal(_subspace_brackets(l, left, right), expected)
+            dense = _contract("ia,jb,abc->ijc", d * d, left, right, sparse_f(l), optimize=True)
+            expected = [
+                [(c, v // g) for c, v in enumerate(row) if v]
+                for row in dense.reshape(-1, d).tolist()
+                if any(row) and (g := math.gcd(*row))
+            ]
+            got = _bracket_rows(l, left, right)
+            assert [
+                list(zip(got.cols[lo:hi].tolist(), got.vals[lo:hi].tolist()))
+                for lo, hi in zip(got.starts[:-1], got.starts[1:])
+            ] == expected
 
     def test_split_accepts_what_the_dense_check_accepts(self, lie_case):
         l = lie_case
