@@ -29,7 +29,6 @@ from .catalog import (
     MagicSquareCell,
     SymmetricSpaceRecord,
     atlas_document,
-    atlas_json,
     classical_families,
     classical_group_dim,
     exceptional_atlas,
@@ -50,7 +49,6 @@ from .jordan import (
 from .lie import (
     CartanPair,
     InvalidInvolutionError,
-    Involution,
     LieAlgebraBasis,
     bracket,
     cartan_split,

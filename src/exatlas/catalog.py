@@ -11,7 +11,6 @@ dimensions rather than stored numbers.
 from __future__ import annotations
 
 import ast
-import json
 import operator
 import re
 from collections import Counter
@@ -682,10 +681,6 @@ def atlas_document() -> dict:
         "magic_squares": squares,
         "chains": _chains_table().document,
     }
-
-
-def atlas_json() -> str:
-    return json.dumps(atlas_document(), indent=2, sort_keys=True)
 
 
 #: Table builders by name, in the order the CLI lists them.

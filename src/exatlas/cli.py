@@ -67,10 +67,6 @@ class Budget:
     def cancel(self) -> bool:
         return time.monotonic() > self.deadline
 
-    def require(self) -> None:
-        if self.cancel():
-            raise ComputationCancelled("budget exhausted")
-
 
 class SuiteRunner:
     def __init__(self, suite: str):
@@ -87,13 +83,6 @@ class SuiteRunner:
         self.report.checks.append(
             CheckResult(check_id, status, expected, computed, time.perf_counter() - start)
         )
-
-
-def _heavy_lie(name: str, budget: Budget) -> lie.LieAlgebraBasis:
-    """Fetch a named derivation algebra under the budget token."""
-    if not lie.derivation_cached(name):
-        budget.require()
-    return lie.named_derivation_algebra(name, budget.cancel)
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +275,17 @@ _DER_EXPECTED = {
 def _suite_derivations(seed: int, budget: Budget) -> VerificationReport:
     r = SuiteRunner("derivations")
     for name, expected in _DER_EXPECTED.items():
-        r.check(f"der-dim-{name}", expected, lambda n=name: _heavy_lie(n, budget).dim)
+        r.check(
+            f"der-dim-{name}",
+            expected,
+            lambda n=name: lie.named_derivation_algebra(n, budget.cancel).dim,
+        )
 
     for name in _DER_EXPECTED:
         r.check(
             f"killing-negative-definite-{name}",
             True,
-            lambda n=name: _heavy_lie(n, budget).is_compact,
+            lambda n=name: lie.named_derivation_algebra(n, budget.cancel).is_compact,
         )
 
     rank_cases = {"quaternions": 1, "octonions": 2, "j3o": 4}
@@ -301,7 +294,9 @@ def _suite_derivations(seed: int, budget: Budget) -> VerificationReport:
             f"generic-rank-{name}",
             expected,
             lambda n=name: lie.generic_rank(
-                _heavy_lie(n, budget), trials=5, rng=random.Random(seed)
+                lie.named_derivation_algebra(n, budget.cancel),
+                trials=5,
+                rng=random.Random(seed),
             ),
         )
 
@@ -310,7 +305,7 @@ def _suite_derivations(seed: int, budget: Budget) -> VerificationReport:
     def split(name: str) -> lie.CartanPair:
         """The g2 (octonions) or f4 (j3o) Cartan pair, built once per run."""
         if name not in pairs:
-            l = _heavy_lie(name, budget)
+            l = lie.named_derivation_algebra(name, budget.cancel)
             a = l.algebra
             if name == "octonions":
                 sigma = lie.doubled_half_reflection(a)
@@ -338,9 +333,9 @@ def _suite_magic_square(budget: Budget) -> VerificationReport:
     r = SuiteRunner("magic-square")
 
     def live_dims():
-        _heavy_lie("j3o", budget)  # the one expensive ingredient
+        lie.named_derivation_algebra("j3o", budget.cancel)  # the one expensive ingredient
         for name in ("quaternions", "octonions", "j3r", "j3c", "j3h"):
-            _heavy_lie(name, budget)
+            lie.named_derivation_algebra(name, budget.cancel)
         return tuple(tuple(row) for row in cat.magic_square_dims(3))
 
     r.check("level3-live-matches", cat.EXPECTED_LEVEL3_DIMS, live_dims)

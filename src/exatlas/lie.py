@@ -7,7 +7,12 @@ ordered basis pair and output coordinate (unordered pairs for a
 commutative algebra), handed to ``linalg`` as ``SparseRows``.
 Everything returned here is certified exactly: Leibniz on every
 ordered basis pair by the solver's own substitution, bracket closure,
-and the eigenspace bracket relations of an involution.
+and the eigenspace bracket relations of an involution.  One span
+certificate (``_span_coords``) places sparse vectors in the echelon
+basis, both the brackets of the basis and the transports sigma D sigma
+of an involution sigma, which is given as a ``RationalMatrix`` and
+checked on entry.  ``generic_rank`` and ``flat_rank`` share one probe
+loop, over the whole algebra or over p.
 
 Hot paths run on scaled integer numpy arrays, starting from the
 algebra's own structure tensor C' = s*c.  Scales are tracked so the
@@ -39,6 +44,7 @@ from .linalg import (
     DimensionError,
     RationalMatrix,
     SparseRows,
+    _check_cancel,
     _contract,
     _int_array,
     _join,
@@ -52,29 +58,6 @@ from .linalg import (
 
 class InvalidInvolutionError(ValueError):
     """The supplied map is not an involutive automorphism."""
-
-
-@dataclass(frozen=True)
-class Involution:
-    """A certified order-2 automorphism of an algebra.
-
-    Construct through ``Involution.certify`` so the invariants (squares
-    to the identity, preserves the structure constants) actually hold.
-    """
-
-    algebra: "_alg.FiniteAlgebra"
-    matrix: RationalMatrix
-
-    @classmethod
-    def certify(cls, algebra, matrix: RationalMatrix) -> "Involution":
-        n = algebra.dim
-        if matrix.shape != (n, n):
-            raise InvalidInvolutionError(f"expected a {n}x{n} map, got {matrix.shape}")
-        if matrix @ matrix != RationalMatrix.identity(n):
-            raise InvalidInvolutionError("map does not square to the identity")
-        if not is_algebra_automorphism(algebra, matrix):
-            raise InvalidInvolutionError("map does not preserve the structure constants")
-        return cls(algebra, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -207,28 +190,41 @@ def bracket(x: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
 
 
 def _span_coords(
-    vectors: np.ndarray, basis_int: np.ndarray, basis_scale: int, free: Sequence[int]
-) -> np.ndarray | None:
-    """Coordinates of vectors in the span of an echelon basis, or None.
+    keys: np.ndarray,
+    vals: np.ndarray,
+    basis_int: np.ndarray,
+    basis_scale: int,
+    free: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Coordinates of sparse vectors in the span of an echelon basis, or None.
 
     The basis is ``basis_int / basis_scale``, one vector per index of
-    its leading axis; vector t is 1 at the flat coordinate ``free[t]``
-    and 0 at the other free coordinates.  ``vectors`` holds integer
-    multiples (any common scale s) of the vectors to place, in the
-    basis vectors' shape on its trailing axes, after any batch axes.
-    An element of the span has its coordinates (times s) at the free
-    coordinates; the certificate rebuilds each vector from them and
-    compares with ``basis_scale`` times the input.  The free coordinates
-    are unravelled over the trailing axes, so a strided view is indexed
-    in place, never flattened into a copy.
+    its leading axis, flattened to m entries; vector t is 1 at the flat
+    coordinate ``free[t]`` (ascending) and 0 at the other free
+    coordinates.  Vector r to place holds, times any common scale s, the
+    nonzero ``vals`` at the ascending keys r * m + coordinate (as
+    ``linalg._sparse_sum`` returns them).  An element of the span has its
+    coordinates (times s) at the free coordinates; they are returned as
+    the ascending keys r * dim + t and their values.  The certificate
+    rebuilds each vector from them over the nonzeros of the basis and
+    compares with ``basis_scale`` times the input.
     """
-    trail = "ijkl"[: basis_int.ndim - 1]
-    lead = "abcd"[: vectors.ndim - len(trail)]
-    free_idx = np.unravel_index(np.asarray(free, dtype=np.intp), basis_int.shape[1:])
-    coeffs = vectors[(..., *free_idx)]
-    recon = _contract(f"{lead}t,t{trail}->{lead}{trail}", basis_int.shape[0], coeffs, basis_int)
-    scaled = _contract(",...->...", 1, _int_array([basis_scale], ()), vectors)
-    return coeffs if np.array_equal(recon, scaled) else None
+    d, m = basis_int.shape[0], math.prod(basis_int.shape[1:])
+    free_pos = np.full(m, -1)
+    free_pos[list(free)] = np.arange(d)
+    row, coord = np.divmod(keys, m)
+    at_free = free_pos[coord] >= 0
+    c_keys, c_vals = row[at_free] * d + free_pos[coord[at_free]], vals[at_free]
+    nz = np.flatnonzero(basis_int)
+    t, pos = np.divmod(nz, m)
+    x, y = _join(c_keys % d, t)
+    recon_keys, recon = _sparse_sum(
+        c_keys[x] // d * m + pos[y], c_vals[x], basis_int.reshape(-1)[nz][y]
+    )
+    scaled = _contract(",k->k", 1, _int_array([basis_scale], ()), vals)
+    if np.array_equal(recon_keys, keys) and np.array_equal(recon, scaled):
+        return c_keys, c_vals
+    return None
 
 
 def derivation_algebra(
@@ -245,6 +241,7 @@ def derivation_algebra(
     which guards against coordinates that are not the unit's, and
     certifies bracket closure while computing the structure constants.
     """
+    _check_cancel(cancel)
     n = algebra.dim
     rows, ncols = leibniz_constraint_rows(algebra)
     vectors, free_cols, _ = nullspace_with_info(rows, ncols, cancel)
@@ -268,18 +265,12 @@ def derivation_algebra(
         np.concatenate([v[x], -v[x]]),
         np.concatenate([v[y], v[y]]),
     )
-    # the coordinates of a bracket are its entries at the free coordinates
-    free_pos = np.full(n * n, -1)
-    free_pos[free_cols] = np.arange(d)
-    pair, coord = np.divmod(comm_keys, n * n)
-    at_free = free_pos[coord] >= 0
-    f_keys, f_int = pair[at_free] * d + free_pos[coord[at_free]], comm[at_free]
-    # closure certificate: sum_c f(a, b, c) D_c equals d_scale [D_a, D_b]
-    x, y = _join(f_keys % d, t)
-    recon_keys, recon = _sparse_sum(f_keys[x] // d * n * n + i[y] * n + j[y], f_int[x], v[y])
-    scaled = _contract(",k->k", 1, _int_array([d_scale], ()), comm)
-    if not (np.array_equal(recon_keys, comm_keys) and np.array_equal(recon, scaled)):
+    # closure certificate: the coordinates f(a, b, c) (times d_scale^2)
+    # rebuild each bracket
+    closure = _span_coords(comm_keys, comm, d_int, d_scale, free_cols)
+    if closure is None:
         raise RuntimeError("internal error: bracket closure certification failed")
+    f_keys, f_int = closure
     f_scale = d_scale * d_scale
     g = math.gcd(int(np.gcd.reduce(np.abs(f_int))), f_scale)
     f_scale //= g
@@ -366,37 +357,40 @@ def diagonal_sign_involution(
 
 
 def induced_involution(
-    algebra: _alg.FiniteAlgebra,
-    sigma: RationalMatrix | Involution,
-    l: LieAlgebraBasis,
+    algebra: _alg.FiniteAlgebra, sigma: RationalMatrix, l: LieAlgebraBasis
 ) -> RationalMatrix:
     """The order-2 map D -> sigma D sigma^(-1) in the basis of l.
 
     sigma must square to the identity and preserve the structure
-    constants; both properties are verified (a pre-certified Involution
-    skips the recheck), as is the fact that each transported basis
-    derivation lies back in the span.
+    constants; both properties are verified, as is the fact that each
+    transported basis derivation lies back in the span.  With sigma =
+    S'/s, S' D'_t S' = s^2 d_scale sigma D_t sigma is formed over the
+    nonzeros of the basis: its axis 1 mapped by S' and its axis 2 by
+    S' transposed.
     """
     n = algebra.dim
     if l.algebra is not algebra:
         raise ValueError("Lie algebra basis does not belong to this algebra")
-    if isinstance(sigma, Involution):
-        if sigma.algebra is not algebra:
-            raise InvalidInvolutionError("involution certified for a different algebra")
-        sigma = sigma.matrix
-    else:
-        sigma = Involution.certify(algebra, sigma).matrix
+    if sigma.shape != (n, n):
+        raise InvalidInvolutionError(f"expected a {n}x{n} map, got {sigma.shape}")
+    if sigma @ sigma != RationalMatrix.identity(n):
+        raise InvalidInvolutionError("map does not square to the identity")
+    if not is_algebra_automorphism(algebra, sigma):
+        raise InvalidInvolutionError("map does not preserve the structure constants")
 
     s_int = sigma._ints
-    # scaled by s^2 * d_scale
-    transported = _contract("ij,tjk,kl->til", n * n, s_int, l._d_int, s_int, optimize=True)
-    coords = _span_coords(transported, l._d_int, l._d_scale, l.free_coords)
+    shape = l._d_int.shape
+    nz = np.flatnonzero(l._d_int)
+    keys, vals, _ = _map_axis(nz, l._d_int.reshape(-1)[nz], shape, 1, s_int)
+    keys, vals, _ = _map_axis(keys, vals, shape, 2, s_int.T)
+    coords = _span_coords(keys, vals, l._d_int, l._d_scale, l.free_coords)
     if coords is None:
         raise InvalidInvolutionError(
             "transported derivation leaves the span; sigma is not compatible"
         )
-    # coords[t, u] = theta[u, t], scaled
-    theta = RationalMatrix.from_ints(coords.T, sigma._den**2 * l._d_scale)
+    # coordinate u of transported D_t is theta[u, t], scaled
+    theta_t = _dense((l.dim, l.dim), *coords)
+    theta = RationalMatrix.from_ints(theta_t.T, sigma._den**2 * l._d_scale)
     if theta @ theta != RationalMatrix.identity(l.dim):
         raise InvalidInvolutionError("induced map is not an involution")
     return theta
@@ -560,6 +554,33 @@ def _is_maximal_abelian(
     return not brackets.size
 
 
+def _centralizer_rank(
+    l: LieAlgebraBasis, basis: np.ndarray, trials: int, rng: random.Random | None
+) -> int:
+    """Minimum over trials of dim {y in V : [x, y] = 0} for random x in V.
+
+    V is the span of the integer rows of ``basis`` (coordinates of l).
+    Every trial's coefficients are drawn up front, so rng ends in the
+    same state however many trials are solved; the probes stop at the
+    first x whose centralizer in V ``_is_maximal_abelian`` certifies.
+    """
+    m = basis.shape[0]
+    probes = _probe_coefficients(rng, trials, m)
+    if m == 0:
+        return 0
+    best = m
+    for c in probes:
+        ad_x = l._ad(_contract("u,ua->a", m, c, basis))
+        # the kernel in coefficients of V is the centralizer
+        constraint = _contract("cb,ub->cu", l.dim, ad_x, basis)
+        kernel, free, r = nullspace_with_info(integer_rows(constraint), m)
+        best = min(best, m - r)
+        in_l = _contract("tu,ua->ta", m, kernel._ints, basis)
+        if _is_maximal_abelian(l, c[free], in_l):
+            break
+    return best
+
+
 def generic_rank(
     l: LieAlgebraBasis,
     trials: int = 5,
@@ -571,9 +592,8 @@ def generic_rank(
     subalgebra, so the minimum is the rank; extra trials guard against
     non-generic samples and can only lower the result.
 
-    Every trial's coefficients are drawn up front, so rng ends in the
-    same state however many trials are solved.  The probes stop at the
-    first x whose centralizer z(x) ``_is_maximal_abelian`` certifies
+    The probes (``_centralizer_rank`` over the identity basis) stop at
+    the first x whose centralizer z(x) ``_is_maximal_abelian`` certifies
     (l compact, x not 0, z(x) abelian); its dimension is then the
     minimum over all trials.  In a compact Lie algebra all maximal
     abelian subalgebras are conjugate (Knapp, *Lie Groups Beyond an
@@ -583,17 +603,7 @@ def generic_rank(
     containing it commutes with x, so dim z(x) = rank.  An algebra that
     is not compact has every trial solved.
     """
-    d = l.dim
-    probes = _probe_coefficients(rng, trials, d)
-    if d == 0:
-        return 0
-    best = d
-    for x in probes:
-        kernel, free, r = nullspace_with_info(integer_rows(l._ad(x)), d)
-        best = min(best, d - r)
-        if _is_maximal_abelian(l, x[free], kernel._ints):
-            break
-    return best
+    return _centralizer_rank(l, np.eye(l.dim, dtype=np.int64), trials, rng)
 
 
 def flat_rank(
@@ -615,32 +625,16 @@ def flat_rank(
     unlucky probe has a larger centralizer, so extra trials can only
     lower the result.
 
-    As in ``generic_rank``, every trial is drawn up front and the probes
-    stop at the first x whose centralizer in p, taken in coordinates of
-    g, ``_is_maximal_abelian`` certifies.  For a compact g all maximal
+    As in ``generic_rank``, the probes (over the basis of p) stop at the
+    first x whose centralizer in p, taken in coordinates of g,
+    ``_is_maximal_abelian`` certifies.  For a compact g all maximal
     abelian subspaces of p are Ad(K)-conjugate (Helgason, *Differential
     Geometry, Lie Groups, and Symmetric Spaces*, Ch. V, Lemma 6.3), so
     the same two bounds make that centralizer's dimension the minimum
     over all trials.  A split of a g that is not compact has every trial
     solved.
     """
-    l = pair.lie
-    np_dim = pair.p_dim
-    probes = _probe_coefficients(rng, trials, np_dim)
-    if np_dim == 0:
-        return 0
-    p_int = pair.p_basis._ints
-    best = np_dim
-    for c in probes:
-        ad_x = l._ad(_contract("u,ua->a", np_dim, c, p_int))
-        # kernel in p-coefficient space is the flat
-        constraint = _contract("cb,ub->cu", l.dim, ad_x, p_int)
-        kernel, free, r = nullspace_with_info(integer_rows(constraint), np_dim)
-        best = min(best, np_dim - r)
-        flat = _contract("tu,ua->ta", np_dim, kernel._ints, p_int)
-        if _is_maximal_abelian(l, c[free], flat):
-            break
-    return best
+    return _centralizer_rank(pair.lie, pair.p_basis._ints, trials, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +673,3 @@ def named_derivation_algebra(
     if name not in _NAMED_CACHE:
         _NAMED_CACHE[name] = derivation_algebra(_target_algebra(name), cancel)
     return _NAMED_CACHE[name]
-
-
-def derivation_cached(name: str) -> bool:
-    return name in _NAMED_CACHE

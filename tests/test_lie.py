@@ -22,7 +22,6 @@ from exatlas.algebras import (
 from exatlas.jordan import jordan_algebra
 from exatlas.lie import (
     InvalidInvolutionError,
-    Involution,
     LieAlgebraBasis,
     _bracket_rows,
     bracket,
@@ -350,22 +349,28 @@ class TestInducedInvolution:
         with pytest.raises(InvalidInvolutionError):
             induced_involution(octonions(), scale, der_o)
 
-    def test_certified_involution_accepted(self, der_o):
-        sigma = Involution.certify(octonions(), doubled_half_reflection(octonions()))
-        theta = induced_involution(octonions(), sigma, der_o)
-        assert theta @ theta == RationalMatrix.identity(14)
-
-    def test_certify_rejects_bad_maps(self):
+    def test_certify_rejects_bad_maps(self, der_o):
         shear = RationalMatrix.from_rows(
             [[1, 1] + [0] * 6] + [[1 if i == j else 0 for j in range(8)] for i in range(1, 8)]
         )
-        with pytest.raises(InvalidInvolutionError):
-            Involution.certify(octonions(), shear)
+        with pytest.raises(InvalidInvolutionError, match="square to the identity"):
+            induced_involution(octonions(), shear, der_o)
+        # a map of another algebra is rejected by its size
+        with pytest.raises(InvalidInvolutionError, match="expected a 8x8 map"):
+            induced_involution(octonions(), doubled_half_reflection(quaternions()), der_o)
 
-    def test_certified_for_wrong_algebra_rejected(self, der_o):
-        sigma = Involution.certify(quaternions(), doubled_half_reflection(quaternions()))
-        with pytest.raises(InvalidInvolutionError):
-            induced_involution(octonions(), sigma, der_o)
+    def test_non_symmetric_sigma(self):
+        # swap i and j, negate k, in the basis (1, i, 2j, k): sigma' = R^-1 sigma R
+        # has sigma'[1, 2] = 2 and sigma'[2, 1] = 1/2, so the transport must
+        # map axis 2 by sigma' transposed
+        h = rescaled(quaternions(), [1, 1, 2, 1])
+        sigma = RationalMatrix.from_rows(
+            [[1, 0, 0, 0], [0, 0, 2, 0], [0, Fraction(1, 2), 0, 0], [0, 0, 0, -1]]
+        )
+        l = derivation_algebra(h)
+        theta = induced_involution(h, sigma, l)
+        assert is_automorphism_oracle(l, theta)
+        assert cartan_split(l, theta).dims == (1, 2)
 
     def test_transport_leaving_the_span_rejected(self, der_h):
         # one derivation of H alone; swapping e1, e2 and negating e3 is an
@@ -564,9 +569,9 @@ class TestBasisIndependence:
     def test_span_check_scales_past_int64(self):
         # brackets near 2^61 times the basis scale 4 leave int64
         basis = np.array([[4, 0], [0, 4]], dtype=np.int64)
-        inside = np.array([[[2**61, 1]]], dtype=np.int64)
-        assert _span_coords(inside, basis, 4, (0, 1)) is not None
-        assert _span_coords(inside, basis[:1], 4, (0,)) is None
+        keys, vals = np.array([0, 1]), np.array([2**61, 1], dtype=np.int64)
+        assert _span_coords(keys, vals, basis, 4, (0, 1)) is not None
+        assert _span_coords(keys, vals, basis[:1], 4, (0,)) is None
 
     def test_j3h_in_a_rescaled_basis(self):
         j3h = jordan_algebra(quaternions())
