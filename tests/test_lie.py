@@ -349,15 +349,26 @@ class TestInducedInvolution:
         with pytest.raises(InvalidInvolutionError):
             induced_involution(octonions(), scale, der_o)
 
+    def test_certified_involution_accepted(self, der_o):
+        # an involutive automorphism passes the inline certification, and
+        # the theta it induces is an involutive automorphism of Der(O)
+        sigma = doubled_half_reflection(octonions())
+        theta = induced_involution(octonions(), sigma, der_o)
+        assert theta @ theta == RationalMatrix.identity(14)
+        assert is_automorphism_oracle(der_o, theta)
+
     def test_certify_rejects_bad_maps(self, der_o):
         shear = RationalMatrix.from_rows(
             [[1, 1] + [0] * 6] + [[1 if i == j else 0 for j in range(8)] for i in range(1, 8)]
         )
         with pytest.raises(InvalidInvolutionError, match="square to the identity"):
             induced_involution(octonions(), shear, der_o)
-        # a map of another algebra is rejected by its size
+
+    def test_certified_for_wrong_algebra_rejected(self, der_o):
+        # an involution of H is a 4x4 map, rejected by its size for O
+        sigma = doubled_half_reflection(quaternions())
         with pytest.raises(InvalidInvolutionError, match="expected a 8x8 map"):
-            induced_involution(octonions(), doubled_half_reflection(quaternions()), der_o)
+            induced_involution(octonions(), sigma, der_o)
 
     def test_non_symmetric_sigma(self):
         # swap i and j, negate k, in the basis (1, i, 2j, k): sigma' = R^-1 sigma R
