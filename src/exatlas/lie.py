@@ -239,7 +239,9 @@ def derivation_algebra(
     certifies each basis vector as a derivation.  It then checks that
     every derivation kills ``unit_coords`` (Leibniz forces D(1) = 0),
     which guards against coordinates that are not the unit's, and
-    certifies bracket closure while computing the structure constants.
+    certifies bracket closure while computing the structure constants:
+    on the pairs a < b only, as [D_b, D_a] = -[D_a, D_b] and
+    [D_a, D_a] = 0.
     """
     _check_cancel(cancel)
     n = algebra.dim
@@ -253,24 +255,31 @@ def derivation_algebra(
     if np.any(_contract("tij,j->ti", n, d_int, unit)):
         raise RuntimeError("internal error: derivation does not kill the unit")
 
-    # the brackets of all basis pairs, scaled by d_scale^2, over the
-    # nonzeros: D_a D_b at (i, k) joins D_a[i, j] with D_b[j, k] on j, and
-    # the same terms, negated at (b, a), complete the commutators
+    # the brackets [D_a, D_b] of the pairs a < b, scaled by d_scale^2,
+    # over the nonzeros: D_a D_b at (i, k) joins D_a[i, j] with D_b[j, k]
+    # on j; it adds to [D_a, D_b] when a < b, subtracts from [D_b, D_a]
+    # when a > b, and cancels when a = b
     t, i, j = np.nonzero(d_int)
     v = d_int[t, i, j]
     x, y = _join(j, i)
-    ik = i[x] * n + j[y]
+    apart = t[x] != t[y]
+    x, y = x[apart], y[apart]
+    a, b = t[x], t[y]
     comm_keys, comm = _sparse_sum(
-        np.concatenate([(t[x] * d + t[y]) * n * n + ik, (t[y] * d + t[x]) * n * n + ik]),
-        np.concatenate([v[x], -v[x]]),
-        np.concatenate([v[y], v[y]]),
+        (np.minimum(a, b) * d + np.maximum(a, b)) * n * n + i[x] * n + j[y],
+        np.where(a < b, v[x], -v[x]),
+        v[y],
     )
     # closure certificate: the coordinates f(a, b, c) (times d_scale^2)
-    # rebuild each bracket
+    # rebuild each bracket; f(b, a, c) = -f(a, b, c) fills in the rest
     closure = _span_coords(comm_keys, comm, d_int, d_scale, free_cols)
     if closure is None:
         raise RuntimeError("internal error: bracket closure certification failed")
-    f_keys, f_int = closure
+    upper_keys, upper = closure
+    a, b, c = np.unravel_index(upper_keys, (d,) * 3)
+    f_keys = np.concatenate([upper_keys, (b * d + a) * d + c])
+    order = np.argsort(f_keys)
+    f_keys, f_int = f_keys[order], np.concatenate([upper, -upper])[order]
     f_scale = d_scale * d_scale
     g = math.gcd(int(np.gcd.reduce(np.abs(f_int))), f_scale)
     f_scale //= g
@@ -469,12 +478,13 @@ def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
     k and p are the nullspaces of theta - 1 and theta + 1, so membership
     is an eigen-equation: x lies in k exactly when (theta - 1)x = 0, and
     in p exactly when (theta + 1)x = 0.  Each inclusion is then one
-    sparse product of the bracket rows with theta - 1 or theta + 1.
-    Once theta squares to the identity, g = k + p, so theta preserves
-    the bracket exactly when the three inclusions hold: their
-    certificate is the automorphism check.  Given the inclusions, [p, p]
-    spans k exactly when its rows have rank dim k, and [k, p] spans p
-    exactly when its rows have rank dim p.
+    sparse product of the bracket rows with theta - 1 or theta + 1,
+    taken over slices of the rows and checked before the next
+    inclusion's rows are built.  Once theta squares to the identity,
+    g = k + p, so theta preserves the bracket exactly when the three
+    inclusions hold: their certificate is the automorphism check.
+    Given the inclusions, [p, p] spans k exactly when its rows have rank
+    dim k, and [k, p] spans p exactly when its rows have rank dim p.
     """
     d = l.dim
     if theta.shape != (d, d):
@@ -489,15 +499,20 @@ def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
     minus, plus = theta - ident, theta + ident
     k = nullspace_with_info(integer_rows(minus), d)[0]
     p = nullspace_with_info(integer_rows(plus), d)[0]
-    kp = _bracket_rows(l, k._ints, p._ints)
-    pp = _bracket_rows(l, p._ints, p._ints)
-    for rows, eigen, what in (
-        (_bracket_rows(l, k._ints, k._ints), minus, "[k, k] escapes k"),
-        (kp, plus, "[k, p] escapes p"),
-        (pp, minus, "[p, p] escapes k"),
+    brackets = []
+    for left, right, eigen, what in (
+        (k, k, minus, "[k, k] escapes k"),
+        (k, p, plus, "[k, p] escapes p"),
+        (p, p, minus, "[p, p] escapes k"),
     ):
-        if rows.dot(eigen._ints.T).any():
-            raise InvalidInvolutionError(f"map does not preserve the bracket: {what}")
+        rows = _bracket_rows(l, left._ints, right._ints)
+        # slices of about d^2 entries, so each product gathers about d^3 terms
+        cuts = (np.flatnonzero(np.diff(rows.starts[:-1] // d**2)) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+            if rows.block(lo, hi).dot(eigen._ints.T).any():
+                raise InvalidInvolutionError(f"map does not preserve the bracket: {what}")
+        brackets.append(rows)
+    _, kp, pp = brackets
 
     return CartanPair(
         lie=l,

@@ -8,23 +8,26 @@ form, and ``SparseRows.dot`` is its one product.  Sparse operands, as
 ``_sparse_sum``.  All run in the dtype ``_exact_dtype`` proves: int64
 when the bound allows, Python ints otherwise.
 
-A system of more than one block of rows is first split into connected
-components (rows joined by shared columns), packed into groups of at
-most one block each.  The system is block-diagonal in the groups, so
-each is solved on its own columns and the results are put together.
-Every group, of any size, is solved one way: the reduced echelon form
-is computed modulo a seeded 31-bit prime p, in blocks of rows, each
-block first reduced by the nullspace basis mod p found so far (one
-``SparseRows.dot``) so that only rows adding rank are eliminated.  The
-pivot rows and the block share one buffer, and each new pivot is one
-rank-1 update of it.  The residues are lifted p-adically to higher
-powers of p (Dixon) as far as needed, with one inverse mod p of the
-pivot rows at the pivot columns, taken without a pivot search.  The
-nullspace candidates are recovered by rational reconstruction, and all
-are certified by one exact substitution on integers; the certified
-count together with the modular rank pins the exact rank.  A prime
-whose candidates still fail past the Hadamard bound is dropped for the
-next.  The certified basis comes back as one echelon ``RationalMatrix``.
+A system of more than ``_BLOCK_ROWS`` rows is first split into
+connected components (rows joined by shared columns), packed into
+groups of at most that many rows.  The system is block-diagonal in the
+groups, so each is solved on its own columns and the results are put
+together.  Every group, of any size, is solved one way: the reduced
+echelon form is computed modulo a seeded 31-bit prime p, in blocks of
+``_ELIM_ROWS`` rows, each block first reduced by the nullspace basis mod
+p found so far (one ``SparseRows.dot``) so that only rows adding rank
+are eliminated.  The pivot rows and the block share one buffer, and
+each new pivot is one rank-1 update of it.  The residues are lifted
+p-adically to higher powers of p (Dixon) as far as needed, with one
+inverse mod p of the pivot rows at the pivot columns, taken without a
+pivot search.  The nullspace candidates are recovered by rational
+reconstruction, and all are certified by one exact substitution on
+integers; the certified count together with the modular rank pins the
+exact rank.  A prime whose candidates still fail past the Hadamard
+bound is dropped for the next.  The certified basis comes back as one
+echelon ``RationalMatrix``.  Definiteness of a symmetric matrix is
+read from the leading principal minors of each of its diagonal blocks,
+split along the same connected components.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ import numpy as np
 
 Rational = Fraction
 
-_BLOCK_ROWS = 1024
+_BLOCK_ROWS = 1024  # rows per group of connected components
+_ELIM_ROWS = 256  # rows per elimination block within a group
 _PROBE_SEED = 0x51BB1E
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -529,22 +533,25 @@ def _rows_mod_p(rows: SparseRows, p: int, out: np.ndarray) -> np.ndarray:
 def _modp_rref(
     rows: SparseRows, ncols: int, p: int, cancel: CancelToken | None = None
 ) -> tuple[list[int], np.ndarray, list[int]]:
-    """The reduced echelon form mod p, read in blocks of ``_BLOCK_ROWS``
+    """The reduced echelon form mod p, read in blocks of ``_ELIM_ROWS``
     rows: pivot columns, pivot rows and the input row of each pivot, in
     the order the pivots were found.
 
     The first block is scattered whole; every later one has the known
     pivots cleared first, so only rows outside the span mod p are
-    eliminated.  Reading stops at full column rank.
+    eliminated.  Blocks are small next to a group because a group's rank
+    is small next to its rows (at most 81 of about 900 on J3(O)): once
+    the first block has found most pivots, the rest of the rows drop out
+    in the clearing product.  Reading stops at full column rank.
     """
     # one buffer for the pivots and every block: a fresh 2,048-row block
     # per step (12 MB on J3(O)) left about 10 MB of freed heap resident
-    eng = _ModPEchelon(ncols, p, min(len(rows), ncols + _BLOCK_ROWS))
-    for lo in range(0, len(rows), _BLOCK_ROWS):
+    eng = _ModPEchelon(ncols, p, min(len(rows), ncols + _ELIM_ROWS))
+    for lo in range(0, len(rows), _ELIM_ROWS):
         if eng.rank == ncols:
             break
         _check_cancel(cancel)
-        block = rows.block(lo, min(lo + _BLOCK_ROWS, len(rows)))
+        block = rows.block(lo, min(lo + _ELIM_ROWS, len(rows)))
         eng.absorb(eng.clear_pivots(block) + lo)
     return eng.reduced_rows()
 
@@ -914,8 +921,13 @@ def principal_minor_signs(m: RationalMatrix) -> list[int]:
     """
     if not m.is_symmetric():
         raise DimensionError("principal minor signs need a symmetric matrix")
-    n = m.rows
-    a = m._ints.tolist()
+    return _leading_minor_signs(m._ints.tolist())
+
+
+def _leading_minor_signs(a: list[list[int]]) -> list[int]:
+    """``principal_minor_signs`` of a symmetric integer matrix, given as
+    rows of Python ints, which it overwrites."""
+    n = len(a)
     signs = [0] * n
     prev = 1
     for k in range(n):
@@ -930,20 +942,39 @@ def principal_minor_signs(m: RationalMatrix) -> list[int]:
     return signs
 
 
+def _block_minor_signs(m: RationalMatrix) -> list[list[int]]:
+    """The leading principal minor signs of each diagonal block of a
+    symmetric matrix.
+
+    The blocks are the connected components of ``_column_components``
+    (each row joins the columns of its nonzeros), in order of their
+    first index.  Where every diagonal entry is nonzero, each row joins
+    its own column, so the matrix is the direct sum of the blocks up to
+    one permutation of rows and columns, and x'Mx is the sum of the
+    blocks' forms: it is definite exactly when every block is.  Where a
+    diagonal entry is 0, neither the matrix nor the block holding that
+    entry is definite.
+    """
+    if not m.is_symmetric():
+        raise DimensionError("principal minor signs need a symmetric matrix")
+    comp = _column_components(integer_rows(m), m.cols)
+    order = np.argsort(comp, kind="stable")
+    blocks = np.split(order, np.flatnonzero(np.diff(comp[order])) + 1)
+    return [_leading_minor_signs(m._ints[b][:, b].tolist()) for b in blocks if b.size]
+
+
 def is_negative_definite(m: RationalMatrix) -> bool:
     """True iff the symmetric matrix is negative definite.
 
-    Checked via principal minor signs alternating (-1)^k.  An empty
-    (0-dimensional) form is vacuously negative definite, which is the
-    right convention for Killing forms of trivial Lie algebras.
+    Checked block by block (``_block_minor_signs``): the principal minor
+    signs of each block alternate (-1)^k.  An empty (0-dimensional) form
+    is vacuously negative definite, which is the right convention for
+    Killing forms of trivial Lie algebras.
     """
-    if m.rows == 0:
-        return True
-    signs = principal_minor_signs(m)
-    return all(s == (-1) ** (k + 1) for k, s in enumerate(signs))
+    return all(
+        s == (-1) ** (k + 1) for signs in _block_minor_signs(m) for k, s in enumerate(signs)
+    )
 
 
 def is_positive_definite(m: RationalMatrix) -> bool:
-    if m.rows == 0:
-        return True
-    return all(s == 1 for s in principal_minor_signs(m))
+    return all(s == 1 for signs in _block_minor_signs(m) for s in signs)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from exatlas import algebras as alg
+from exatlas import lie
 from exatlas.cli import (
     _alternativity_failures,
     _antisymmetry_failures,
@@ -195,8 +196,13 @@ class TestBudget:
 
     def test_in_process_skip_marker(self):
         # run with an already-exhausted budget but warm cache: checks pass
-        code, out = run_cli(["verify", "derivations", "--budget", "0"])
+        for name in lie.DERIVATION_TARGETS:
+            lie.named_derivation_algebra(name)
+        code, out = run_cli(["verify", "derivations", "--budget", "0", "--format", "json"])
         assert code == 0
+        doc = json.loads(out)
+        statuses = {c["status"] for s in doc["suites"] for c in s["checks"]}
+        assert statuses == {"pass"}
 
     @pytest.mark.parametrize("budget", ["nan", "-1", "-inf"])
     def test_nan_or_negative_budget_is_usage_error(self, budget):

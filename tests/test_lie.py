@@ -1,5 +1,10 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 import time
 import tracemalloc
 from fractions import Fraction
@@ -42,8 +47,12 @@ from exatlas.linalg import (
     DimensionError,
     RationalMatrix,
     _contract,
+    _int_array,
+    _join,
     _modp_rref,
     _scaled_int_array,
+    _sparse_sum,
+    integer_rows,
     is_negative_definite,
     nullspace_basis,
     nullspace_with_info,
@@ -152,6 +161,44 @@ class TestDerivationCertificates:
             tracemalloc.stop()
         assert peak < 32e6
 
+    @pytest.mark.parametrize("name", lie.DERIVATION_TARGETS)
+    def test_unordered_closure_matches_the_ordered_pairs(self, name):
+        l = named_derivation_algebra(name)
+        keys, vals, scale = ordered_pair_constants(l)
+        assert l._f_keys.dtype == keys.dtype and np.array_equal(l._f_keys, keys)
+        assert l._f_vals.dtype == vals.dtype and np.array_equal(l._f_vals, vals)
+        assert l._f_scale == scale
+        # f(b, a, c) = -f(a, b, c), and f(a, a, c) = 0
+        d = l.dim
+        a, b, c = np.unravel_index(l._f_keys, (d,) * 3)
+        assert not np.any(a == b)
+        mirrored = (b * d + a) * d + c
+        order = np.argsort(mirrored)
+        assert np.array_equal(mirrored[order], l._f_keys)
+        assert np.array_equal(-l._f_vals[order], l._f_vals)
+
+    def test_j3o_derive_imports_no_module(self):
+        # a numpy call that imports on first use (np.unique pulls in
+        # numpy.ma) costs every cold derive about 10 ms
+        script = textwrap.dedent(
+            """
+            import sys
+            from exatlas.algebras import octonions
+            from exatlas.jordan import jordan_algebra
+            from exatlas.lie import derivation_algebra, is_negative_definite, killing_form
+            j3o = jordan_algebra(octonions())
+            before = set(sys.modules)
+            assert is_negative_definite(killing_form(derivation_algebra(j3o)))
+            print(sorted(set(sys.modules) ^ before))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(lie.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_j3o_rows_whose_lift_needs_several_primes(self, j3o):
         # e_k -> 1000^(k mod 3) e_k: one prime cannot lift these entries;
         # the deadline turns a solve that never ends into a failure
@@ -160,6 +207,27 @@ class TestDerivationCertificates:
         deadline = time.monotonic() + 60
         basis, _, rank_ = nullspace_with_info(rows, ncols, cancel=lambda: time.monotonic() > deadline)
         assert (basis.rows, rank_) == (52, 677)
+
+
+def ordered_pair_constants(l):
+    """Reference f: the bracket of every ordered pair (a, b), a = b
+    included, D_a D_b joined on the shared index and the same terms
+    negated at (b, a), placed by the span certificate and reduced over
+    d_scale^2."""
+    d, n = l.dim, l.ambient_dim
+    t, i, j = np.nonzero(l._d_int)
+    v = l._d_int[t, i, j]
+    x, y = _join(j, i)
+    ik = i[x] * n + j[y]
+    keys, comm = _sparse_sum(
+        np.concatenate([(t[x] * d + t[y]) * n * n + ik, (t[y] * d + t[x]) * n * n + ik]),
+        np.concatenate([v[x], -v[x]]),
+        np.concatenate([v[y], v[y]]),
+    )
+    f_keys, f_int = _span_coords(keys, comm, l._d_int, l._d_scale, l.free_coords)
+    scale = l._d_scale**2
+    g = math.gcd(int(np.gcd.reduce(np.abs(f_int))), scale)
+    return f_keys, _int_array([q // g for q in f_int.tolist()], (-1,)), scale // g
 
 
 def reference_leibniz_rows(a):
@@ -891,6 +959,23 @@ def dense_reflection(d, seed):
     return RationalMatrix.from_ints(ints, uv)
 
 
+def conjugated_split(d, k, seed):
+    """theta = W diag(1^k, -1^(d - k)) W^-1, the split along the columns
+    of W = [[1, B], [A, AB + 1]] for random sign matrices A and B.  W is
+    a product of two unit block-triangular factors, so its inverse
+    [[1 + BA, -B], [-A, 1]] is an integer matrix too; the eigenspaces,
+    spanned by dense columns, have dense echelon bases."""
+    rng = np.random.default_rng(seed)
+    a = rng.choice([-1, 1], (d - k, k))
+    b = rng.choice([-1, 1], (k, d - k))
+    one_k, one_p = np.eye(k, dtype=np.int64), np.eye(d - k, dtype=np.int64)
+    w = np.block([[one_k, b], [a, a @ b + one_p]])
+    w_inv = np.block([[one_k + b @ a, -b], [-a, one_p]])
+    assert np.array_equal(w @ w_inv, np.eye(d, dtype=np.int64))
+    signs = np.array([1] * k + [-1] * (d - k))
+    return RationalMatrix.from_ints(w * signs @ w_inv, 1)
+
+
 class TestSparseReadersMatchDenseEinsums:
     def test_structure_constants(self, lie_case):
         l = lie_case
@@ -956,19 +1041,25 @@ class TestDenseInvolutions:
         assert cartan_split(der_j3o, theta).dims == (36, 16)
 
     def test_dense_non_automorphism_rejected_in_slices(self, der_j3o):
-        # every row of theta's +1 eigenbasis is dense, so its brackets run
-        # in slices; the peak stays far below the dense check's d^4 int64
-        theta = dense_reflection(52, 3)
-        assert np.count_nonzero(theta._ints) >= 52 * 51
-        assert not is_automorphism_oracle(der_j3o, theta)
-        tracemalloc.start()
-        try:
-            with pytest.raises(InvalidInvolutionError, match="preserve the bracket"):
-                cartan_split(der_j3o, theta)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 52**4 * 8 / 4
+        # every row of theta's +1 eigenbasis is dense (nonzero at most of
+        # the d - dim k pivot columns of the echelon form), so its brackets
+        # run in slices, and so do the inclusion products; the peak stays
+        # far below the dense check's d^4 int64.  With the product taken
+        # whole, the 36-dimensional k peaked at 20 MB
+        for k_dim in (16, 36):
+            theta = conjugated_split(52, k_dim, 3)
+            k, _, _ = nullspace_with_info(integer_rows(theta - RationalMatrix.identity(52)), 52)
+            assert k.rows == k_dim
+            assert np.count_nonzero(k._ints, axis=1).min() > (52 - k_dim) // 2
+            assert not is_automorphism_oracle(der_j3o, theta)
+            tracemalloc.start()
+            try:
+                with pytest.raises(InvalidInvolutionError, match="preserve the bracket"):
+                    cartan_split(der_j3o, theta)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 52**4 * 8 / 4
 
     def test_non_diagonal_automorphism_accepted(self, der_h):
         # swapping i and j and negating k is an automorphism of H; on so(3)

@@ -356,10 +356,12 @@ def integer_systems(draw):
 @given(integer_systems())
 def test_nullspace_matches_gauss_jordan(block_rows, system):
     # entries this large need several p-adic digits before they lift;
-    # small blocks find pivots out of column order
+    # small blocks find pivots out of column order, and small groups
+    # split the system along its components
     rows, ncols = system
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_BLOCK_ROWS", block_rows)
+        mp.setattr(linalg, "_ELIM_ROWS", block_rows)
         got, free, r = nullspace_with_info(integer_rows(mat(rows)), ncols)
     assert ([tuple(v) for v in got.to_rows()], free, r) == gauss_jordan_nullspace(rows, ncols)
 
@@ -505,10 +507,10 @@ def per_pivot_rref(rows, ncols, p):
     dense[np.repeat(np.arange(len(rows)), np.diff(rows.starts)), rows.cols] = rows.vals % p
     pivots = np.zeros((0, ncols), dtype=np.int64)
     pivcols, pivrows = [], []
-    for lo in range(0, len(rows), linalg._BLOCK_ROWS):
+    for lo in range(0, len(rows), linalg._ELIM_ROWS):
         if len(pivcols) == ncols:
             break
-        block = dense[lo : lo + linalg._BLOCK_ROWS]
+        block = dense[lo : lo + linalg._ELIM_ROWS]
         for t, c in enumerate(pivcols):
             block = (block - block[:, c, None] * pivots[t]) % p
         live = list(range(len(block)))
@@ -541,14 +543,14 @@ class TestBlockedElimination:
         rows, ncols = integer_rows(mat(system[0])), system[1]
         for block_rows in (1, 2, 3):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(linalg, "_BLOCK_ROWS", block_rows)
+                mp.setattr(linalg, "_ELIM_ROWS", block_rows)
                 for p in (7, _seeded_prime(0)):
                     assert_same_rref(rows, ncols, p)
 
     def test_j3h_matches_the_per_pivot_pass(self, monkeypatch):
         rows, ncols = leibniz_constraint_rows(jordan_algebra(quaternions()))
         assert len(rows) == 1611
-        monkeypatch.setattr(linalg, "_BLOCK_ROWS", 64)
+        monkeypatch.setattr(linalg, "_ELIM_ROWS", 64)
         assert_same_rref(rows, ncols, _seeded_prime(0))
 
     def test_rescaled_j3o_matches_the_standard_basis(self, j3o):
@@ -589,7 +591,7 @@ class TestBlockedElimination:
     @pytest.fixture
     def absorbed(self, monkeypatch):
         """Input rows handed to ``absorb``, in blocks of 2."""
-        monkeypatch.setattr(linalg, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(linalg, "_ELIM_ROWS", 2)
         handed = []
         absorb = linalg._ModPEchelon.absorb
 
@@ -618,6 +620,23 @@ class TestBlockedElimination:
         with pytest.raises(ComputationCancelled):
             _modp_rref(self.ROWS, 6, _seeded_prime(0), cancel)
         assert absorbed == list(range(4))
+
+    def test_j3o_rows_in_the_span_skip_the_elimination(self, j3o):
+        # each group of about 900 rows has rank at most 81: after its first
+        # block of _ELIM_ROWS rows, the clearing product drops almost all
+        # of the rest, and 2,857 of the 9,063 rows are eliminated
+        rows, ncols = leibniz_constraint_rows(j3o)
+        handed = []
+        absorb = linalg._ModPEchelon.absorb
+
+        def counted(eng, row_ids):
+            handed.extend(row_ids)
+            return absorb(eng, row_ids)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg._ModPEchelon, "absorb", counted)
+            nullspace_with_info(rows, ncols)
+        assert len(handed) < len(rows) // 3
 
     def test_a_block_is_the_rows_take_returns(self):
         part, taken = self.ROWS.block(5, 8), self.ROWS.take([5, 6, 7])
@@ -941,6 +960,39 @@ def leading_minor_reference(rows, k):
     return det
 
 
+@st.composite
+def block_forms(draw):
+    """Symmetric matrices: a direct sum of blocks of order 1 to 3, each
+    s(B'B + 1) (definite), sB'B (semidefinite, definite when B is
+    invertible) or B + B' (often indefinite, its diagonal possibly 0)
+    for a random integer B and one sign s, maybe a zero row and column,
+    rows and columns permuted together, over a random denominator."""
+    sign = draw(st.sampled_from([1, -1]))
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        k = draw(st.integers(1, 3))
+        row = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+        b = np.array(draw(st.lists(row, min_size=k, max_size=k)), dtype=np.int64)
+        kind = draw(st.sampled_from(["definite", "definite", "semidefinite", "indefinite"]))
+        if kind == "definite":
+            blocks.append(sign * (b.T @ b + np.eye(k, dtype=np.int64)))
+        elif kind == "semidefinite":
+            blocks.append(sign * b.T @ b)
+        else:
+            blocks.append(b + b.T)
+    if draw(st.booleans()):
+        blocks.append(np.zeros((1, 1), dtype=np.int64))
+    n = sum(len(b) for b in blocks)
+    ints = np.zeros((n, n), dtype=np.int64)
+    at = 0
+    for b in blocks:
+        ints[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    perm = draw(st.permutations(range(n)))
+    return RationalMatrix.from_ints(ints[np.ix_(perm, perm)], draw(st.integers(1, 6)))
+
+
+
 class TestDefiniteness:
     def test_minor_signs_match_determinants(self):
         # 0 from the first zero minor on, whatever the later minors are
@@ -984,3 +1036,23 @@ class TestDefiniteness:
     def test_requires_symmetry(self):
         with pytest.raises(DimensionError):
             principal_minor_signs(mat([[1, 2], [3, 4]]))
+        with pytest.raises(DimensionError):
+            is_negative_definite(mat([[-1, 2], [3, -4]]))
+
+    def test_blocks_of_a_permuted_direct_sum(self):
+        # [[-2, 1], [1, -2]] on (0, 2) and [-3] on 1: negative definite;
+        # a zero row and column, or a block of zero diagonal, is not
+        m = mat([[-2, 0, 1], [0, -3, 0], [1, 0, -2]])
+        assert linalg._block_minor_signs(m) == [[-1, 1], [-1]]
+        assert is_negative_definite(m)
+        assert not is_negative_definite(mat([[-2, 0, 1], [0, 0, 0], [1, 0, -2]]))
+        assert not is_positive_definite(mat([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(block_forms())
+    def test_block_wise_matches_the_whole_matrix(self, form):
+        signs = principal_minor_signs(form)
+        assert is_positive_definite(form) == all(s == 1 for s in signs)
+        assert is_negative_definite(form) == all(
+            s == (-1) ** (k + 1) for k, s in enumerate(signs)
+        )
