@@ -589,17 +589,22 @@ class TestBlockedElimination:
         assert peak < 20e6
 
     @pytest.fixture
-    def absorbed(self, monkeypatch):
-        """Input rows handed to ``absorb``, in blocks of 2."""
-        monkeypatch.setattr(linalg, "_ELIM_ROWS", 2)
-        handed = []
+    def handed(self, monkeypatch):
+        """Input rows handed to ``absorb``."""
+        rows = []
         absorb = linalg._ModPEchelon.absorb
 
         def counted(eng, row_ids):
-            handed.extend(row_ids)
+            rows.extend(row_ids)
             return absorb(eng, row_ids)
 
         monkeypatch.setattr(linalg._ModPEchelon, "absorb", counted)
+        return rows
+
+    @pytest.fixture
+    def absorbed(self, monkeypatch, handed):
+        """Input rows handed to ``absorb``, in blocks of 2."""
+        monkeypatch.setattr(linalg, "_ELIM_ROWS", 2)
         return handed
 
     # the identity, then rows it already spans
@@ -621,21 +626,12 @@ class TestBlockedElimination:
             _modp_rref(self.ROWS, 6, _seeded_prime(0), cancel)
         assert absorbed == list(range(4))
 
-    def test_j3o_rows_in_the_span_skip_the_elimination(self, j3o):
+    def test_j3o_rows_in_the_span_skip_the_elimination(self, j3o, handed):
         # each group of about 900 rows has rank at most 81: after its first
         # block of _ELIM_ROWS rows, the clearing product drops almost all
         # of the rest, and 2,857 of the 9,063 rows are eliminated
         rows, ncols = leibniz_constraint_rows(j3o)
-        handed = []
-        absorb = linalg._ModPEchelon.absorb
-
-        def counted(eng, row_ids):
-            handed.extend(row_ids)
-            return absorb(eng, row_ids)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linalg._ModPEchelon, "absorb", counted)
-            nullspace_with_info(rows, ncols)
+        nullspace_with_info(rows, ncols)
         assert len(handed) < len(rows) // 3
 
     def test_a_block_is_the_rows_take_returns(self):
@@ -990,7 +986,6 @@ def block_forms(draw):
         at += len(b)
     perm = draw(st.permutations(range(n)))
     return RationalMatrix.from_ints(ints[np.ix_(perm, perm)], draw(st.integers(1, 6)))
-
 
 
 class TestDefiniteness:
