@@ -570,27 +570,32 @@ def _is_maximal_abelian(
 
 
 def _centralizer_rank(
-    l: LieAlgebraBasis, basis: np.ndarray, trials: int, rng: random.Random | None
+    l: LieAlgebraBasis, basis: np.ndarray | None, trials: int, rng: random.Random | None
 ) -> int:
     """Minimum over trials of dim {y in V : [x, y] = 0} for random x in V.
 
-    V is the span of the integer rows of ``basis`` (coordinates of l).
-    Every trial's coefficients are drawn up front, so rng ends in the
-    same state however many trials are solved; the probes stop at the
-    first x whose centralizer in V ``_is_maximal_abelian`` certifies.
+    V is the span of the integer rows of ``basis`` (coordinates of l),
+    or all of l when ``basis`` is None, which spares the products with
+    an identity basis.  Every trial's coefficients are drawn up front,
+    so rng ends in the same state however many trials are solved; the
+    probes stop at the first x whose centralizer in V
+    ``_is_maximal_abelian`` certifies.
     """
-    m = basis.shape[0]
+    m = l.dim if basis is None else basis.shape[0]
     probes = _probe_coefficients(rng, trials, m)
     if m == 0:
         return 0
     best = m
     for c in probes:
-        ad_x = l._ad(_contract("u,ua->a", m, c, basis))
-        # the kernel in coefficients of V is the centralizer
-        constraint = _contract("cb,ub->cu", l.dim, ad_x, basis)
+        if basis is None:
+            constraint = l._ad(c)
+        else:
+            ad_x = l._ad(_contract("u,ua->a", m, c, basis))
+            # the kernel in coefficients of V is the centralizer
+            constraint = _contract("cb,ub->cu", l.dim, ad_x, basis)
         kernel, free, r = nullspace_with_info(integer_rows(constraint), m)
         best = min(best, m - r)
-        in_l = _contract("tu,ua->ta", m, kernel._ints, basis)
+        in_l = kernel._ints if basis is None else _contract("tu,ua->ta", m, kernel._ints, basis)
         if _is_maximal_abelian(l, c[free], in_l):
             break
     return best
@@ -607,7 +612,7 @@ def generic_rank(
     subalgebra, so the minimum is the rank; extra trials guard against
     non-generic samples and can only lower the result.
 
-    The probes (``_centralizer_rank`` over the identity basis) stop at
+    The probes (``_centralizer_rank`` over all of l) stop at
     the first x whose centralizer z(x) ``_is_maximal_abelian`` certifies
     (l compact, x not 0, z(x) abelian); its dimension is then the
     minimum over all trials.  In a compact Lie algebra all maximal
@@ -618,7 +623,7 @@ def generic_rank(
     containing it commutes with x, so dim z(x) = rank.  An algebra that
     is not compact has every trial solved.
     """
-    return _centralizer_rank(l, np.eye(l.dim, dtype=np.int64), trials, rng)
+    return _centralizer_rank(l, None, trials, rng)
 
 
 def flat_rank(

@@ -8,26 +8,29 @@ form, and ``SparseRows.dot`` is its one product.  Sparse operands, as
 ``_sparse_sum``.  All run in the dtype ``_exact_dtype`` proves: int64
 when the bound allows, Python ints otherwise.
 
-A system of more than ``_BLOCK_ROWS`` rows is first split into
-connected components (rows joined by shared columns), packed into
-groups of at most that many rows.  The system is block-diagonal in the
-groups, so each is solved on its own columns and the results are put
-together.  Every group, of any size, is solved one way: the reduced
-echelon form is computed modulo a seeded 31-bit prime p, in blocks of
-``_ELIM_ROWS`` rows, each block first reduced by the nullspace basis mod
-p found so far (one ``SparseRows.dot``) so that only rows adding rank
-are eliminated.  The pivot rows and the block share one buffer, and
-each new pivot is one rank-1 update of it.  The residues are lifted
-p-adically to higher powers of p (Dixon) as far as needed, with one
-inverse mod p of the pivot rows at the pivot columns, taken without a
-pivot search.  The nullspace candidates are recovered by rational
-reconstruction, and all are certified by one exact substitution on
-integers; the certified count together with the modular rank pins the
-exact rank.  A prime whose candidates still fail past the Hadamard
-bound is dropped for the next.  The certified basis comes back as one
-echelon ``RationalMatrix``.  Definiteness of a symmetric matrix is
-read from the leading principal minors of each of its diagonal blocks,
-split along the same connected components.
+A system first has its rows x_c = 0 and x_i = ±x_j substituted out,
+round by round (``_substitute``), so that only the rest is solved; the
+basis is expanded back by the same map.  A system of more than
+``_BLOCK_ROWS`` rows is then split into connected components (rows
+joined by shared columns), packed into groups of at most that many rows.
+The system is block-diagonal in the groups, so each is solved on its own
+columns and the results are put together.  Every group, of any size, is
+solved one way: the reduced echelon form is computed modulo a seeded
+31-bit prime p, in blocks of ``_ELIM_ROWS`` rows, each block first
+reduced by the nullspace basis mod p found so far (one
+``SparseRows.dot``) so that only rows adding rank are eliminated.  The
+pivot rows and the block share one buffer, and each new pivot is one
+rank-1 update of it.  The residues are lifted p-adically to higher
+powers of p (Dixon) as far as needed, with one inverse mod p of the
+pivot rows at the pivot columns, taken without a pivot search.  The
+nullspace candidates are recovered by rational reconstruction, and all
+are certified by one exact substitution on integers; the certified count
+together with the modular rank pins the exact rank.  A prime whose
+candidates still fail past the Hadamard bound is dropped for the next.
+The certified basis comes back as one echelon ``RationalMatrix``.
+Definiteness of a symmetric matrix is read from the leading principal
+minors of each of its diagonal blocks, split along the same connected
+components.
 """
 
 from __future__ import annotations
@@ -551,8 +554,9 @@ def _modp_rref(
         if eng.rank == ncols:
             break
         _check_cancel(cancel)
-        block = rows.block(lo, min(lo + _ELIM_ROWS, len(rows)))
-        eng.absorb(eng.clear_pivots(block) + lo)
+        kept = eng.clear_pivots(rows.block(lo, min(lo + _ELIM_ROWS, len(rows))))
+        if kept.size:
+            eng.absorb(kept + lo)
     return eng.reduced_rows()
 
 
@@ -792,6 +796,62 @@ def _column_groups(rows: SparseRows, ncols: int) -> tuple[np.ndarray, int]:
     return group[comp], g + 1
 
 
+def _substitute(
+    rows: SparseRows, ncols: int, cancel: CancelToken | None = None
+) -> tuple[SparseRows, np.ndarray, np.ndarray] | None:
+    """The rows with their singletons and ±1 doubletons substituted out,
+    or None when they have none.
+
+    Round by round, a row with one entry forces its column to 0, and a
+    row a x_i + b x_j with |a| = |b| (so a, b = ±1, as rows are divided
+    by their gcd) and i < j maps x_i to -ab x_j, by one such row per i.
+    ``link`` holds 2 r + n for a column equal to (-1)^n x_r; the maps
+    compose by pointer jumping, as in ``_column_components``, so every
+    column links to the largest column of its chain, its root, and a
+    singleton forces its column's root to 0.  Every row is then
+    rewritten under the map, one ``_sparse_sum`` per round: each row
+    used vanishes, a sign conflict leaves a new singleton and a new
+    coincidence a new doubleton, for the next round.
+
+    Returns the rewritten rows over the live roots (renumbered in
+    order), each column's link (-1 for a column forced to 0) and the
+    live roots.  Each input row, rewritten under the final map, is a
+    positive multiple of one returned row or vanishes.
+    """
+    link = 2 * np.arange(ncols)
+    zero = np.zeros(ncols, dtype=bool)  # at roots
+    for rounds in itertools.count():
+        _check_cancel(cancel)
+        lens = np.diff(rows.starts)
+        first = rows.starts[:-1]
+        single = rows.cols[first[lens == 1]]
+        pair = first[lens == 2]
+        pair = pair[(np.abs(rows.vals[pair]) == 1) & (np.abs(rows.vals[pair + 1]) == 1)]
+        if not single.size and not pair.size:
+            break
+        step = 2 * np.arange(ncols)
+        step[rows.cols[pair]] = 2 * rows.cols[pair + 1] + (rows.vals[pair] == rows.vals[pair + 1])
+        while True:
+            jumped = step[step >> 1] ^ (step & 1)
+            if np.array_equal(jumped, step):
+                break
+            step = jumped
+        zero[step[single] >> 1] = True
+        link = step[link >> 1] ^ (link & 1)
+        at = step[rows.cols]
+        kept = ~zero[at >> 1]
+        at = at[kept]
+        row = np.repeat(np.arange(len(rows)), lens)[kept]
+        keys, sums = _sparse_sum(row * ncols + (at >> 1), rows.vals[kept], 1 - 2 * (at & 1))
+        rows = SparseRows(keys // ncols, keys % ncols, sums)
+    if not rounds:
+        return None
+    live = np.flatnonzero((link == 2 * np.arange(ncols)) & ~zero)
+    link[zero[link >> 1]] = -1
+    rows.cols = np.searchsorted(live, rows.cols)
+    return rows, link, live
+
+
 def nullspace_with_info(
     sparse_rows: SparseRows,
     ncols: int,
@@ -807,6 +867,43 @@ def nullspace_with_info(
     row t has a 1 at the t-th free column and 0 at the other free
     columns, so span coordinates can be read off at the free columns.
 
+    Rows x_c = 0 and x_i = ±x_j are first substituted out
+    (``_substitute``), the reduced system is solved on the live columns
+    by ``_solve_components``, and the basis is expanded back by
+    x_c = ±x_r at the column's root r and x_c = 0 at a column forced to
+    0.  This is exact: every input row, rewritten under the map, is one
+    of the rows the solve certifies or vanishes.  The basis is the one a
+    single solve would give: a column that maps to a root on its right
+    is never free, nor is one forced to 0, so the free columns are the
+    live ones free in the reduced system, and the echelon basis with
+    unit free parts is unique.  A system with no such row is solved as
+    it is.
+    """
+    if ncols < 1:
+        raise DimensionError("matrix must have at least one column")
+    reduced = _substitute(sparse_rows, ncols, cancel)
+    if reduced is None:
+        return _solve_components(sparse_rows, ncols, cancel)
+    rows, link, live = reduced
+    if live.size:
+        basis, free, _ = _solve_components(rows, live.size, cancel)
+    else:
+        basis, free = RationalMatrix.zeros(0, 0), []
+    kept = np.flatnonzero(link >= 0)
+    ints = np.zeros((basis.rows, ncols), dtype=basis._ints.dtype)
+    ints[:, kept] = basis._ints[:, np.searchsorted(live, link[kept] >> 1)]
+    neg = kept[link[kept] & 1 == 1]
+    ints[:, neg] = -ints[:, neg]
+    return RationalMatrix.from_ints(ints, basis._den), live[free].tolist(), ncols - basis.rows
+
+
+def _solve_components(
+    sparse_rows: SparseRows,
+    ncols: int,
+    cancel: CancelToken | None = None,
+) -> tuple[RationalMatrix, list[int], int]:
+    """``nullspace_with_info`` of a system with nothing substituted.
+
     A system of more than ``_BLOCK_ROWS`` rows is solved one group of
     connected components at a time (``_column_groups``), each on its own
     columns by ``_solve_group``; a column no row touches is free, with a
@@ -817,8 +914,6 @@ def nullspace_with_info(
     basis is the one a single solve would give.  A system that packs
     into one group is solved whole.
     """
-    if ncols < 1:
-        raise DimensionError("matrix must have at least one column")
     if len(sparse_rows) <= _BLOCK_ROWS:
         return _solve_group(sparse_rows, ncols, cancel)
     col_group, ngroups = _column_groups(sparse_rows, ncols)

@@ -829,6 +829,20 @@ class TestCertifiedRankProbes:
         )
         assert rng.getstate() == rng_after_draws(seed, 5 * l.dim)
 
+    def test_generic_rank_takes_no_product_with_an_identity_basis(self, der_j3o, monkeypatch):
+        # over all of l the probe is its own coefficients, ad_x its own
+        # constraint and the kernel already in coordinates of l
+        subscripts = []
+        contract = lie._contract
+
+        def counted(spec, *args, **kwargs):
+            subscripts.append(spec)
+            return contract(spec, *args, **kwargs)
+
+        monkeypatch.setattr(lie, "_contract", counted)
+        assert generic_rank(der_j3o, trials=2) == 4
+        assert subscripts == []
+
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("name", ["G", "FII"])
     def test_flat_rank_is_the_minimum_over_every_trial(self, compact_splits, name, seed):

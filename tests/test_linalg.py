@@ -1,3 +1,4 @@
+import math
 import random
 import time
 import tracemalloc
@@ -296,18 +297,22 @@ class TestModularNullspacePath:
         assert ([tuple(r) for r in got.to_rows()], r1) == (want, r2)
 
     def test_entry_that_vanishes_mod_a_31_bit_prime(self):
-        # the elimination primes are 31-bit; the rank must not follow a residue
+        # the elimination primes are 31-bit; the rank must not follow a
+        # residue, neither substituted (a single entry) nor solved mod p
         assert rank(mat([[PRIME31]])) == 1
+        assert linalg._solve_group(integer_rows(mat([[PRIME31]])), 1)[2] == 1
 
     @pytest.mark.parametrize("a, b", [(1, 1), (2**40 + 17, 3**25)], ids=["unit", "needs-steps"])
     def test_bad_first_prime(self, a, b):
         # mod the first prime the rank is 1, over Q it is 2: the p-adic lift
         # of -b/a is exact and fails certification, so the solve must stop
-        # lifting at the Hadamard bound and move to the next prime
+        # lifting at the Hadamard bound and move to the next prime; the
+        # modular solve is called directly, since the unit rows would be
+        # substituted out before it
         p = _random_prime31(random.Random(_PROBE_SEED))
         rows = integer_rows(mat([[a, b, 0], [a, b + p, 0]]))
         deadline = time.monotonic() + 30
-        basis, free, r = nullspace_with_info(rows, 3, cancel=lambda: time.monotonic() > deadline)
+        basis, free, r = linalg._solve_group(rows, 3, cancel=lambda: time.monotonic() > deadline)
         assert (r, free) == (2, [2])
         assert [tuple(v) for v in basis.to_rows()] == [(0, 0, 1)]
 
@@ -572,21 +577,22 @@ class TestBlockedElimination:
         assert np.array_equal(big_rref, rref * nu % p * inv[:, None] % p)
 
     def test_j3o_solve_frees_the_elimination_buffer(self, j3o):
-        # the rows come back as a copy, so the 10 MB buffer of pivots and
-        # block goes with the engine: the solve peaks at 17.5 MB with
-        # numpy 2.4, where rows that were a view of the buffer kept it
-        # alive through the lift and peaked at 23.8 MB; the bound leaves
-        # 2.5 MB of margin
+        # one solve of all 9,063 rows, neither substituted nor split: the
+        # rows come back as a copy (3.9 MB), so the 5.7 MB buffer of pivots
+        # and block goes with the engine.  With numpy 2.4 the solve peaks
+        # at 17.5 MB in the certificate's product, where rows that were a
+        # view of the buffer kept it alive through the lift and peaked at
+        # 19.3 MB; the bound lies between
         rows, ncols = leibniz_constraint_rows(j3o)
         _, rref, _ = _modp_rref(rows, ncols, _seeded_prime(0))
         assert rref.base is None
         tracemalloc.start()
         try:
-            nullspace_with_info(rows, ncols)
+            linalg._solve_group(rows, ncols)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6
+        assert peak < 18.5e6
 
     @pytest.fixture
     def handed(self, monkeypatch):
@@ -627,12 +633,25 @@ class TestBlockedElimination:
         assert absorbed == list(range(4))
 
     def test_j3o_rows_in_the_span_skip_the_elimination(self, j3o, handed):
-        # each group of about 900 rows has rank at most 81: after its first
-        # block of _ELIM_ROWS rows, the clearing product drops almost all
-        # of the rest, and 2,857 of the 9,063 rows are eliminated
+        # without the substitution, each group of about 900 rows has rank
+        # at most 81: after its first block of _ELIM_ROWS rows, the
+        # clearing product drops almost all of the rest, and 2,857 of the
+        # 9,063 rows are eliminated
         rows, ncols = leibniz_constraint_rows(j3o)
-        nullspace_with_info(rows, ncols)
+        linalg._solve_components(rows, ncols)
         assert len(handed) < len(rows) // 3
+
+    def test_a_block_left_empty_is_not_absorbed(self, monkeypatch):
+        # blocks of 2: the first has rank 2, the next two lie in its span
+        calls = []
+        absorb = linalg._ModPEchelon.absorb
+        monkeypatch.setattr(
+            linalg._ModPEchelon, "absorb", lambda eng, ids: calls.append(list(ids)) or absorb(eng, ids)
+        )
+        monkeypatch.setattr(linalg, "_ELIM_ROWS", 2)
+        rows = integer_rows(np.array([[1, 2, 3], [0, 1, 4], [1, 3, 7], [2, 5, 10], [1, 1, -1], [0, 2, 8]]))
+        pivcols, _, pivrows = _modp_rref(rows, 3, _seeded_prime(0))
+        assert (pivcols, pivrows, calls) == ([0, 1], [0, 1], [[0, 1]])
 
     def test_a_block_is_the_rows_take_returns(self):
         part, taken = self.ROWS.block(5, 8), self.ROWS.take([5, 6, 7])
@@ -775,10 +794,11 @@ class TestComponentSplit:
         return solved
 
     def test_a_connected_system_is_solved_once(self, monkeypatch, solves):
+        # x_i = 2 x_(i+1): no row is a ±1 doubleton, so none is substituted
         monkeypatch.setattr(linalg, "_BLOCK_ROWS", 2)
-        chain = integer_rows(np.eye(5, 6, dtype=np.int64) - np.eye(5, 6, 1, dtype=np.int64))
+        chain = integer_rows(np.eye(5, 6, dtype=np.int64) - 2 * np.eye(5, 6, 1, dtype=np.int64))
         basis, free, r = nullspace_with_info(chain, 6)
-        assert (basis.to_rows(), free, r) == ([[1] * 6], [5], 5)
+        assert (basis.to_rows(), free, r) == ([[32, 16, 8, 4, 2, 1]], [5], 5)
         assert solves == [5]
 
     def test_cancel_after_the_first_group(self, monkeypatch, solves):
@@ -798,8 +818,9 @@ class TestComponentSplit:
         assert solves == [2] and len(rrefs) == 1
 
     def test_j3o_solve_peak_memory(self, j3o):
-        # the unsplit solve peaked at 17.5 MB with numpy 2.4; group by
-        # group it peaks near 1.2 MB
+        # the unsplit solve peaks at 17.5 MB with numpy 2.4; group by
+        # group it peaked at 0.8 MB, and the substitution's rewrite of
+        # the rows now peaks at 1.6 MB
         rows, ncols = leibniz_constraint_rows(j3o)
         tracemalloc.start()
         try:
@@ -808,6 +829,141 @@ class TestComponentSplit:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+@st.composite
+def substitution_systems(draw):
+    """Systems rich in rows x_c = 0 and x_i = ±x_j, as dense rows over
+    up to 10 columns: single entries, ±1 pairs, chains of pairs along a
+    random path, cycles of pairs whose signs conflict (forcing every
+    column on them to 0), and general rows of up to four entries, some
+    past 2^62, which the substitution turns into new singletons and
+    pairs as it kills or merges their columns.  The system is scaled by
+    one random factor, past 2^62 too, which the gcd takes off again."""
+    ncols = draw(st.integers(min_value=2, max_value=10))
+    col = st.integers(min_value=0, max_value=ncols - 1)
+    unit = st.sampled_from([1, -1])
+    big = st.integers(min_value=2**62, max_value=2**70)
+    entry = st.one_of(st.integers(min_value=-3, max_value=3), big, big.map(lambda v: -v))
+    rows = []
+
+    def put(cols, vals):
+        row = [0] * ncols
+        for c, v in zip(cols, vals):
+            row[c] += v
+        rows.append(row)
+
+    kinds = ["single", "pair", "chain", "cycle", "general"]
+    first = draw(st.sampled_from(kinds[:4]))
+    for kind in [first] + draw(st.lists(st.sampled_from(kinds), max_size=6)):
+        if kind == "single":
+            put([draw(col)], [draw(st.one_of(st.integers(1, 5), big))])
+        elif kind == "pair":
+            put(draw(st.lists(col, min_size=2, max_size=2, unique=True)), [draw(unit), draw(unit)])
+        elif kind in ("chain", "cycle"):
+            path = draw(st.lists(col, min_size=2, max_size=ncols, unique=True))
+            signs = [draw(unit) for _ in path]
+            for a, b, s in zip(path, path[1:], signs):
+                put([a, b], [1, s])
+            if kind == "cycle":  # x_first = t x_last, and back x_last = -t x_first
+                t = math.prod(-s for s in signs[: len(path) - 1])
+                put([path[-1], path[0]], [1, t])
+        else:
+            cols = draw(st.lists(col, min_size=1, max_size=4, unique=True))
+            put(cols, [draw(entry) for _ in cols])
+    scale = draw(st.one_of(st.just(1), st.integers(1, 6), big))
+    return [[v * scale for v in row] for row in rows], ncols
+
+
+class TestSubstitution:
+    """Rows x_c = 0 and x_i = ±x_j are substituted out before the solve."""
+
+    @pytest.mark.parametrize("block_rows", [1, linalg._BLOCK_ROWS])
+    @settings(max_examples=200, deadline=None)
+    @given(substitution_systems())
+    def test_matches_gauss_jordan(self, block_rows, system):
+        rows, ncols = system
+        sparse = integer_rows(mat(rows))
+        assert linalg._substitute(sparse, ncols) is not None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_BLOCK_ROWS", block_rows)
+            got, free, r = nullspace_with_info(sparse, ncols)
+        assert ([tuple(v) for v in got.to_rows()], free, r) == gauss_jordan_nullspace(rows, ncols)
+
+    def test_sign_conflict_forces_the_cycle_to_zero(self):
+        # x0 = x1, x1 = x2, x2 = -x0: only x3 is free, and nothing is left
+        # for the modular solve
+        rows = integer_rows(mat([[1, -1, 0, 0], [0, 1, -1, 0], [1, 0, 1, 0]]))
+        reduced, link, live = linalg._substitute(rows, 4)
+        assert (len(reduced), link.tolist(), live.tolist()) == (0, [-1, -1, -1, 6], [3])
+        basis, free, r = nullspace_with_info(rows, 4)
+        assert (basis.to_rows(), free, r) == ([[0, 0, 0, 1]], [3], 3)
+
+    def test_singletons_cascade(self):
+        # x0 = 0 turns 3 x0 + x1 into x1 = 0, which turns 5 x1 + 2^63 x2
+        # into x2 = 0, and so on: every column ends at 0
+        rows = integer_rows(mat([[1, 0, 0, 0], [3, 1, 0, 0], [0, 5, 2**63, 0], [0, 0, 7, 1]]))
+        reduced, link, live = linalg._substitute(rows, 4)
+        assert (len(reduced), link.tolist(), live.size) == (0, [-1] * 4, 0)
+        basis, free, r = nullspace_with_info(rows, 4)
+        assert (basis.shape, free, r) == ((0, 4), [], 4)
+
+    def test_chain_links_to_its_largest_column(self):
+        # x1 = -x3, x0 = -x2 and x0 = x1: column 0 has two rows, one is
+        # used and the other, rewritten, joins x2 and x3 in a second round
+        rows = integer_rows(mat([[0, 1, 0, 1], [1, 0, 1, 0], [1, -1, 0, 0]]))
+        reduced, link, live = linalg._substitute(rows, 4)
+        assert (len(reduced), live.tolist()) == (0, [3])
+        assert link.tolist() == [2 * 3 + 1, 2 * 3 + 1, 2 * 3, 2 * 3]  # -x3, -x3, x3, x3
+        assert nullspace_with_info(rows, 4)[0].to_rows() == [[-1, -1, 1, 1]]
+
+    def test_a_system_with_no_such_row_is_solved_as_it_is(self, monkeypatch):
+        rows = integer_rows(mat([[1, 2, 3], [2, 3, 5]]))
+        assert linalg._substitute(rows, 3) is None
+        solved = []
+        solve = linalg._solve_components
+
+        def counted(part, ncols, cancel=None):
+            solved.append(part)
+            return solve(part, ncols, cancel)
+
+        monkeypatch.setattr(linalg, "_solve_components", counted)
+        nullspace_with_info(rows, 3)
+        assert solved == [rows]
+
+    @pytest.fixture
+    def pivots(self, monkeypatch):
+        """Pivots found by ``absorb``, one count per call."""
+        found = []
+        absorb = linalg._ModPEchelon.absorb
+
+        def counted(eng, row_ids):
+            r0 = eng.rank
+            absorb(eng, row_ids)
+            found.append(eng.rank - r0)
+
+        monkeypatch.setattr(linalg._ModPEchelon, "absorb", counted)
+        return found
+
+    def test_j3o_pivots_reaching_the_elimination(self, j3o, pivots):
+        # 591 rows x_c = 0 and 5,424 rows x_i = ±x_j leave 2,208 rows over
+        # 132 unknowns: 80 pivots are eliminated mod p, against 677
+        # without the substitution; no call finds no pivot
+        rows, ncols = leibniz_constraint_rows(j3o)
+        reduced, _, live = linalg._substitute(rows, ncols)
+        assert (len(reduced), live.size) == (2208, 132)
+        nullspace_with_info(rows, ncols)
+        assert sum(pivots) < 150
+        assert all(pivots)
+
+    def test_j3o_basis_satisfies_every_input_row(self, j3o):
+        # the solve certifies the reduced rows only; the expanded basis
+        # must still satisfy all 9,063 rows, checked here by one product
+        rows, ncols = leibniz_constraint_rows(j3o)
+        basis, free, r = nullspace_with_info(rows, ncols)
+        assert (basis.rows, r) == (52, 677)
+        assert not rows.dot(basis._ints.T).any()
+        assert basis == linalg._solve_components(rows, ncols)[0]
 
 
 class TestSparseSum:
