@@ -369,6 +369,30 @@ def cayley_dickson_algebra(dim: int) -> FiniteAlgebra:
 # randomized sampling and counterexample search
 # ---------------------------------------------------------------------------
 
+def _random_rows(rng: random.Random, count: int, dim: int) -> np.ndarray:
+    """count x dim coordinates in [-span, span]: the values, and the final
+    state of rng, of count * dim calls of ``rng.randint(-span, span)``.
+
+    CPython's randint draws one 32-bit Mersenne Twister word per try,
+    keeps its top bits r = word >> (32 - bit_length(width)) and rejects
+    r >= width; ``getrandbits(32 m)`` returns m such words, least
+    significant first.  Each word gives at most one value, so drawing
+    exactly the shortfall each round never reads past the last word a
+    loop of randint calls would read.
+    """
+    span = RANDOM_COEFF_SPAN
+    width = 2 * span + 1
+    shift = 32 - width.bit_length()
+    need = max(count, 0) * dim
+    drawn = [np.zeros(0, dtype=np.int64)]
+    while need:
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        r = (np.frombuffer(words, dtype="<u4") >> shift).astype(np.int64)
+        drawn.append(r[r < width])
+        need -= drawn[-1].size
+    return (np.concatenate(drawn) - span).reshape(max(count, 0), dim)
+
+
 def random_element(
     algebra: FiniteAlgebra,
     rng: random.Random,

@@ -94,30 +94,6 @@ class SuiteRunner:
 # draws, and check them on the scaled structure tensor C' = sC, where an
 # m-fold product carries s^m on both sides of each identity.
 
-def _random_rows(rng: random.Random, count: int, dim: int) -> np.ndarray:
-    """count x dim coordinates in [-span, span]: the values, and the final
-    state of rng, of count * dim calls of ``rng.randint(-span, span)``.
-
-    CPython's randint draws one 32-bit Mersenne Twister word per try,
-    keeps its top bits r = word >> (32 - bit_length(width)) and rejects
-    r >= width; ``getrandbits(32 m)`` returns m such words, least
-    significant first.  Each word gives at most one value, so drawing
-    exactly the shortfall each round never reads past the last word a
-    loop of randint calls would read.
-    """
-    span = alg.RANDOM_COEFF_SPAN
-    width = 2 * span + 1
-    shift = 32 - width.bit_length()
-    need = max(count, 0) * dim
-    drawn = [np.zeros(0, dtype=np.int64)]
-    while need:
-        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-        r = (np.frombuffer(words, dtype="<u4") >> shift).astype(np.int64)
-        drawn.append(r[r < width])
-        need -= drawn[-1].size
-    return (np.concatenate(drawn) - span).reshape(-1, dim)
-
-
 def _associator_rows(c: np.ndarray, x, y, z) -> np.ndarray:
     # each product is guarded below 2^62, so the difference fits int64
     mul = alg.batch_multiply
@@ -126,7 +102,7 @@ def _associator_rows(c: np.ndarray, x, y, z) -> np.ndarray:
 
 def _composition_failures(a: alg.FiniteAlgebra, rng: random.Random, pairs: int) -> int:
     """Random pairs with N(xy) != N(x) N(y)."""
-    rows = _random_rows(rng, 2 * pairs, a.dim)
+    rows = alg._random_rows(rng, 2 * pairs, a.dim)
     x, y = rows[0::2], rows[1::2]
     n_xy = alg.batch_norms(a, alg.batch_multiply(a.tensor, x, y))  # s^3 N(xy)
     return int(np.count_nonzero(n_xy != a.scale * alg.batch_norms(a, x) * alg.batch_norms(a, y)))
@@ -134,7 +110,7 @@ def _composition_failures(a: alg.FiniteAlgebra, rng: random.Random, pairs: int) 
 
 def _alternativity_failures(a: alg.FiniteAlgebra, rng: random.Random, pairs: int) -> int:
     """Random pairs with (x, x, y) or (x, y, y) a nonzero associator."""
-    rows = _random_rows(rng, 2 * pairs, a.dim)
+    rows = alg._random_rows(rng, 2 * pairs, a.dim)
     x, y = rows[0::2], rows[1::2]
     bad = np.any(_associator_rows(a.tensor, x, x, y), axis=1) | np.any(
         _associator_rows(a.tensor, x, y, y), axis=1
@@ -145,7 +121,7 @@ def _alternativity_failures(a: alg.FiniteAlgebra, rng: random.Random, pairs: int
 def _antisymmetry_failures(a: alg.FiniteAlgebra, rng: random.Random, triples: int) -> int:
     """(triple, permutation) cases where the associator does not pick up the sign."""
     c = a.tensor
-    rows = _random_rows(rng, 3 * triples, a.dim)
+    rows = alg._random_rows(rng, 3 * triples, a.dim)
     t = (rows[0::3], rows[1::3], rows[2::3])
     base = _associator_rows(c, *t)
     bad = 0
@@ -157,7 +133,7 @@ def _antisymmetry_failures(a: alg.FiniteAlgebra, rng: random.Random, triples: in
 
 def _associator_failures(a: alg.FiniteAlgebra, rng: random.Random, triples: int) -> int:
     """Random triples with a nonzero associator."""
-    rows = _random_rows(rng, 3 * triples, a.dim)
+    rows = alg._random_rows(rng, 3 * triples, a.dim)
     assoc = _associator_rows(a.tensor, rows[0::3], rows[1::3], rows[2::3])
     return int(np.count_nonzero(np.any(assoc, axis=1)))
 
@@ -167,7 +143,7 @@ def _inverse_failures(a: alg.FiniteAlgebra, rng: random.Random, count: int) -> i
 
     That is N(x) = 0, or x conj(x) or conj(x) x differing from N(x) 1.
     """
-    x = _random_rows(rng, count, a.dim)
+    x = alg._random_rows(rng, count, a.dim)
     xc = x * np.array(a.conjugate_coords((1,) * a.dim), dtype=np.int64)
     norms = alg.batch_norms(a, x)  # s N(x)
     scalar = norms[:, None] * np.array(a.unit_coords, dtype=object)
@@ -229,7 +205,7 @@ def _suite_algebras(seed: int, pairs: int, jordan_pairs: int) -> VerificationRep
 
     def jordan_violations(key: str) -> int:
         j = jrd.jordan_algebra(jordan_algebras[key]())
-        rows = _random_rows(random.Random(seed + 101), 2 * jordan_pairs, j.dim)
+        rows = alg._random_rows(random.Random(seed + 101), 2 * jordan_pairs, j.dim)
         return jrd.jordan_identity_failures(j, rows[0::2], rows[1::2])
 
     for key in jordan_algebras:

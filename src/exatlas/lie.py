@@ -528,15 +528,14 @@ def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
 # ---------------------------------------------------------------------------
 
 def _probe_coefficients(rng: random.Random | None, trials: int, dim: int) -> np.ndarray:
-    """trials x dim coefficients in [-span, span], drawn trial by trial by
-    ``rng.randint`` (seeded with the default seed when rng is None)."""
+    """trials x dim coefficients in [-span, span], the values of
+    ``rng.randint`` drawn trial by trial (seeded with the default seed
+    when rng is None)."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if rng is None:
         rng = random.Random(_alg.DEFAULT_SEED)
-    span = _alg.RANDOM_COEFF_SPAN
-    draws = [rng.randint(-span, span) for _ in range(trials * dim)]
-    return np.array(draws, dtype=np.int64).reshape(trials, dim)
+    return _alg._random_rows(rng, trials, dim)
 
 
 def _is_maximal_abelian(

@@ -9,28 +9,25 @@ form, and ``SparseRows.dot`` is its one product.  Sparse operands, as
 when the bound allows, Python ints otherwise.
 
 A system first has its rows x_c = 0 and x_i = ±x_j substituted out,
-round by round (``_substitute``), so that only the rest is solved; the
-basis is expanded back by the same map.  A system of more than
-``_BLOCK_ROWS`` rows is then split into connected components (rows
-joined by shared columns), packed into groups of at most that many rows.
-The system is block-diagonal in the groups, so each is solved on its own
-columns and the results are put together.  Every group, of any size, is
-solved one way: the reduced echelon form is computed modulo a seeded
-31-bit prime p, in blocks of ``_ELIM_ROWS`` rows, each block first
-reduced by the nullspace basis mod p found so far (one
-``SparseRows.dot``) so that only rows adding rank are eliminated.  The
-pivot rows and the block share one buffer, and each new pivot is one
-rank-1 update of it.  The residues are lifted p-adically to higher
-powers of p (Dixon) as far as needed, with one inverse mod p of the
-pivot rows at the pivot columns, taken without a pivot search.  The
-nullspace candidates are recovered by rational reconstruction, and all
-are certified by one exact substitution on integers; the certified count
-together with the modular rank pins the exact rank.  A prime whose
-candidates still fail past the Hadamard bound is dropped for the next.
-The certified basis comes back as one echelon ``RationalMatrix``.
+round by round, and one row is kept of each set of rows left equal up
+to sign (``_substitute``), so that only the rest is solved; the basis is
+expanded back by the same map.  Every system is then solved one way:
+the reduced echelon form is computed modulo a seeded 31-bit prime p, in
+blocks of ``_ELIM_ROWS`` rows, each block first reduced by the nullspace
+basis mod p found so far (one ``SparseRows.dot``) so that only rows
+adding rank are eliminated.  The pivot rows and the block share one
+buffer, and each new pivot is one rank-1 update of it.  The residues
+are lifted p-adically to higher powers of p (Dixon) as far as needed,
+with one inverse mod p of the pivot rows at the pivot columns, taken
+without a pivot search.  The nullspace candidates are recovered by
+rational reconstruction, and all are certified by one exact
+substitution on integers; the certified count together with the modular
+rank pins the exact rank.  A prime whose candidates still fail past the
+Hadamard bound is dropped for the next.  The certified basis comes back
+as one echelon ``RationalMatrix``.
 Definiteness of a symmetric matrix is read from the leading principal
-minors of each of its diagonal blocks, split along the same connected
-components.
+minors of each of its diagonal blocks, split along its connected
+components (indices joined by nonzero entries).
 """
 
 from __future__ import annotations
@@ -45,8 +42,7 @@ import numpy as np
 
 Rational = Fraction
 
-_BLOCK_ROWS = 1024  # rows per group of connected components
-_ELIM_ROWS = 256  # rows per elimination block within a group
+_ELIM_ROWS = 256  # rows per elimination block
 _PROBE_SEED = 0x51BB1E
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -542,10 +538,10 @@ def _modp_rref(
 
     The first block is scattered whole; every later one has the known
     pivots cleared first, so only rows outside the span mod p are
-    eliminated.  Blocks are small next to a group because a group's rank
-    is small next to its rows (at most 81 of about 900 on J3(O)): once
-    the first block has found most pivots, the rest of the rows drop out
-    in the clearing product.  Reading stops at full column rank.
+    eliminated.  Blocks are small because a rank is often small next to
+    the rows (677 of 9,063 on J3(O) as derived): once the early blocks
+    have found most pivots, the rest of the rows drop out in the
+    clearing product.  Reading stops at full column rank.
     """
     # one buffer for the pivots and every block: a fresh 2,048-row block
     # per step (12 MB on J3(O)) left about 10 MB of freed heap resident
@@ -616,24 +612,28 @@ def _lift(
     exactly.
     """
     bound = math.isqrt((modulus - 1) // 2)
+    live = np.flatnonzero(residues)  # a zero residue reads 0 at every den
+    res = residues.ravel()[live]
     den, wang = 1, {}
     while True:
-        nums = den * residues % modulus
+        nums = den * res % modulus
         nums = np.where(nums > modulus // 2, nums - modulus, nums)
         for k in np.flatnonzero(np.abs(nums) > bound).tolist():
             if k not in wang:
-                wang[k] = rational_reconstruct(residues.flat[k], modulus)
+                wang[k] = rational_reconstruct(res[k], modulus)
             q = wang[k]
             if q is None:
                 return None
             if den % q.denominator:
                 den = math.lcm(den, q.denominator)
                 break
-            nums.flat[k] = q.numerator * (den // q.denominator)
+            nums[k] = q.numerator * (den // q.denominator)
         else:
             break
+    entries = np.zeros(residues.shape, dtype=object)
+    entries.flat[live] = nums
     vectors = np.zeros((len(free_cols), ncols), dtype=object)
-    vectors[:, pivcols] = nums.T
+    vectors[:, pivcols] = entries.T
     vectors[range(len(free_cols)), free_cols] = den
     ints = _int_array(vectors.ravel().tolist(), vectors.shape)
     if rows.dot(ints.T).any():
@@ -648,10 +648,12 @@ def _inverse_mod_p(b: np.ndarray, p: int) -> np.ndarray:
     Gauss-Jordan on [B | I] without a pivot search: step k scales row k
     by the inverse of its entry at column k, which is the leading minor
     of order k + 1 over that of order k, and clears that column from
-    every other row.  Before step k the columns left of k are unit
-    vectors and those of I past r + k are untouched, so the step works
-    on columns k to r + k only, a window of r + 1 columns that slides
-    right by one per step.  A leading minor that vanishes raises
+    every other row nonzero there, on a view of the window when most
+    rows are and on a gather of them otherwise (few, where B splits
+    into blocks).  Before step k the columns left of k are unit vectors
+    and those of I past r + k are untouched, so the step works on
+    columns k to r + k only, a window of r + 1 columns that slides right
+    by one per step.  A leading minor that vanishes raises
     ZeroDivisionError.
     """
     r = len(b)
@@ -664,8 +666,13 @@ def _inverse_mod_p(b: np.ndarray, p: int) -> np.ndarray:
         if not lead:
             raise ZeroDivisionError(f"leading minor {k + 1} of B vanishes mod {p}")
         row = w[k] * pow(lead, -1, p) % p
-        w -= w[:, :1] * row
-        w %= p
+        nz = w[:, 0].nonzero()[0]
+        whole = 2 * nz.size > r
+        part = w if whole else w[nz]
+        part -= part[:, :1] * row
+        part %= p
+        if not whole:
+            w[nz] = part
         w[k] = row
     return a[:, r:]
 
@@ -776,26 +783,6 @@ def _column_components(rows: SparseRows, ncols: int) -> np.ndarray:
             label = jumped
 
 
-def _column_groups(rows: SparseRows, ncols: int) -> tuple[np.ndarray, int]:
-    """The group of each column (-1 where no row touches it) and the
-    number of groups.
-
-    The components are taken in order of their first column, and each
-    group holds at most ``_BLOCK_ROWS`` rows; a larger component stands
-    alone.
-    """
-    comp = _column_components(rows, ncols)
-    counts = np.bincount(comp[rows.cols[rows.starts[:-1]]], minlength=ncols)
-    group = np.full(ncols, -1)
-    g, filled = -1, _BLOCK_ROWS
-    for c in np.flatnonzero(counts).tolist():
-        if filled + counts[c] > _BLOCK_ROWS:
-            g, filled = g + 1, 0
-        group[c] = g
-        filled += counts[c]
-    return group[comp], g + 1
-
-
 def _substitute(
     rows: SparseRows, ncols: int, cancel: CancelToken | None = None
 ) -> tuple[SparseRows, np.ndarray, np.ndarray] | None:
@@ -811,12 +798,13 @@ def _substitute(
     singleton forces its column's root to 0.  Every row is then
     rewritten under the map, one ``_sparse_sum`` per round: each row
     used vanishes, a sign conflict leaves a new singleton and a new
-    coincidence a new doubleton, for the next round.
+    coincidence a new doubleton, for the next round.  Of the rows left,
+    one of each set equal up to sign is kept (``_distinct_up_to_sign``).
 
     Returns the rewritten rows over the live roots (renumbered in
     order), each column's link (-1 for a column forced to 0) and the
     live roots.  Each input row, rewritten under the final map, is a
-    positive multiple of one returned row or vanishes.
+    nonzero multiple of one returned row or vanishes.
     """
     link = 2 * np.arange(ncols)
     zero = np.zeros(ncols, dtype=bool)  # at roots
@@ -846,10 +834,35 @@ def _substitute(
         rows = SparseRows(keys // ncols, keys % ncols, sums)
     if not rounds:
         return None
+    rows = _distinct_up_to_sign(rows)
     live = np.flatnonzero((link == 2 * np.arange(ncols)) & ~zero)
     link[zero[link >> 1]] = -1
     rows.cols = np.searchsorted(live, rows.cols)
     return rows, link, live
+
+
+def _distinct_up_to_sign(rows: SparseRows) -> SparseRows:
+    """The first row of each set of rows equal up to sign, in order.
+
+    Rows are divided by their gcd, so two are equal up to a nonzero
+    scalar exactly when they are equal once each is made positive at its
+    first entry.  The rows of each length are sorted by all their
+    columns and values (one stable ``np.lexsort``; Python ints compare
+    exactly), and a row is dropped when it equals the row before it,
+    which is kept or itself equal to an earlier row.
+    """
+    lens = np.diff(rows.starts)
+    first = rows.starts[:-1]
+    signed = rows.vals * np.repeat(np.where(rows.vals[first] < 0, -1, 1), lens)
+    kept = np.ones(len(rows), dtype=bool)
+    for n in np.flatnonzero(np.bincount(lens)).tolist():
+        same = np.flatnonzero(lens == n)
+        at = first[same, None] + np.arange(n)
+        keys = np.vstack([rows.cols[at].T, signed[at].T])
+        order = np.lexsort(keys)
+        dup = (keys[:, order[1:]] == keys[:, order[:-1]]).all(axis=0)
+        kept[same[order[1:][dup]]] = False
+    return rows if kept.all() else rows.take(np.flatnonzero(kept))
 
 
 def nullspace_with_info(
@@ -867,28 +880,26 @@ def nullspace_with_info(
     row t has a 1 at the t-th free column and 0 at the other free
     columns, so span coordinates can be read off at the free columns.
 
-    Rows x_c = 0 and x_i = ±x_j are first substituted out
-    (``_substitute``), the reduced system is solved on the live columns
-    by ``_solve_components``, and the basis is expanded back by
-    x_c = ±x_r at the column's root r and x_c = 0 at a column forced to
-    0.  This is exact: every input row, rewritten under the map, is one
-    of the rows the solve certifies or vanishes.  The basis is the one a
-    single solve would give: a column that maps to a root on its right
-    is never free, nor is one forced to 0, so the free columns are the
-    live ones free in the reduced system, and the echelon basis with
-    unit free parts is unique.  A system with no such row is solved as
-    it is.
+    Rows x_c = 0 and x_i = ±x_j are first substituted out, and of the
+    rows left one of each set equal up to sign is kept (``_substitute``);
+    the reduced system is solved on the live columns by
+    ``_modular_solve``, and the basis is expanded back by x_c = ±x_r at
+    the column's root r and x_c = 0 at a column forced to 0.  This is
+    exact: every input row, rewritten under the map, is up to sign a
+    multiple of one of the rows the solve certifies, or vanishes.  The
+    basis is the one a solve of the whole system would give: a column
+    that maps to a root on its right is never free, nor is one forced
+    to 0, so the free columns are the live ones free in the reduced
+    system, and the echelon basis with unit free parts is unique.  A
+    system with no such row is solved as it is.
     """
     if ncols < 1:
         raise DimensionError("matrix must have at least one column")
     reduced = _substitute(sparse_rows, ncols, cancel)
     if reduced is None:
-        return _solve_components(sparse_rows, ncols, cancel)
+        return _modular_solve(sparse_rows, ncols, cancel)
     rows, link, live = reduced
-    if live.size:
-        basis, free, _ = _solve_components(rows, live.size, cancel)
-    else:
-        basis, free = RationalMatrix.zeros(0, 0), []
+    basis, free, _ = _modular_solve(rows, live.size, cancel)
     kept = np.flatnonzero(link >= 0)
     ints = np.zeros((basis.rows, ncols), dtype=basis._ints.dtype)
     ints[:, kept] = basis._ints[:, np.searchsorted(live, link[kept] >> 1)]
@@ -897,58 +908,13 @@ def nullspace_with_info(
     return RationalMatrix.from_ints(ints, basis._den), live[free].tolist(), ncols - basis.rows
 
 
-def _solve_components(
+def _modular_solve(
     sparse_rows: SparseRows,
     ncols: int,
     cancel: CancelToken | None = None,
 ) -> tuple[RationalMatrix, list[int], int]:
-    """``nullspace_with_info`` of a system with nothing substituted.
-
-    A system of more than ``_BLOCK_ROWS`` rows is solved one group of
-    connected components at a time (``_column_groups``), each on its own
-    columns by ``_solve_group``; a column no row touches is free, with a
-    unit basis vector.  This is exact: the system is block-diagonal, so
-    its rank is the sum of the groups' ranks, each row lies in exactly
-    one group, so the groups' certificates together cover every row, and
-    the echelon basis with unit free parts is unique, so the assembled
-    basis is the one a single solve would give.  A system that packs
-    into one group is solved whole.
-    """
-    if len(sparse_rows) <= _BLOCK_ROWS:
-        return _solve_group(sparse_rows, ncols, cancel)
-    col_group, ngroups = _column_groups(sparse_rows, ncols)
-    if ngroups == 1:
-        return _solve_group(sparse_rows, ncols, cancel)
-    row_group = col_group[sparse_rows.cols[sparse_rows.starts[:-1]]]
-    untouched = np.flatnonzero(col_group < 0)
-    solved = []
-    for g in range(ngroups):
-        cols = np.flatnonzero(col_group == g)
-        part = sparse_rows.take(np.flatnonzero(row_group == g))
-        part.cols = np.searchsorted(cols, part.cols)
-        basis, free, _ = _solve_group(part, cols.size, cancel)
-        solved.append((cols, cols[free], basis))
-    free_cols = np.sort(np.concatenate([untouched] + [free for _, free, _ in solved]))
-    # every group's basis over the lcm of their denominators
-    den = math.lcm(*(basis._den for _, _, basis in solved))
-    scaled = [
-        _contract(",ij->ij", 1, _int_array([den // basis._den], ()), basis._ints)
-        for _, _, basis in solved
-    ]
-    big = den >= _INT64_SAFE or any(s.dtype == object for s in scaled)
-    ints = np.zeros((free_cols.size, ncols), dtype=object if big else np.int64)
-    ints[np.searchsorted(free_cols, untouched), untouched] = den
-    for (cols, free, _), s in zip(solved, scaled):
-        ints[np.ix_(np.searchsorted(free_cols, free), cols)] = s
-    return RationalMatrix.from_ints(ints, den), free_cols.tolist(), ncols - free_cols.size
-
-
-def _solve_group(
-    sparse_rows: SparseRows,
-    ncols: int,
-    cancel: CancelToken | None = None,
-) -> tuple[RationalMatrix, list[int], int]:
-    """``nullspace_with_info`` of a system solved whole.
+    """``nullspace_with_info`` of a system as it is, with nothing
+    substituted.
 
     One seeded 31-bit prime p at a time: the RREF mod p, whose residues
     are lifted p-adically (``_padic_residues``) and then by rational
@@ -956,11 +922,16 @@ def _solve_group(
     substitution (one ``SparseRows.dot``); the first lift is tried at
     modulus p.  The certified vectors, one per free column, bound the
     nullity below and the rank mod p bounds the rank below, so both
-    outputs are exact.  It ends: past the Hadamard bound of the pivot
-    rows the lift is exact, so a prime whose lift still fails there has
-    a rank mod p below the rank, and only the finitely many primes
-    dividing a nonzero maximal minor do (at any other prime the pivot
-    rows span the rows over Q).
+    outputs are exact.  A certified vector zero right of its free
+    column puts that column in the span of the columns before it, so
+    when every vector is, the free columns and the basis are those of
+    the reduced echelon form over Q.  When one is not, the prime divides
+    a minor that decides a pivot, and the next prime is tried.  It ends:
+    past the Hadamard bound of the pivot rows the lift is exact, so a
+    prime whose lift still fails there has a rank mod p below the rank,
+    and only the finitely many primes dividing a nonzero maximal minor,
+    or a minor that decides a pivot, fail (at any other prime the pivot
+    rows span the rows over Q, at the same pivot columns).
     """
     for i in itertools.count():
         _check_cancel(cancel)
@@ -972,8 +943,11 @@ def _solve_group(
             sparse_rows, pivcols, free_cols, pivrows, rref, p, cancel
         ):
             basis = _lift(sparse_rows, ncols, pivcols, free_cols, residues, modulus)
-            if basis is not None:
-                return basis, free_cols, len(pivcols)
+            if basis is None:
+                continue
+            if np.count_nonzero(basis._ints[np.less.outer(free_cols, range(ncols))]):
+                break
+            return basis, free_cols, len(pivcols)
 
 
 def _require_nonempty(m: RationalMatrix) -> None:

@@ -19,7 +19,6 @@ from exatlas.cli import (
     _composition_failures,
     _inverse_failures,
     _perm_sign,
-    _random_rows,
     main,
     render_table,
 )
@@ -363,10 +362,10 @@ class TestRandomRows:
             return super().getrandbits(k)
 
     @pytest.mark.parametrize("seed", [0, 7, 1729, 2**40 + 3])
-    @pytest.mark.parametrize("count, dim", [(0, 8), (1, 1), (1, 27), (3, 8), (1000, 27)])
+    @pytest.mark.parametrize("count, dim", [(0, 8), (1, 1), (1, 27), (3, 8), (5, 0), (1000, 27)])
     def test_matches_randint_calls(self, seed, count, dim):
         rng, ref = random.Random(seed), random.Random(seed)
-        got = _random_rows(rng, count, dim)
+        got = alg._random_rows(rng, count, dim)
         assert got.shape == (count, dim) and got.dtype == np.int64
         assert got.ravel().tolist() == [ref.randint(-9, 9) for _ in range(count * dim)]
         assert rng.getstate() == ref.getstate()
@@ -375,7 +374,14 @@ class TestRandomRows:
     def test_rejected_words_are_drawn_again(self):
         # 13 of every 32 words are rejected, so 1,000 values need redraws
         rng, ref = self.CountingRandom(11), random.Random(11)
-        got = _random_rows(rng, 100, 10)
+        got = alg._random_rows(rng, 100, 10)
         assert rng.calls > 1
         assert got.ravel().tolist() == [ref.randint(-9, 9) for _ in range(1000)]
+        assert rng.getstate() == ref.getstate()
+
+    def test_probe_coefficients_are_the_same_draws(self):
+        rng, ref = random.Random(5), random.Random(5)
+        got = lie._probe_coefficients(rng, 3, 52)
+        assert got.shape == (3, 52)
+        assert got.ravel().tolist() == [ref.randint(-9, 9) for _ in range(3 * 52)]
         assert rng.getstate() == ref.getstate()

@@ -780,14 +780,20 @@ def rng_after_draws(seed, draws):
 
 
 class StubRng:
-    """``randint`` returns the given values first, then seeded draws."""
+    """The given values first, then seeded draws, as the probes read them
+    through ``getrandbits``: value v is the 32-bit word whose top bits
+    are v + span, which ``randint(-span, span)`` never rejects."""
+
+    SHIFT = 32 - (2 * RANDOM_COEFF_SPAN + 1).bit_length()
 
     def __init__(self, first, seed):
         self.first = list(first)
         self.rng = random.Random(seed)
 
-    def randint(self, lo, hi):
-        return self.first.pop(0) if self.first else self.rng.randint(lo, hi)
+    def getrandbits(self, k):
+        given, self.first = self.first[: k // 32], self.first[k // 32 :]
+        words = sum((v + RANDOM_COEFF_SPAN) << (self.SHIFT + 32 * i) for i, v in enumerate(given))
+        return words | self.rng.getrandbits(k - 32 * len(given)) << (32 * len(given))
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exatlas import linalg
-from exatlas.algebras import octonions, quaternions
+from exatlas.algebras import complex_algebra, octonions, quaternions
 from exatlas.jordan import jordan_algebra
 from exatlas.lie import leibniz_constraint_rows
 from exatlas.linalg import (
@@ -300,7 +300,18 @@ class TestModularNullspacePath:
         # the elimination primes are 31-bit; the rank must not follow a
         # residue, neither substituted (a single entry) nor solved mod p
         assert rank(mat([[PRIME31]])) == 1
-        assert linalg._solve_group(integer_rows(mat([[PRIME31]])), 1)[2] == 1
+        assert linalg._modular_solve(integer_rows(mat([[PRIME31]])), 1)[2] == 1
+
+    @pytest.mark.parametrize("p_at", [[1, 1, 0], [2, 3, 0]], ids=["substituted", "solved"])
+    def test_free_columns_do_not_follow_a_residue(self, p_at):
+        # the first seeded prime p divides the entry that makes column 1
+        # a pivot: mod p column 2 is the pivot instead, at the same rank,
+        # and the basis it certifies, free at column 1, is not the
+        # echelon one
+        rows = [p_at, [v + _seeded_prime(0) * (c == 1) for c, v in enumerate(p_at[:2] + [1])]]
+        got, free, r = nullspace_with_info(integer_rows(mat(rows)), 3)
+        assert ([tuple(v) for v in got.to_rows()], free, r) == gauss_jordan_nullspace(rows, 3)
+        assert free == [2]
 
     @pytest.mark.parametrize("a, b", [(1, 1), (2**40 + 17, 3**25)], ids=["unit", "needs-steps"])
     def test_bad_first_prime(self, a, b):
@@ -312,7 +323,7 @@ class TestModularNullspacePath:
         p = _random_prime31(random.Random(_PROBE_SEED))
         rows = integer_rows(mat([[a, b, 0], [a, b + p, 0]]))
         deadline = time.monotonic() + 30
-        basis, free, r = linalg._solve_group(rows, 3, cancel=lambda: time.monotonic() > deadline)
+        basis, free, r = linalg._modular_solve(rows, 3, cancel=lambda: time.monotonic() > deadline)
         assert (r, free) == (2, [2])
         assert [tuple(v) for v in basis.to_rows()] == [(0, 0, 1)]
 
@@ -356,17 +367,15 @@ def integer_systems(draw):
     return base + extra, ncols
 
 
-@pytest.mark.parametrize("block_rows", [1, 2, 3, linalg._BLOCK_ROWS])
+@pytest.mark.parametrize("elim_rows", [1, 2, 3, linalg._ELIM_ROWS])
 @settings(max_examples=200, deadline=None)
 @given(integer_systems())
-def test_nullspace_matches_gauss_jordan(block_rows, system):
+def test_nullspace_matches_gauss_jordan(elim_rows, system):
     # entries this large need several p-adic digits before they lift;
-    # small blocks find pivots out of column order, and small groups
-    # split the system along its components
+    # small blocks find pivots out of column order
     rows, ncols = system
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_BLOCK_ROWS", block_rows)
-        mp.setattr(linalg, "_ELIM_ROWS", block_rows)
+        mp.setattr(linalg, "_ELIM_ROWS", elim_rows)
         got, free, r = nullspace_with_info(integer_rows(mat(rows)), ncols)
     assert ([tuple(v) for v in got.to_rows()], free, r) == gauss_jordan_nullspace(rows, ncols)
 
@@ -577,7 +586,7 @@ class TestBlockedElimination:
         assert np.array_equal(big_rref, rref * nu % p * inv[:, None] % p)
 
     def test_j3o_solve_frees_the_elimination_buffer(self, j3o):
-        # one solve of all 9,063 rows, neither substituted nor split: the
+        # one solve of all 9,063 rows, nothing substituted: the
         # rows come back as a copy (3.9 MB), so the 5.7 MB buffer of pivots
         # and block goes with the engine.  With numpy 2.4 the solve peaks
         # at 17.5 MB in the certificate's product, where rows that were a
@@ -588,7 +597,7 @@ class TestBlockedElimination:
         assert rref.base is None
         tracemalloc.start()
         try:
-            linalg._solve_group(rows, ncols)
+            linalg._modular_solve(rows, ncols)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -633,12 +642,12 @@ class TestBlockedElimination:
         assert absorbed == list(range(4))
 
     def test_j3o_rows_in_the_span_skip_the_elimination(self, j3o, handed):
-        # without the substitution, each group of about 900 rows has rank
-        # at most 81: after its first block of _ELIM_ROWS rows, the
-        # clearing product drops almost all of the rest, and 2,857 of the
-        # 9,063 rows are eliminated
+        # without the substitution, the 9,063 rows have rank 677: once
+        # the first blocks of _ELIM_ROWS rows have found most pivots, the
+        # clearing product drops almost all of the rest, and 1,005 rows
+        # are eliminated
         rows, ncols = leibniz_constraint_rows(j3o)
-        linalg._solve_components(rows, ncols)
+        linalg._modular_solve(rows, ncols)
         assert len(handed) < len(rows) // 3
 
     def test_a_block_left_empty_is_not_absorbed(self, monkeypatch):
@@ -721,14 +730,15 @@ def block_systems(draw):
     return integer_rows(dense[row_perm][:, col_perm]), ncols
 
 
-def assert_split_matches_whole(rows, ncols, cancel=None):
-    split = nullspace_with_info(rows, ncols, cancel)
-    whole = linalg._solve_group(rows, ncols, cancel)
-    assert split == whole
+def assert_matches_whole_solve(rows, ncols, cancel=None):
+    substituted = nullspace_with_info(rows, ncols, cancel)
+    whole = linalg._modular_solve(rows, ncols, cancel)
+    assert substituted == whole
 
 
 class TestComponentSplit:
-    """A large system is solved one group of connected components at a time."""
+    """Connected components of the columns, which split the definiteness
+    check, and the one solve of a system that has several."""
 
     @settings(max_examples=100, deadline=None)
     @given(sparse_systems())
@@ -741,34 +751,21 @@ class TestComponentSplit:
         labels = linalg._column_components(rows, 4096)
         assert labels.tolist() == union_find_labels(rows, 4096) == [0] * 4096
 
-    def test_groups_hold_at_most_one_block(self, monkeypatch):
-        # components of 1, 1, 2, 3 and 1 rows, in order of their first
-        # column, and column 2 that no row touches
-        monkeypatch.setattr(linalg, "_BLOCK_ROWS", 2)
-        dense = np.zeros((8, 8), dtype=np.int64)
-        for r, cols in enumerate([[0], [1], [3, 4], [3], [5, 6], [5], [6], [7]]):
-            dense[r, cols] = 1
-        groups, ngroups = linalg._column_groups(integer_rows(dense), 8)
-        assert (groups.tolist(), ngroups) == ([0, 0, -1, 1, 1, 2, 2, 3], 4)
-
-    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    @pytest.mark.parametrize("elim_rows", [1, 2, 3])
     @settings(max_examples=100, deadline=None)
     @given(block_systems())
-    def test_split_matches_the_whole_solve(self, block_rows, system):
+    def test_substitution_matches_the_whole_solve(self, elim_rows, system):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linalg, "_BLOCK_ROWS", block_rows)
-            assert_split_matches_whole(*system)
+            mp.setattr(linalg, "_ELIM_ROWS", elim_rows)
+            assert_matches_whole_solve(*system)
 
-    @pytest.mark.parametrize(
-        "k, components, groups", [(quaternions, 16, 2), (octonions, 32, 10)], ids=["J3(H)", "J3(O)"]
-    )
-    def test_j3_leibniz_rows(self, k, components, groups):
+    @pytest.mark.parametrize("k, components", [(quaternions, 16), (octonions, 32)], ids=["J3(H)", "J3(O)"])
+    def test_j3_leibniz_rows(self, k, components):
         # the Z2^3 grading of O (Z2^2 of H) and the Z2^2 of the three
         # off-diagonal slots split the derivations into homogeneous parts
         rows, ncols = leibniz_constraint_rows(jordan_algebra(k()))
         assert np.unique(linalg._column_components(rows, ncols)).size == components
-        assert linalg._column_groups(rows, ncols)[1] == groups
-        assert_split_matches_whole(rows, ncols)
+        assert_matches_whole_solve(rows, ncols)
 
     def test_rescaled_j3o_rows(self, j3o):
         # the rows of test_j3o_rows_whose_lift_needs_several_primes: a
@@ -776,51 +773,13 @@ class TestComponentSplit:
         copy = rescaled(j3o, [1000 ** (k % 3) for k in range(j3o.dim)])
         rows, ncols = leibniz_constraint_rows(copy)
         deadline = time.monotonic() + 60
-        assert_split_matches_whole(rows, ncols, lambda: time.monotonic() > deadline)
+        assert_matches_whole_solve(rows, ncols, lambda: time.monotonic() > deadline)
         assert nullspace_with_info(rows, ncols)[0]._ints.dtype == object
 
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        """The systems handed to the per-group solve, as it returns."""
-        solved = []
-        solve = linalg._solve_group
-
-        def counted(rows, ncols, cancel=None):
-            out = solve(rows, ncols, cancel)
-            solved.append(len(rows))
-            return out
-
-        monkeypatch.setattr(linalg, "_solve_group", counted)
-        return solved
-
-    def test_a_connected_system_is_solved_once(self, monkeypatch, solves):
-        # x_i = 2 x_(i+1): no row is a ±1 doubleton, so none is substituted
-        monkeypatch.setattr(linalg, "_BLOCK_ROWS", 2)
-        chain = integer_rows(np.eye(5, 6, dtype=np.int64) - 2 * np.eye(5, 6, 1, dtype=np.int64))
-        basis, free, r = nullspace_with_info(chain, 6)
-        assert (basis.to_rows(), free, r) == ([[32, 16, 8, 4, 2, 1]], [5], 5)
-        assert solves == [5]
-
-    def test_cancel_after_the_first_group(self, monkeypatch, solves):
-        # three components of two rows each, one group apiece
-        monkeypatch.setattr(linalg, "_BLOCK_ROWS", 2)
-        rows = integer_rows(np.kron(np.eye(3, dtype=np.int64), np.array([[1, 2], [3, 4]])))
-        rrefs = []
-        rref = linalg._modp_rref
-
-        def counted(*args):
-            rrefs.append(None)
-            return rref(*args)
-
-        monkeypatch.setattr(linalg, "_modp_rref", counted)
-        with pytest.raises(ComputationCancelled):
-            nullspace_with_info(rows, 6, cancel=lambda: bool(solves))
-        assert solves == [2] and len(rrefs) == 1
-
     def test_j3o_solve_peak_memory(self, j3o):
-        # the unsplit solve peaks at 17.5 MB with numpy 2.4; group by
-        # group it peaked at 0.8 MB, and the substitution's rewrite of
-        # the rows now peaks at 1.6 MB
+        # the unsubstituted solve peaks at 17.5 MB with numpy 2.4; the
+        # substitution's rewrite of the rows peaks at 1.6 MB, and the
+        # 136 rows it leaves are solved in less
         rows, ncols = leibniz_constraint_rows(j3o)
         tracemalloc.start()
         try:
@@ -875,18 +834,47 @@ def substitution_systems(draw):
     return [[v * scale for v in row] for row in rows], ncols
 
 
+@st.composite
+def twin_systems(draw):
+    """Rows the substitution leaves, each with a twin: a copy of it, as
+    it is or negated, and with one entry past the first moved by a
+    multiple of a seeded prime, of two of them or of 2^64 (which a hash
+    of the entries mod p or in int64 would take for the same row), or
+    negated.  Entries are nonzero, some past 2^62, and a row x_c = 0 at
+    one more column starts the substitution."""
+    ncols = draw(st.integers(min_value=6, max_value=10))
+    col = st.integers(min_value=0, max_value=ncols - 1)
+    big = st.integers(min_value=2**62, max_value=2**70)
+    entry = st.one_of(st.sampled_from([-3, -2, -1, 1, 2, 3]), big, big.map(lambda v: -v))
+    moves = [_seeded_prime(0), _seeded_prime(0) * _seeded_prime(1), 2**64, None, 0]
+    rows = [[0] * ncols + [1]]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        row = [0] * (ncols + 1)
+        for c in draw(st.lists(col, min_size=2, max_size=4, unique=True)):
+            row[c] = draw(entry)
+        twin = [draw(st.sampled_from([1, -1])) * v for v in row]
+        c = draw(st.sampled_from([c for c, v in enumerate(row) if v][1:]))
+        move = draw(st.sampled_from(moves))
+        if move is None:
+            twin[c] = -twin[c]
+        else:
+            twin[c] += draw(st.sampled_from([-2, -1, 1])) * move
+        rows += [row, twin]
+    return draw(st.permutations(rows)), ncols + 1
+
+
 class TestSubstitution:
     """Rows x_c = 0 and x_i = ±x_j are substituted out before the solve."""
 
-    @pytest.mark.parametrize("block_rows", [1, linalg._BLOCK_ROWS])
+    @pytest.mark.parametrize("elim_rows", [1, linalg._ELIM_ROWS])
     @settings(max_examples=200, deadline=None)
-    @given(substitution_systems())
-    def test_matches_gauss_jordan(self, block_rows, system):
+    @given(st.one_of(substitution_systems(), twin_systems()))
+    def test_matches_gauss_jordan(self, elim_rows, system):
         rows, ncols = system
         sparse = integer_rows(mat(rows))
         assert linalg._substitute(sparse, ncols) is not None
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linalg, "_BLOCK_ROWS", block_rows)
+            mp.setattr(linalg, "_ELIM_ROWS", elim_rows)
             got, free, r = nullspace_with_info(sparse, ncols)
         assert ([tuple(v) for v in got.to_rows()], free, r) == gauss_jordan_nullspace(rows, ncols)
 
@@ -921,40 +909,67 @@ class TestSubstitution:
         rows = integer_rows(mat([[1, 2, 3], [2, 3, 5]]))
         assert linalg._substitute(rows, 3) is None
         solved = []
-        solve = linalg._solve_components
+        solve = linalg._modular_solve
 
         def counted(part, ncols, cancel=None):
             solved.append(part)
             return solve(part, ncols, cancel)
 
-        monkeypatch.setattr(linalg, "_solve_components", counted)
+        monkeypatch.setattr(linalg, "_modular_solve", counted)
         nullspace_with_info(rows, 3)
         assert solved == [rows]
 
+    def test_rows_equal_up_to_sign_are_kept_once(self):
+        # rows 1 and 3 repeat row 0 up to sign; rows 4 to 6 differ from
+        # row 0 by 2^64, by p and by 2^64 p at one entry, and stay
+        p, big = _seeded_prime(0), 2**64 + 3
+        rows = integer_rows(mat([
+            [2, -big, 0], [-2, big, 0], [0, 1, 1], [2, -big, 0],
+            [2, -big + 2**64, 0], [2 + p, -big, 0], [2, -big - 2**64 * p, 0],
+        ]))
+        kept, want = linalg._distinct_up_to_sign(rows), rows.take([0, 2, 4, 5, 6])
+        assert kept.vals.dtype == object
+        for name in ("starts", "cols", "vals"):
+            assert np.array_equal(getattr(kept, name), getattr(want, name))
+
+    @pytest.mark.parametrize(
+        "k, dim, live", [(complex_algebra, 0, 0), (quaternions, 3, 3)], ids=["C", "H"]
+    )
+    def test_leibniz_rows_substituted_away(self, k, dim, live):
+        # nothing is left for the modular solve: over C every unknown is
+        # forced to 0, over H three roots stay free
+        rows, ncols = leibniz_constraint_rows(k())
+        reduced, _, roots = linalg._substitute(rows, ncols)
+        assert (len(reduced), roots.size) == (0, live)
+        basis, free, r = nullspace_with_info(rows, ncols)
+        assert (basis.rows, r) == (dim, ncols - dim)
+        assert not rows.dot(basis._ints.T).any()
+
     @pytest.fixture
-    def pivots(self, monkeypatch):
-        """Pivots found by ``absorb``, one count per call."""
-        found = []
+    def absorbed(self, monkeypatch):
+        """Rows handed to ``absorb`` and pivots it finds, one pair per call."""
+        calls = []
         absorb = linalg._ModPEchelon.absorb
 
         def counted(eng, row_ids):
             r0 = eng.rank
             absorb(eng, row_ids)
-            found.append(eng.rank - r0)
+            calls.append((len(row_ids), eng.rank - r0))
 
         monkeypatch.setattr(linalg._ModPEchelon, "absorb", counted)
-        return found
+        return calls
 
-    def test_j3o_pivots_reaching_the_elimination(self, j3o, pivots):
+    def test_j3o_pivots_reaching_the_elimination(self, j3o, absorbed):
         # 591 rows x_c = 0 and 5,424 rows x_i = ±x_j leave 2,208 rows over
-        # 132 unknowns: 80 pivots are eliminated mod p, against 677
-        # without the substitution; no call finds no pivot
+        # 132 unknowns, 136 of them distinct up to sign: 80 pivots are
+        # eliminated mod p, against 677 without the substitution, and
+        # no more than those 136 rows reach the elimination
         rows, ncols = leibniz_constraint_rows(j3o)
         reduced, _, live = linalg._substitute(rows, ncols)
-        assert (len(reduced), live.size) == (2208, 132)
+        assert (len(reduced), live.size) == (136, 132)
         nullspace_with_info(rows, ncols)
-        assert sum(pivots) < 150
-        assert all(pivots)
+        handed, pivots = (sum(c) for c in zip(*absorbed))
+        assert pivots == 80 and handed <= 136
 
     def test_j3o_basis_satisfies_every_input_row(self, j3o):
         # the solve certifies the reduced rows only; the expanded basis
@@ -963,7 +978,7 @@ class TestSubstitution:
         basis, free, r = nullspace_with_info(rows, ncols)
         assert (basis.rows, r) == (52, 677)
         assert not rows.dot(basis._ints.T).any()
-        assert basis == linalg._solve_components(rows, ncols)[0]
+        assert basis == linalg._modular_solve(rows, ncols)[0]
 
 
 class TestSparseSum:
