@@ -378,10 +378,3 @@ class TestRandomRows:
         assert rng.calls > 1
         assert got.ravel().tolist() == [ref.randint(-9, 9) for _ in range(1000)]
         assert rng.getstate() == ref.getstate()
-
-    def test_probe_coefficients_are_the_same_draws(self):
-        rng, ref = random.Random(5), random.Random(5)
-        got = lie._probe_coefficients(rng, 3, 52)
-        assert got.shape == (3, 52)
-        assert got.ravel().tolist() == [ref.randint(-9, 9) for _ in range(3 * 52)]
-        assert rng.getstate() == ref.getstate()

@@ -779,6 +779,16 @@ def rng_after_draws(seed, draws):
     return rng.getstate()
 
 
+def test_probe_coefficients_are_the_randint_draws():
+    rng, ref = random.Random(5), random.Random(5)
+    got = lie._probe_coefficients(rng, 3, 52)
+    assert got.shape == (3, 52)
+    assert got.ravel().tolist() == [
+        ref.randint(-RANDOM_COEFF_SPAN, RANDOM_COEFF_SPAN) for _ in range(3 * 52)
+    ]
+    assert rng.getstate() == ref.getstate()
+
+
 class StubRng:
     """The given values first, then seeded draws, as the probes read them
     through ``getrandbits``: value v is the 32-bit word whose top bits
