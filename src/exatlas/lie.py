@@ -48,7 +48,9 @@ from .linalg import (
     _contract,
     _int_array,
     _join,
+    _modp_rref,
     _scaled_int_array,
+    _seeded_prime,
     _sparse_sum,
     integer_rows,
     is_negative_definite,
@@ -320,18 +322,21 @@ def is_algebra_automorphism(algebra: _alg.FiniteAlgebra, sigma: RationalMatrix) 
     """Checks sigma(e_i e_j) = sigma(e_i) sigma(e_j) on all basis pairs.
 
     With sigma = S'/t and the tensor C' = s*c, both sides times s t^2
-    are integer contractions: t sum_m C'[i,j,m] S'[k,m] against
-    sum_ab S'[a,i] S'[b,j] C'[a,b,k].
+    are integer sums over the nonzeros of C': t sum_m C'[i,j,m] S'[k,m]
+    (axis 2 mapped by S') against sum_ab S'[a,i] S'[b,j] C'[a,b,k]
+    (axes 0 and 1 mapped by S' transposed).
     """
     n = algebra.dim
     if sigma.shape != (n, n):
         return False
     s_int = sigma._ints
-    t = _int_array([sigma._den], ())
     c = algebra.tensor
-    lhs = _contract(",ijm,km->ijk", n, t, c, s_int)
-    rhs = _contract("ai,bj,abk->ijk", n * n, s_int, s_int, c, optimize=True)
-    return bool(np.array_equal(lhs, rhs))
+    keys = np.flatnonzero(c)
+    tensor = (keys, c.reshape(-1)[keys], c.shape)
+    lhs_keys, lhs, _ = _map_axis(*tensor, 2, s_int)
+    rhs_keys, rhs, _ = _map_axis(*_map_axis(*tensor, 0, s_int.T), 1, s_int.T)
+    lhs = _contract(",k->k", 1, _int_array([sigma._den], ()), lhs)
+    return np.array_equal(lhs_keys, rhs_keys) and np.array_equal(lhs, rhs)
 
 
 def doubled_half_reflection(algebra: _alg.FiniteAlgebra) -> RationalMatrix:
@@ -543,13 +548,14 @@ def _is_maximal_abelian(
 ) -> bool:
     """Whether the centralizer of a probe x is certified maximal abelian.
 
-    ``kernel`` holds integer multiples of an echelon basis of the
-    centralizer (one row per vector, in coordinates of l) and
-    ``x_coords`` the coordinates of x in it.  Certified when l is
-    compact, x is not 0 and the centralizer is abelian: dropping one
-    vector at which x's coordinate is nonzero leaves, with x, a basis
-    {x, b_2, ..., b_m}, and [x, b_i] = 0 by definition, so only the
-    pairs [b_i, b_j] are summed, each over the nonzeros of f.
+    The rank probes' exact fallback (``_centralizer_rank``).  ``kernel``
+    holds integer multiples of an echelon basis of the centralizer (one
+    row per vector, in coordinates of l) and ``x_coords`` the
+    coordinates of x in it.  Certified when l is compact, x is not 0 and
+    the centralizer is abelian: dropping one vector at which x's
+    coordinate is nonzero leaves, with x, a basis {x, b_2, ..., b_m},
+    and [x, b_i] = 0 by definition, so only the pairs [b_i, b_j] are
+    summed, each over the nonzeros of f.
     """
     on_x = np.flatnonzero(x_coords)
     if not on_x.size or not l.is_compact:
@@ -568,6 +574,26 @@ def _is_maximal_abelian(
     return not brackets.size
 
 
+def _commuting_floor(l: LieAlgebraBasis, basis: np.ndarray | None) -> int:
+    """The size of a greedy set of pairwise commuting vectors of V (as in
+    ``_centralizer_rank``): in order, each vector that commutes with every
+    one kept before, where a and b commute when f, its first two axes
+    mapped by the basis, has no key (a, b, c).  On a compact l their
+    abelian span lies in a maximal one, so the size is at most the rank."""
+    d = l.dim
+    keys, vals, shape = l._f_keys, l._f_vals, (d, d, d)
+    if basis is not None:
+        keys, vals, shape = _map_axis(*_map_axis(keys, vals, shape, 0, basis), 1, basis)
+    m = shape[0]
+    clash = np.zeros((m, m), dtype=bool)
+    clash.flat[keys // d] = True
+    kept: list[int] = []
+    for a in range(m):
+        if not clash[a, kept].any():
+            kept.append(a)
+    return len(kept)
+
+
 def _centralizer_rank(
     l: LieAlgebraBasis, basis: np.ndarray | None, trials: int, rng: random.Random | None
 ) -> int:
@@ -576,14 +602,20 @@ def _centralizer_rank(
     V is the span of the integer rows of ``basis`` (coordinates of l),
     or all of l when ``basis`` is None, which spares the products with
     an identity basis.  Every trial's coefficients are drawn up front,
-    so rng ends in the same state however many trials are solved; the
-    probes stop at the first x whose centralizer in V
+    so rng ends in the same state however many trials are solved.  On a
+    compact l each probe x first takes a ceiling, the nullity of its
+    constraint mod ``_seeded_prime(0)``, and the probes stop with nothing
+    lifted at the first x whose ceiling meets the floor
+    ``_commuting_floor``; a floor above a ceiling raises.  A probe above
+    the floor, and every probe of an l that is not compact, is solved
+    exactly, and the probes stop at one whose centralizer in V
     ``_is_maximal_abelian`` certifies.
     """
     m = l.dim if basis is None else basis.shape[0]
     probes = _probe_coefficients(rng, trials, m)
     if m == 0:
         return 0
+    floor = _commuting_floor(l, basis) if l.is_compact else None
     best = m
     for c in probes:
         if basis is None:
@@ -592,7 +624,14 @@ def _centralizer_rank(
             ad_x = l._ad(_contract("u,ua->a", m, c, basis))
             # the kernel in coefficients of V is the centralizer
             constraint = _contract("cb,ub->cu", l.dim, ad_x, basis)
-        kernel, free, r = nullspace_with_info(integer_rows(constraint), m)
+        rows = integer_rows(constraint)
+        if floor is not None:
+            ceiling = m - len(_modp_rref(rows, m, _seeded_prime(0))[0])
+            if floor > ceiling:
+                raise RuntimeError("internal error: commuting vectors outnumber a centralizer")
+            if floor == ceiling:
+                return floor
+        kernel, free, r = nullspace_with_info(rows, m)
         best = min(best, m - r)
         in_l = kernel._ints if basis is None else _contract("tu,ua->ta", m, kernel._ints, basis)
         if _is_maximal_abelian(l, c[free], in_l):
@@ -611,16 +650,17 @@ def generic_rank(
     subalgebra, so the minimum is the rank; extra trials guard against
     non-generic samples and can only lower the result.
 
-    The probes (``_centralizer_rank`` over all of l) stop at
-    the first x whose centralizer z(x) ``_is_maximal_abelian`` certifies
-    (l compact, x not 0, z(x) abelian); its dimension is then the
-    minimum over all trials.  In a compact Lie algebra all maximal
-    abelian subalgebras are conjugate (Knapp, *Lie Groups Beyond an
-    Introduction*, Thm 4.34), so they share one dimension, the rank.
-    Every y lies in one inside z(y), so dim z(y) >= rank for every
-    trial; and an abelian z(x) is maximal, since an abelian space
-    containing it commutes with x, so dim z(x) = rank.  An algebra that
-    is not compact has every trial solved.
+    On a compact l the rank is certified by two bounds that meet
+    (``_centralizer_rank`` over all of l).  All maximal abelian
+    subalgebras of a compact Lie algebra are conjugate (Knapp, *Lie
+    Groups Beyond an Introduction*, Thm 4.34), so share one dimension,
+    the rank.  Commuting basis vectors span an abelian subalgebra, which
+    lies in one, so their number is at most the rank; every y lies in
+    one inside z(y), so the rank is at most dim z(y), at most the
+    nullity of ad_y mod p.  A probe above the floor is solved exactly:
+    an abelian z(x), x not 0, is maximal, since an abelian space
+    containing it commutes with x.  An algebra that is not compact has
+    every trial solved.
     """
     return _centralizer_rank(l, None, trials, rng)
 
@@ -644,14 +684,14 @@ def flat_rank(
     unlucky probe has a larger centralizer, so extra trials can only
     lower the result.
 
-    As in ``generic_rank``, the probes (over the basis of p) stop at the
-    first x whose centralizer in p, taken in coordinates of g,
-    ``_is_maximal_abelian`` certifies.  For a compact g all maximal
-    abelian subspaces of p are Ad(K)-conjugate (Helgason, *Differential
-    Geometry, Lie Groups, and Symmetric Spaces*, Ch. V, Lemma 6.3), so
-    the same two bounds make that centralizer's dimension the minimum
-    over all trials.  A split of a g that is not compact has every trial
-    solved.
+    As in ``generic_rank``, the rank of a split of a compact g is
+    certified by two bounds over the basis of p: basis vectors of p that
+    commute pairwise, and the nullity mod p of a probe's constraint; a
+    probe above the floor is solved exactly.  For a compact g all
+    maximal abelian subspaces of p are Ad(K)-conjugate (Helgason,
+    *Differential Geometry, Lie Groups, and Symmetric Spaces*, Ch. V,
+    Lemma 6.3), so the same arguments hold in p.  A split of a g that is
+    not compact has every trial solved.
     """
     return _centralizer_rank(pair.lie, pair.p_basis._ints, trials, rng)
 

@@ -8,6 +8,7 @@ import textwrap
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -390,6 +391,61 @@ class TestKillingForm:
         assert is_negative_definite(killing_form(der_j3o))
 
 
+def dense_automorphism_oracle(algebra, sigma):
+    """sigma(e_i e_j) = sigma(e_i) sigma(e_j) by the dense einsums over
+    the tensor: t sum_m C'[i,j,m] S'[k,m] against
+    sum_ab S'[a,i] S'[b,j] C'[a,b,k], with sigma = S'/t."""
+    n, s_int, c = algebra.dim, sigma._ints, algebra.tensor
+    lhs = _contract(",ijm,km->ijk", n, np.array(sigma._den, dtype=object), c, s_int)
+    rhs = _contract("ai,bj,abk->ijk", n * n, s_int, s_int, c, optimize=True)
+    return np.array_equal(lhs, rhs)
+
+
+def _cyclic_quaternion_map(shift):
+    """i -> j -> k -> i in the basis f = (1, 1, 2^70, 2^140) of H, with
+    one more added to entry (2, 1) when ``shift``."""
+    h = rescaled(quaternions(), [1, 1, 2**70, 2**140])
+    rows = [
+        [1, 0, 0, 0],
+        [0, 0, 0, 2**140],
+        [0, Fraction(1, 2**70), 0, 0],
+        [0, 0, Fraction(1, 2**70), 0],
+    ]
+    rows[2][1] += shift
+    return h, RationalMatrix.from_rows(rows)
+
+
+AUTOMORPHISM_CASES = {
+    "O-half-reflection": (True, lambda _: (octonions(), doubled_half_reflection(octonions()))),
+    "O-one-sign": (
+        False,
+        lambda _: (octonions(), RationalMatrix.from_ints(np.diag([1, -1] + [1] * 6), 1)),
+    ),
+    "O-dense": (False, lambda _: (octonions(), dense_reflection(8, 1))),
+    "H-swap": (
+        True,
+        lambda _: (
+            quaternions(),
+            RationalMatrix.from_rows([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]]),
+        ),
+    ),
+    "H-cyclic-2^70": (True, lambda _: _cyclic_quaternion_map(0)),
+    "H-cyclic-2^70-moved": (False, lambda _: _cyclic_quaternion_map(1)),
+    "J3O-signs": (True, lambda j3o: (j3o, diagonal_sign_involution(j3o))),
+    "J3O-dense": (False, lambda j3o: (j3o, dense_reflection(27, 2))),
+}
+
+
+class TestAlgebraAutomorphism:
+    @pytest.mark.parametrize(
+        "expected, build", AUTOMORPHISM_CASES.values(), ids=AUTOMORPHISM_CASES.keys()
+    )
+    def test_sparse_check_matches_the_dense_einsums(self, j3o, expected, build):
+        algebra, sigma = build(j3o)
+        assert lie.is_algebra_automorphism(algebra, sigma) is expected
+        assert dense_automorphism_oracle(algebra, sigma) is expected
+
+
 class TestInducedInvolution:
     def test_identity_automorphism(self, der_o):
         theta = induced_involution(octonions(), RationalMatrix.identity(8), der_o)
@@ -588,16 +644,23 @@ def _diagonal_in_copy(sigma: RationalMatrix, perm) -> RationalMatrix:
     )
 
 
+def assert_ranks_meet_their_floors(pair, rank, flat):
+    """The generic and flat ranks, each certified by its two bounds with
+    no exact solve."""
+    with mock.patch.object(lie, "nullspace_with_info", wraps=nullspace_with_info) as solve:
+        assert (generic_rank(pair.lie), flat_rank(pair)) == (rank, flat)
+    assert solve.call_count == 0
+
+
 def assert_f4_in_rescaled_j3o(j3o, factors):
     copy = rescaled(j3o, factors)
     l = derivation_algebra(copy)
     assert l.dim == 52
     assert is_negative_definite(killing_form(l))
-    assert generic_rank(l) == 4
     # a diagonal map keeps its matrix under a diagonal rescaling
     pair = cartan_split(l, induced_involution(copy, diagonal_sign_involution(j3o), l))
     assert (pair.dims, pair.pp_spans_k, pair.kp_spans_p) == ((36, 16), True, True)
-    assert flat_rank(pair) == 1
+    assert_ranks_meet_their_floors(pair, 4, 1)
 
 
 class TestBasisIndependence:
@@ -617,11 +680,10 @@ class TestBasisIndependence:
         l = derivation_algebra(o)
         assert l.dim == 14
         assert is_negative_definite(killing_form(l))
-        assert generic_rank(l) == 2
         sigma = _diagonal_in_copy(doubled_half_reflection(octonions()), perm)
         pair = cartan_split(l, induced_involution(o, sigma, l))
         assert (pair.dims, pair.pp_spans_k, pair.kp_spans_p) == ((6, 8), True, True)
-        assert flat_rank(pair) == 2
+        assert_ranks_meet_their_floors(pair, 2, 2)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -718,7 +780,8 @@ class TestGenericRank:
             return modp_rref(*args)
 
         monkeypatch.setattr(linalg, "_modp_rref", counted)
-        assert generic_rank(der_j3o, trials=5) == 4
+        for c in lie._probe_coefficients(None, 5, der_j3o.dim):
+            assert nullspace_with_info(integer_rows(der_j3o._ad(c)), der_j3o.dim)[2] == 48
         assert len(calls) <= 2 * 5
 
     def test_more_trials_never_increase(self, der_o):
@@ -806,18 +869,29 @@ class StubRng:
         return words | self.rng.getrandbits(k - 32 * len(given)) << (32 * len(given))
 
 
-@pytest.fixture
-def solves(monkeypatch):
-    """Every ``nullspace_with_info`` call made from ``lie``, in order."""
+def _calls_from_lie(monkeypatch, name):
+    """Every call of the function bound to ``name`` in ``lie``, in order."""
     calls = []
-    solve = lie.nullspace_with_info
+    fn = getattr(lie, name)
 
     def counted(*args):
         calls.append(args)
-        return solve(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(lie, "nullspace_with_info", counted)
+    monkeypatch.setattr(lie, name, counted)
     return calls
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every ``nullspace_with_info`` call made from ``lie``, in order."""
+    return _calls_from_lie(monkeypatch, "nullspace_with_info")
+
+
+@pytest.fixture
+def modular_ranks(monkeypatch):
+    """Every ``_modp_rref`` call made from ``lie``: the probes' ceilings."""
+    return _calls_from_lie(monkeypatch, "_modp_rref")
 
 
 @pytest.fixture(scope="module")
@@ -829,6 +903,14 @@ def compact_splits(der_o, der_j3o, j3o):
             der_j3o, induced_involution(j3o, diagonal_sign_involution(j3o, (-1, 1, 1)), der_j3o)
         ),
     }
+
+
+def seeded_rank(name, der_j3o, compact_splits):
+    """The rank of f4, or the flat rank of the named split, over five
+    seeded trials."""
+    if name == "f4":
+        return generic_rank(der_j3o, trials=5)
+    return flat_rank(compact_splits[name], trials=5)
 
 
 class TestCertifiedRankProbes:
@@ -884,26 +966,52 @@ class TestCertifiedRankProbes:
         assert len(solves) == trials
 
     @pytest.mark.parametrize("first", ["zero", "unit"])
-    def test_f4_moves_past_a_zero_or_singular_first_draw(self, der_j3o, first, solves):
-        # e_0 is singular: its centralizer in f4 has dimension 22
+    def test_f4_moves_past_a_zero_or_singular_first_draw(
+        self, der_j3o, first, solves, modular_ranks
+    ):
+        # e_0 is singular: its centralizer in f4 has dimension 22; the
+        # ceiling of either draw is above the floor, so it is solved exactly
         draw = [0] * der_j3o.dim
         if first == "unit":
             draw[0] = 1
         rng = StubRng(draw, 3)
         assert generic_rank(der_j3o, trials=5, rng=rng) == 4
-        assert len(solves) == 2
+        assert (len(modular_ranks), len(solves)) == (2, 1)
         assert rng.rng.getstate() == rng_after_draws(3, 4 * der_j3o.dim)
 
-    def test_g2_split_moves_past_a_singular_first_draw(self, compact_splits, solves):
+    def test_g2_split_moves_past_a_singular_first_draw(self, compact_splits, solves, modular_ranks):
         # the first p basis vector has a 3-dimensional centralizer in p
         pair = compact_splits["G"]
         rng = StubRng([1] + [0] * (pair.p_dim - 1), 3)
         assert flat_rank(pair, trials=5, rng=rng) == 2
-        assert len(solves) == 2
+        assert (len(modular_ranks), len(solves)) == (2, 1)
+        assert rng.rng.getstate() == rng_after_draws(3, 4 * pair.p_dim)
 
-    def test_seeded_f4_probe_solves_one_system(self, der_j3o, solves):
+    def test_seeded_f4_probe_meets_the_floor_unsolved(self, der_j3o, solves, modular_ranks):
         assert generic_rank(der_j3o, trials=5) == 4
-        assert len(solves) == 1
+        assert (len(modular_ranks), len(solves)) == (1, 0)
+
+    @pytest.mark.parametrize("name", ["f4", "G", "FII"])
+    def test_a_floor_one_short_falls_back_to_the_exact_solve(
+        self, der_j3o, compact_splits, name, solves, modular_ranks, monkeypatch
+    ):
+        floor = lie._commuting_floor
+        monkeypatch.setattr(lie, "_commuting_floor", lambda l, basis: floor(l, basis) - 1)
+        assert seeded_rank(name, der_j3o, compact_splits) == {"f4": 4, "G": 2, "FII": 1}[name]
+        # the first probe's kernel is certified maximal abelian
+        assert (len(modular_ranks), len(solves)) == (1, 1)
+
+    @pytest.mark.parametrize("name", ["f4", "G"])
+    def test_a_floor_above_a_ceiling_raises(self, der_j3o, compact_splits, name, monkeypatch):
+        floor = lie._commuting_floor
+        monkeypatch.setattr(lie, "_commuting_floor", lambda l, basis: floor(l, basis) + 1)
+        with pytest.raises(RuntimeError, match="outnumber"):
+            seeded_rank(name, der_j3o, compact_splits)
+
+    def test_floors_meet_the_ranks(self, der_o, der_j3o, compact_splits):
+        floor = lie._commuting_floor
+        assert (floor(der_o, None), floor(der_j3o, None)) == (2, 4)
+        assert [floor(p.lie, p.p_basis._ints) for p in compact_splits.values()] == [2, 1]
 
 
 class TestCancellation:

@@ -790,6 +790,10 @@ class TestComponentSplit:
         assert peak < 4e6
 
 
+#: The least share of ``substitution_systems`` left with rows to solve.
+SOLVED_SHARE = 0.5
+
+
 @st.composite
 def substitution_systems(draw):
     """Systems rich in rows x_c = 0 and x_i = ±x_j, as dense rows over
@@ -797,10 +801,18 @@ def substitution_systems(draw):
     random path, cycles of pairs whose signs conflict (forcing every
     column on them to 0), and general rows of up to four entries, some
     past 2^62, which the substitution turns into new singletons and
-    pairs as it kills or merges their columns.  The system is scaled by
-    one random factor, past 2^62 too, which the gcd takes off again."""
+    pairs as it kills or merges their columns.  Those rows leave almost
+    nothing for the modular solve, so up to two more rows each hold three
+    nonzero entries at three columns of their own past the others, and up
+    to two more entries anywhere: no row there ever has fewer than three
+    entries, so those columns are never substituted and the rows reach
+    the solve (``SOLVED_SHARE``).  The system is scaled by one random
+    factor, past 2^62 too, which the gcd takes off again."""
     ncols = draw(st.integers(min_value=2, max_value=10))
     col = st.integers(min_value=0, max_value=ncols - 1)
+    held = draw(st.integers(min_value=0, max_value=2))
+    if held:
+        ncols += 3
     unit = st.sampled_from([1, -1])
     big = st.integers(min_value=2**62, max_value=2**70)
     entry = st.one_of(st.integers(min_value=-3, max_value=3), big, big.map(lambda v: -v))
@@ -830,6 +842,9 @@ def substitution_systems(draw):
         else:
             cols = draw(st.lists(col, min_size=1, max_size=4, unique=True))
             put(cols, [draw(entry) for _ in cols])
+    for _ in range(held):
+        cols = [ncols - 3, ncols - 2, ncols - 1] + draw(st.lists(col, max_size=2, unique=True))
+        put(cols, [draw(entry.filter(bool)) for _ in cols])
     scale = draw(st.one_of(st.just(1), st.integers(1, 6), big))
     return [[v * scale for v in row] for row in rows], ncols
 
@@ -877,6 +892,19 @@ class TestSubstitution:
             mp.setattr(linalg, "_ELIM_ROWS", elim_rows)
             got, free, r = nullspace_with_info(sparse, ncols)
         assert ([tuple(v) for v in got.to_rows()], free, r) == gauss_jordan_nullspace(rows, ncols)
+
+    def test_a_share_of_the_systems_reaches_the_modular_solve(self):
+        reached = []
+
+        @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+        @given(substitution_systems())
+        def draw(system):
+            rows, ncols = system
+            reduced = linalg._substitute(integer_rows(mat(rows)), ncols)
+            reached.append(len(reduced[0]) > 0)
+
+        draw()
+        assert sum(reached) >= SOLVED_SHARE * len(reached)
 
     def test_sign_conflict_forces_the_cycle_to_zero(self):
         # x0 = x1, x1 = x2, x2 = -x0: only x3 is free, and nothing is left
