@@ -11,8 +11,9 @@ and the eigenspace bracket relations of an involution.  One span
 certificate (``_span_coords``) places sparse vectors in the echelon
 basis, both the brackets of the basis and the transports sigma D sigma
 of an involution sigma, which is given as a ``RationalMatrix`` and
-checked on entry.  ``generic_rank`` and ``flat_rank`` share one probe
-loop, over the whole algebra or over p.
+checked on entry.  A split checks its inclusions over the nonzeros of
+theta -/+ 1 and its span flags mod p first.  ``generic_rank`` and
+``flat_rank`` share one probe loop, over f or over a split's [p, p].
 
 Hot paths run on scaled integer numpy arrays, starting from the
 algebra's own structure tensor C' = s*c.  Scales are tracked so the
@@ -60,6 +61,9 @@ from .linalg import (
 
 class InvalidInvolutionError(ValueError):
     """The supplied map is not an involutive automorphism."""
+
+
+Tensor = tuple[np.ndarray, np.ndarray, tuple[int, ...]]  # values at ascending flat keys of a shape
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +121,8 @@ class LieAlgebraBasis:
     [D_a, D_b] = sum_c f(a, b, c) D_c.  f is stored sparse, over one
     scale: the nonzero f(a, b, c) is ``_f_vals[t] / _f_scale`` at the
     key ``_f_keys[t] = (a * dim + b) * dim + c``, keys ascending.  Every
-    reader of f (ad, the Killing form, the brackets of a Cartan split,
-    the abelian test of the rank probes) runs over these nonzeros.
+    reader of f (the Killing form, the brackets of a Cartan split, the
+    rank probes) runs over these nonzeros.
     """
 
     algebra: _alg.FiniteAlgebra
@@ -151,11 +155,15 @@ class LieAlgebraBasis:
         """
         return is_negative_definite(killing_form(self))
 
-    def _ad(self, x_int: np.ndarray) -> np.ndarray:
-        """Scaled matrix of ad_x, (c, b) entry sum_a x[a] f(a, b, c), for integer x."""
-        d = self.dim
-        a, b, c = np.unravel_index(self._f_keys, (d,) * 3)
-        return _dense((d, d), *_sparse_sum(c * d + b, x_int[a], self._f_vals))
+    @property
+    def _brackets(self) -> Tensor:
+        """f: the V bracket tensor of the rank probes over all of l."""
+        return self._f_keys, self._f_vals, (self.dim,) * 3
+
+    @cached_property
+    def _floor(self) -> int:
+        """``_commuting_floor`` of f, kept as ``is_compact`` is."""
+        return _commuting_floor(self._brackets)
 
 
 def _dense(shape: tuple[int, ...], keys: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -167,7 +175,7 @@ def _dense(shape: tuple[int, ...], keys: np.ndarray, vals: np.ndarray) -> np.nda
 
 def _map_axis(
     keys: np.ndarray, vals: np.ndarray, shape: tuple[int, ...], axis: int, m: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+) -> Tensor:
     """A sparse tensor with one axis mapped by the integer matrix m.
 
     The tensor holds ``vals`` at the flat ``keys`` of ``shape``; entry
@@ -423,7 +431,9 @@ class CartanPair:
     basis vector, in coordinates of the Lie algebra).  The three bracket
     inclusions [k,k] in k, [k,p] in p, [p,p] in k are certified exactly
     on construction, each by an eigen-equation of the involution; the
-    span flags record whether [p,p] spans k and [k,p] spans p.
+    span flags record whether [p,p] spans k and [k,p] spans p.  The
+    brackets [p_u, p_v] of p's basis are kept, as the V bracket tensor
+    of ``flat_rank``'s probes.
     """
 
     lie: LieAlgebraBasis
@@ -431,6 +441,7 @@ class CartanPair:
     p_basis: RationalMatrix
     pp_spans_k: bool
     kp_spans_p: bool
+    _brackets: Tensor = field(repr=False)
 
     @property
     def k_dim(self) -> int:
@@ -444,19 +455,22 @@ class CartanPair:
     def dims(self) -> tuple[int, int]:
         return (self.k_dim, self.p_dim)
 
+    @cached_property
+    def _floor(self) -> int:
+        """``_commuting_floor`` of [p, p], kept as ``is_compact`` is."""
+        return _commuting_floor(self._brackets)
 
-def _bracket_rows(l: LieAlgebraBasis, left: np.ndarray, right: np.ndarray) -> SparseRows:
-    """The brackets of all pairs from two integer bases, as sparse rows.
+
+def _bracket_tensor(l: LieAlgebraBasis, left: np.ndarray, right: np.ndarray) -> Tensor:
+    """The brackets of all pairs from two integer bases, as a sparse tensor.
 
     The bracket of left[i] and right[j] has coordinate c equal to
     sum_ab left[i, a] right[j, b] f(a, b, c): the first axis of f mapped
-    by left and the second by right, over the nonzeros.  Each nonzero
-    bracket is one row, in the order of the pairs (i, j), divided by the
-    gcd of its entries (``SparseRows``); zero brackets have no row.  It
-    runs in slices of left's rows, each holding the rows whose join
-    terms, bounded from the nonzero counts, add up to about d^3: so
-    dense bases need at most a d-th of the d^4 intermediate of a dense
-    contraction, and sparse ones take one slice.
+    by left and the second by right, over the nonzeros.  It runs in
+    slices of left's rows, each holding the rows whose join terms,
+    bounded from the nonzero counts, add up to about d^3: so dense bases
+    need at most a d-th of the d^4 intermediate of a dense contraction,
+    and sparse ones take one slice.
     """
     d, m = l.dim, right.shape[0]
     per_a = np.bincount(l._f_keys // (d * d), minlength=d)
@@ -469,8 +483,23 @@ def _bracket_rows(l: LieAlgebraBasis, left: np.ndarray, right: np.ndarray) -> Sp
         k, v, _ = _map_axis(*f, 1, right)
         keys.append(k + lo * m * d)
         vals.append(v)
-    pair, c = np.divmod(np.concatenate(keys), d)
-    return SparseRows(pair, c, np.concatenate(vals))
+    return np.concatenate(keys), np.concatenate(vals), (left.shape[0], m, d)
+
+
+def _spans(brackets: Tensor, basis: RationalMatrix, free: list[int]) -> bool:
+    """Whether brackets in the span of an echelon basis span it: whether,
+    read at its free columns, they have rank ``basis.rows``.  Rank mod
+    p <= rank over Q <= that, so a full rank mod ``_seeded_prime(0)``
+    proves it; only a short one is solved exactly."""
+    keys, vals, (_, _, d) = brackets
+    n = basis.rows
+    pair, col = np.divmod(keys, d)
+    at = np.full(d, -1)
+    at[free] = np.arange(n)
+    kept = at[col] >= 0
+    rows = SparseRows(pair[kept], at[col[kept]], vals[kept])
+    full = len(_modp_rref(rows, n, _seeded_prime(0))[0]) == n
+    return full or nullspace_with_info(rows, n)[2] == n
 
 
 def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
@@ -482,14 +511,15 @@ def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
 
     k and p are the nullspaces of theta - 1 and theta + 1, so membership
     is an eigen-equation: x lies in k exactly when (theta - 1)x = 0, and
-    in p exactly when (theta + 1)x = 0.  Each inclusion is then one
-    sparse product of the bracket rows with theta - 1 or theta + 1,
-    taken over slices of the rows and checked before the next
-    inclusion's rows are built.  Once theta squares to the identity,
+    in p exactly when (theta + 1)x = 0.  Each inclusion is checked on
+    slices of the brackets, before the next inclusion's are built, each
+    product with theta -/+ 1 taken over its nonzeros (one ``_join`` and
+    one ``_sparse_sum`` per slice).  Once theta squares to the identity,
     g = k + p, so theta preserves the bracket exactly when the three
-    inclusions hold: their certificate is the automorphism check.
-    Given the inclusions, [p, p] spans k exactly when its rows have rank
-    dim k, and [k, p] spans p exactly when its rows have rank dim p.
+    inclusions hold: their certificate is the automorphism check.  Given
+    the inclusions, [p, p] spans k exactly when it has rank dim k, and
+    [k, p] spans p exactly when it has rank dim p (``_spans``, mostly by
+    one elimination mod p).  The pair keeps [p, p] for ``flat_rank``.
     """
     d = l.dim
     if theta.shape != (d, d):
@@ -498,33 +528,39 @@ def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
     if theta @ theta != ident:
         raise InvalidInvolutionError("map does not square to the identity")
     if d == 0:
-        empty = RationalMatrix.zeros(0, 0)
-        return CartanPair(l, empty, empty, True, True)
+        empty, none = RationalMatrix.zeros(0, 0), np.zeros(0, dtype=np.int64)
+        return CartanPair(l, empty, empty, True, True, (none, none, (0, 0, 0)))
 
     minus, plus = theta - ident, theta + ident
-    k = nullspace_with_info(integer_rows(minus), d)[0]
-    p = nullspace_with_info(integer_rows(plus), d)[0]
-    brackets = []
+    k, k_free, _ = nullspace_with_info(integer_rows(minus), d)
+    p, p_free, _ = nullspace_with_info(integer_rows(plus), d)
+    tensors = []
     for left, right, eigen, what in (
         (k, k, minus, "[k, k] escapes k"),
         (k, p, plus, "[k, p] escapes p"),
         (p, p, minus, "[p, p] escapes k"),
     ):
-        rows = _bracket_rows(l, left._ints, right._ints)
-        # slices of about d^2 entries, so each product gathers about d^3 terms
-        cuts = (np.flatnonzero(np.diff(rows.starts[:-1] // d**2)) + 1).tolist()
-        for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
-            if rows.block(lo, hi).dot(eigen._ints.T).any():
+        tensors.append(_bracket_tensor(l, left._ints, right._ints))
+        keys, vals, _ = tensors[-1]
+        pair, col = np.divmod(keys, d)
+        # (eigen z)[i] = sum_c eigen[i, c] z[c], over the nonzeros eigen[i, c]
+        e_row, e_col = np.nonzero(eigen._ints)
+        e_val = eigen._ints[e_row, e_col]
+        # slices of about d^2 entries, cut between brackets (of at most d each)
+        cuts = np.searchsorted(pair, pair[d * d :: d * d]).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, keys.size]):
+            x, y = _join(col[lo:hi], e_col)
+            if _sparse_sum(pair[lo:hi][x] * d + e_row[y], vals[lo:hi][x], e_val[y])[0].size:
                 raise InvalidInvolutionError(f"map does not preserve the bracket: {what}")
-        brackets.append(rows)
-    _, kp, pp = brackets
+    _, kp, pp = tensors
 
     return CartanPair(
         lie=l,
         k_basis=k,
         p_basis=p,
-        pp_spans_k=nullspace_with_info(pp, d)[2] == k.rows,
-        kp_spans_p=nullspace_with_info(kp, d)[2] == p.rows,
+        pp_spans_k=_spans(pp, k, k_free),
+        kp_spans_p=_spans(kp, p, p_free),
+        _brackets=pp,
     )
 
 
@@ -543,48 +579,50 @@ def _probe_coefficients(rng: random.Random | None, trials: int, dim: int) -> np.
     return _alg._random_rows(rng, trials, dim)
 
 
-def _is_maximal_abelian(
-    l: LieAlgebraBasis, x_coords: np.ndarray, kernel: np.ndarray
-) -> bool:
-    """Whether the centralizer of a probe x is certified maximal abelian.
-
-    The rank probes' exact fallback (``_centralizer_rank``).  ``kernel``
-    holds integer multiples of an echelon basis of the centralizer (one
-    row per vector, in coordinates of l) and ``x_coords`` the
-    coordinates of x in it.  Certified when l is compact, x is not 0 and
-    the centralizer is abelian: dropping one vector at which x's
-    coordinate is nonzero leaves, with x, a basis {x, b_2, ..., b_m},
-    and [x, b_i] = 0 by definition, so only the pairs [b_i, b_j] are
-    summed, each over the nonzeros of f.
+def _is_maximal_abelian(brackets: Tensor, x_coords: np.ndarray, kernel: np.ndarray) -> bool:
+    """Whether the centralizer of a probe x in V is abelian, x not 0:
+    on a compact l, the rank probes' exact certificate that it is
+    maximal abelian (``_centralizer_rank``).  ``kernel`` holds integer
+    multiples of an echelon basis of the centralizer, in coefficients of
+    V, and ``x_coords`` the coordinates of x in it.  Dropping one vector
+    at which x's coordinate is nonzero leaves, with x, a basis
+    {x, b_2, ..., b_m}, and [x, b_i] = 0, so only the pairs [b_i, b_j]
+    are summed, each over the nonzeros of V's bracket tensor.
     """
     on_x = np.flatnonzero(x_coords)
-    if not on_x.size or not l.is_compact:
+    if not on_x.size:
         return False
+    keys, vals, shape = brackets
     rest = np.delete(kernel, on_x[0], axis=0)
     i, j = np.triu_indices(rest.shape[0], 1)
-    d = l.dim
-    a, b, c = np.unravel_index(l._f_keys, (d,) * 3)
+    u, v, c = np.unravel_index(keys, shape)
     pair = np.arange(i.size)[:, None]
-    _, brackets = _sparse_sum(
-        (pair * d + c).ravel(),
-        rest[i][:, a].ravel(),
-        rest[j][:, b].ravel(),
-        np.tile(l._f_vals, i.size),
+    _, sums = _sparse_sum(
+        (pair * shape[2] + c).ravel(),
+        rest[i][:, u].ravel(),
+        rest[j][:, v].ravel(),
+        np.tile(vals, i.size),
     )
-    return not brackets.size
+    return not sums.size
 
 
-def _commuting_floor(l: LieAlgebraBasis, basis: np.ndarray | None) -> int:
-    """The size of a greedy set of pairwise commuting vectors of V (as in
-    ``_centralizer_rank``): in order, each vector that commutes with every
-    one kept before, where a and b commute when f, its first two axes
-    mapped by the basis, has no key (a, b, c).  On a compact l their
-    abelian span lies in a maximal one, so the size is at most the rank."""
-    d = l.dim
-    keys, vals, shape = l._f_keys, l._f_vals, (d, d, d)
-    if basis is not None:
-        keys, vals, shape = _map_axis(*_map_axis(keys, vals, shape, 0, basis), 1, basis)
-    m = shape[0]
+def _probe_rows(brackets: Tensor, x: np.ndarray) -> SparseRows:
+    """The constraint whose kernel is the centralizer of x = sum_u x_u v_u
+    in V: row c, column v is sum_u x_u [v_u, v_v]_c, one ``_sparse_sum``
+    over V's bracket tensor."""
+    keys, vals, (m, _, d) = brackets
+    u, v, c = np.unravel_index(keys, (m, m, d))
+    k, sums = _sparse_sum(c * m + v, x[u], vals)
+    return SparseRows(k // m, k % m, sums)
+
+
+def _commuting_floor(brackets: Tensor) -> int:
+    """The size of a greedy set of pairwise commuting vectors of V, read
+    from the keys of its bracket tensor: in order, each vector that
+    commutes with every one kept before, where u and v commute when the
+    tensor has no key (u, v, c).  On a compact l their abelian span lies
+    in a maximal one, so the size is at most the rank."""
+    keys, _, (m, _, d) = brackets
     clash = np.zeros((m, m), dtype=bool)
     clash.flat[keys // d] = True
     kept: list[int] = []
@@ -595,36 +633,31 @@ def _commuting_floor(l: LieAlgebraBasis, basis: np.ndarray | None) -> int:
 
 
 def _centralizer_rank(
-    l: LieAlgebraBasis, basis: np.ndarray | None, trials: int, rng: random.Random | None
+    l: LieAlgebraBasis, space: LieAlgebraBasis | CartanPair, trials: int, rng: random.Random | None
 ) -> int:
     """Minimum over trials of dim {y in V : [x, y] = 0} for random x in V.
 
-    V is the span of the integer rows of ``basis`` (coordinates of l),
-    or all of l when ``basis`` is None, which spares the products with
-    an identity basis.  Every trial's coefficients are drawn up front,
-    so rng ends in the same state however many trials are solved.  On a
-    compact l each probe x first takes a ceiling, the nullity of its
-    constraint mod ``_seeded_prime(0)``, and the probes stop with nothing
-    lifted at the first x whose ceiling meets the floor
-    ``_commuting_floor``; a floor above a ceiling raises.  A probe above
-    the floor, and every probe of an l that is not compact, is solved
-    exactly, and the probes stop at one whose centralizer in V
-    ``_is_maximal_abelian`` certifies.
+    V is all of l or the p of a Cartan pair, given as ``space``; the
+    probes read only its bracket tensor ``space._brackets`` (one
+    ``_probe_rows`` per probe) and its floor ``space._floor``, found once
+    per space.  Every trial's coefficients are drawn up front, so rng
+    ends in the same state however many trials are solved.  On a compact
+    l each probe x first takes a ceiling, the nullity of its constraint
+    mod ``_seeded_prime(0)``, and the probes stop with nothing lifted at
+    the first x whose ceiling meets the floor; a floor above a ceiling
+    raises.  A probe above the floor, and every probe of an l that is
+    not compact, is solved exactly, and on a compact l the probes stop
+    at one whose centralizer in V ``_is_maximal_abelian`` certifies.
     """
-    m = l.dim if basis is None else basis.shape[0]
+    brackets = space._brackets
+    m = brackets[2][0]
     probes = _probe_coefficients(rng, trials, m)
     if m == 0:
         return 0
-    floor = _commuting_floor(l, basis) if l.is_compact else None
+    floor = space._floor if l.is_compact else None
     best = m
-    for c in probes:
-        if basis is None:
-            constraint = l._ad(c)
-        else:
-            ad_x = l._ad(_contract("u,ua->a", m, c, basis))
-            # the kernel in coefficients of V is the centralizer
-            constraint = _contract("cb,ub->cu", l.dim, ad_x, basis)
-        rows = integer_rows(constraint)
+    for x in probes:
+        rows = _probe_rows(brackets, x)
         if floor is not None:
             ceiling = m - len(_modp_rref(rows, m, _seeded_prime(0))[0])
             if floor > ceiling:
@@ -633,8 +666,7 @@ def _centralizer_rank(
                 return floor
         kernel, free, r = nullspace_with_info(rows, m)
         best = min(best, m - r)
-        in_l = kernel._ints if basis is None else _contract("tu,ua->ta", m, kernel._ints, basis)
-        if _is_maximal_abelian(l, c[free], in_l):
+        if floor is not None and _is_maximal_abelian(brackets, x[free], kernel._ints):
             break
     return best
 
@@ -662,7 +694,7 @@ def generic_rank(
     containing it commutes with x.  An algebra that is not compact has
     every trial solved.
     """
-    return _centralizer_rank(l, None, trials, rng)
+    return _centralizer_rank(l, l, trials, rng)
 
 
 def flat_rank(
@@ -685,15 +717,15 @@ def flat_rank(
     lower the result.
 
     As in ``generic_rank``, the rank of a split of a compact g is
-    certified by two bounds over the basis of p: basis vectors of p that
-    commute pairwise, and the nullity mod p of a probe's constraint; a
-    probe above the floor is solved exactly.  For a compact g all
+    certified by two bounds read from the [p, p] the split kept: basis
+    vectors of p that commute pairwise, and the nullity mod p of a probe's
+    constraint; a probe above the floor is solved exactly.  For a compact g all
     maximal abelian subspaces of p are Ad(K)-conjugate (Helgason,
     *Differential Geometry, Lie Groups, and Symmetric Spaces*, Ch. V,
     Lemma 6.3), so the same arguments hold in p.  A split of a g that is
     not compact has every trial solved.
     """
-    return _centralizer_rank(pair.lie, pair.p_basis._ints, trials, rng)
+    return _centralizer_rank(pair.lie, pair, trials, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,8 @@ def _exact_quotient(v: int, den: int) -> Rational:
 
 
 def _max_abs(arr: np.ndarray) -> int:
-    # np.max, not .max: np.abs of a 0-d object array is a plain int
-    return int(np.max(np.abs(arr), initial=0))
+    # from the max and the min as Python ints, with no abs: -(-2^63) is no int64
+    return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
 
 
 def _exact_dtype(sum_terms: int, *arrays: np.ndarray):
@@ -293,9 +293,10 @@ class SparseRows:
         """
         keep = vals != 0
         rows, vals = rows[keep], vals[keep]
-        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        first = _run_starts(rows)
         gcds = np.gcd.reduceat(np.abs(vals), first)
-        vals = vals // np.repeat(gcds, np.diff(first, append=vals.size))
+        if (gcds != 1).any():
+            vals = vals // np.repeat(gcds, np.diff(first, append=vals.size))
         self.starts = np.append(first, vals.size)
         self.cols = cols[keep].astype(np.intp)
         self.vals = vals.astype(object if _max_abs(vals) >= _INT64_SAFE else np.int64)
@@ -340,11 +341,18 @@ def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, order[np.arange(i.size) - first[i] + lo[i]]
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries begins in a sorted array."""
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
 def _key_runs(keys: np.ndarray, *factors: np.ndarray) -> tuple[np.ndarray, object]:
     """Where each run of equal keys begins in an ascending key array, and
     the dtype ``_exact_dtype`` proves for a sum, over the longest run, of
     products of the factors' entries."""
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    starts = _run_starts(keys)
     return starts, _exact_dtype(int(np.diff(starts, append=keys.size).max(initial=0)), *factors)
 
 
@@ -359,9 +367,9 @@ def _sparse_sum(keys: np.ndarray, *factors: np.ndarray) -> tuple[np.ndarray, np.
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts, dtype = _key_runs(keys, *factors)
-    terms = np.ones(keys.size, dtype)
-    for f in factors:
-        terms = terms * f.astype(dtype, copy=False)[order]
+    terms = factors[0].astype(dtype, copy=False)[order]  # a copy: scaled in place
+    for f in factors[1:]:
+        terms *= f.astype(dtype, copy=False)[order]
     if not keys.size:
         return keys, terms
     sums = np.add.reduceat(terms, starts)

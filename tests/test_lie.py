@@ -29,7 +29,8 @@ from exatlas.jordan import jordan_algebra
 from exatlas.lie import (
     InvalidInvolutionError,
     LieAlgebraBasis,
-    _bracket_rows,
+    _bracket_tensor,
+    _probe_rows,
     bracket,
     cartan_split,
     derivation_algebra,
@@ -601,6 +602,37 @@ class TestCartanSplit:
         with pytest.raises(InvalidInvolutionError, match=r"\[k, p\] escapes p"):
             cartan_split(so3_plus_center(), theta)
 
+    def test_identity_flags_come_from_the_exact_rank(self, der_o, solves, modular_ranks):
+        # [p, p] = 0 has mod-p rank 0 < dim k = 14, so the exact rank
+        # decides pp_spans_k; p = 0 is spanned by [k, p] = 0 at rank 0
+        pair = cartan_split(der_o, RationalMatrix.identity(14))
+        assert (pair.dims, pair.pp_spans_k, pair.kp_spans_p) == ((14, 0), False, True)
+        assert (len(solves), len(modular_ranks)) == (3, 2)
+
+    @pytest.mark.parametrize("name", ["G", "FII"])
+    def test_flags_take_one_elimination_each(self, der_o, der_j3o, j3o, name, solves, modular_ranks):
+        # the exact solves are k and p; each flag is proved by a full rank mod p
+        pair = compact_split(name, der_o, der_j3o, j3o)
+        assert (pair.pp_spans_k, pair.kp_spans_p) == (True, True)
+        assert (len(solves), len(modular_ranks)) == (2, 2)
+
+    @pytest.mark.parametrize("name", ["G", "FII"])
+    def test_a_mod_p_rank_one_short_falls_back_to_the_exact_rank(
+        self, der_o, der_j3o, j3o, name, monkeypatch
+    ):
+        rref = lie._modp_rref
+
+        def one_short(*args):
+            pivcols, rows, pivrows = rref(*args)
+            return pivcols[:-1], rows[:-1], pivrows[:-1]
+
+        monkeypatch.setattr(lie, "_modp_rref", one_short)
+        solves = _calls_from_lie(monkeypatch, "nullspace_with_info")
+        pair = compact_split(name, der_o, der_j3o, j3o)
+        assert (pair.pp_spans_k, pair.kp_spans_p) == (True, True)
+        # the exact ranks of [p, p] at k's free columns and [k, p] at p's
+        assert [ncols for _, ncols in solves[2:]] == [pair.k_dim, pair.p_dim]
+
     def test_plane_of_so3_fails_kk_first(self, der_h):
         # so(3) has no 2-dimensional subalgebra, so [k, k] escapes k (and
         # [k, p] escapes p too); the inclusions are checked in order
@@ -781,7 +813,7 @@ class TestGenericRank:
 
         monkeypatch.setattr(linalg, "_modp_rref", counted)
         for c in lie._probe_coefficients(None, 5, der_j3o.dim):
-            assert nullspace_with_info(integer_rows(der_j3o._ad(c)), der_j3o.dim)[2] == 48
+            assert nullspace_with_info(integer_rows(ad_ints(der_j3o, c)), der_j3o.dim)[2] == 48
         assert len(calls) <= 2 * 5
 
     def test_more_trials_never_increase(self, der_o):
@@ -894,15 +926,18 @@ def modular_ranks(monkeypatch):
     return _calls_from_lie(monkeypatch, "_modp_rref")
 
 
+def compact_split(name, der_o, der_j3o, j3o):
+    """The split G of g2 or FII of f4, as the benchmark's probe round splits them."""
+    if name == "G":
+        o = der_o.algebra
+        return cartan_split(der_o, induced_involution(o, doubled_half_reflection(o), der_o))
+    sigma = diagonal_sign_involution(j3o, (-1, 1, 1))
+    return cartan_split(der_j3o, induced_involution(j3o, sigma, der_j3o))
+
+
 @pytest.fixture(scope="module")
 def compact_splits(der_o, der_j3o, j3o):
-    o = octonions()
-    return {
-        "G": cartan_split(der_o, induced_involution(o, doubled_half_reflection(o), der_o)),
-        "FII": cartan_split(
-            der_j3o, induced_involution(j3o, diagonal_sign_involution(j3o, (-1, 1, 1)), der_j3o)
-        ),
-    }
+    return {name: compact_split(name, der_o, der_j3o, j3o) for name in ("G", "FII")}
 
 
 def seeded_rank(name, der_j3o, compact_splits):
@@ -911,6 +946,21 @@ def seeded_rank(name, der_j3o, compact_splits):
     if name == "f4":
         return generic_rank(der_j3o, trials=5)
     return flat_rank(compact_splits[name], trials=5)
+
+
+def probe_space(name, der_j3o, compact_splits):
+    """What ``seeded_rank`` probes: f4 itself or the named pair."""
+    return der_j3o if name == "f4" else compact_splits[name]
+
+
+def shift_floor(monkeypatch, space, shift):
+    """``_commuting_floor`` moved by shift for this test, with the floor
+    kept on space cleared, so the probes find the moved one.  It is kept
+    first, so that the undo puts the true floor back."""
+    floor = lie._commuting_floor
+    space._floor
+    monkeypatch.delitem(vars(space), "_floor")
+    monkeypatch.setattr(lie, "_commuting_floor", lambda brackets: floor(brackets) + shift)
 
 
 class TestCertifiedRankProbes:
@@ -995,23 +1045,54 @@ class TestCertifiedRankProbes:
     def test_a_floor_one_short_falls_back_to_the_exact_solve(
         self, der_j3o, compact_splits, name, solves, modular_ranks, monkeypatch
     ):
-        floor = lie._commuting_floor
-        monkeypatch.setattr(lie, "_commuting_floor", lambda l, basis: floor(l, basis) - 1)
+        shift_floor(monkeypatch, probe_space(name, der_j3o, compact_splits), -1)
         assert seeded_rank(name, der_j3o, compact_splits) == {"f4": 4, "G": 2, "FII": 1}[name]
         # the first probe's kernel is certified maximal abelian
         assert (len(modular_ranks), len(solves)) == (1, 1)
 
     @pytest.mark.parametrize("name", ["f4", "G"])
     def test_a_floor_above_a_ceiling_raises(self, der_j3o, compact_splits, name, monkeypatch):
-        floor = lie._commuting_floor
-        monkeypatch.setattr(lie, "_commuting_floor", lambda l, basis: floor(l, basis) + 1)
+        shift_floor(monkeypatch, probe_space(name, der_j3o, compact_splits), 1)
         with pytest.raises(RuntimeError, match="outnumber"):
             seeded_rank(name, der_j3o, compact_splits)
 
     def test_floors_meet_the_ranks(self, der_o, der_j3o, compact_splits):
         floor = lie._commuting_floor
-        assert (floor(der_o, None), floor(der_j3o, None)) == (2, 4)
-        assert [floor(p.lie, p.p_basis._ints) for p in compact_splits.values()] == [2, 1]
+        assert (floor(der_o._brackets), floor(der_j3o._brackets)) == (2, 4)
+        assert [floor(p._brackets) for p in compact_splits.values()] == [2, 1]
+
+    def test_floors_are_kept(self, der_j3o, compact_splits, monkeypatch):
+        for space in (der_j3o, *compact_splits.values()):
+            space._floor
+        calls = _calls_from_lie(monkeypatch, "_commuting_floor")
+        assert (generic_rank(der_j3o), [flat_rank(p) for p in compact_splits.values()]) == (
+            4,
+            [2, 1],
+        )
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["G", "FII"])
+    def test_probe_constraint_on_p(self, compact_splits, name):
+        # the constraint read from [p, p] is ad_x times p's basis
+        pair = compact_splits[name]
+        rng = random.Random(DEFAULT_SEED)
+        for span in (9, 2**70):
+            x = np.array([rng.randint(-span, span) for _ in range(pair.p_dim)], dtype=object)
+            dense = dense_probe_constraint(pair.lie, x, pair.p_basis._ints)
+            assert_rows_equal(_probe_rows(pair._brackets, x), integer_rows(dense))
+
+
+@pytest.mark.parametrize("seed", [2000, 2001, 7000])
+def test_a_probe_round_solves_four_systems(der_o, der_j3o, j3o, seed, solves, modular_ranks):
+    # one round of the benchmark's probe-warm workload: the two splits
+    # solve k and p each, and each flag and each rank takes one
+    # elimination mod p
+    rng = random.Random(seed)
+    g, fii = (compact_split(name, der_o, der_j3o, j3o) for name in ("G", "FII"))
+    ranks = [generic_rank(der_o, rng=rng), generic_rank(der_j3o, rng=rng)]
+    ranks += [flat_rank(g, rng=rng), flat_rank(fii, rng=rng)]
+    assert ranks == [2, 4, 2, 1]
+    assert (len(solves), len(modular_ranks)) == (4, 8)
 
 
 class TestCancellation:
@@ -1057,10 +1138,31 @@ def sparse_f(l):
     return f.reshape((l.dim,) * 3)
 
 
+def ad_ints(l, x_int):
+    """ad_x for integer coordinates x, over l._f_scale, by the dense
+    einsum over f: entry (c, b) is sum_a x[a] f(a, b, c)."""
+    return _contract("a,abc->cb", l.dim, x_int, sparse_f(l))
+
+
 def ad_matrix(l, coords):
     """The matrix of ad_x on l, for x with the given exact coordinates."""
     x_int, x_scale = _scaled_int_array(list(coords), (l.dim,))
-    return RationalMatrix.from_ints(l._ad(x_int), x_scale * l._f_scale)
+    return RationalMatrix.from_ints(ad_ints(l, x_int), x_scale * l._f_scale)
+
+
+def dense_probe_constraint(l, x, basis):
+    """The constraint of the probe sum_u x[u] basis[u] on the span of
+    the integer rows of basis, by the dense einsums over f: ad_x times
+    the basis, row c and column v."""
+    return _contract(
+        "u,ua,vb,abc->cv", l.dim**2 * len(x), x, basis, basis, sparse_f(l), optimize=True
+    )
+
+
+def assert_rows_equal(got, expected):
+    assert got.starts.tolist() == expected.starts.tolist()
+    assert got.cols.tolist() == expected.cols.tolist()
+    assert got.vals.tolist() == expected.vals.tolist()
 
 
 def dense_f_oracle(l):
@@ -1128,15 +1230,16 @@ class TestSparseReadersMatchDenseEinsums:
         k_int = _contract("axy,byx->ab", l.dim**2, f, f)
         assert killing_form(l) == RationalMatrix.from_ints(k_int, l._f_scale**2)
 
-    def test_ad(self, lie_case):
+    def test_probe_constraint(self, lie_case):
+        # the constraint read from f as the V bracket tensor is ad_x
         l = lie_case
         rng = random.Random(DEFAULT_SEED)
         for span in (9, 2**70):
             x = np.array([rng.randint(-span, span) for _ in range(l.dim)], dtype=object)
-            assert np.array_equal(l._ad(x), _contract("a,abc->cb", l.dim, x, sparse_f(l)))
+            assert_rows_equal(_probe_rows(l._brackets, x), integer_rows(ad_ints(l, x)))
 
-    def test_bracket_rows(self, lie_case):
-        # the dense brackets' nonzero rows, in pair order, each over its gcd
+    def test_bracket_tensor(self, lie_case):
+        # the dense brackets' nonzero entries, at the keys of the pairs
         l = lie_case
         rng = random.Random(DEFAULT_SEED)
         d = l.dim
@@ -1150,16 +1253,10 @@ class TestSparseReadersMatchDenseEinsums:
                 for _ in range(2)
             )
             dense = _contract("ia,jb,abc->ijc", d * d, left, right, sparse_f(l), optimize=True)
-            expected = [
-                [(c, v // g) for c, v in enumerate(row) if v]
-                for row in dense.reshape(-1, d).tolist()
-                if any(row) and (g := math.gcd(*row))
-            ]
-            got = _bracket_rows(l, left, right)
-            assert [
-                list(zip(got.cols[lo:hi].tolist(), got.vals[lo:hi].tolist()))
-                for lo, hi in zip(got.starts[:-1], got.starts[1:])
-            ] == expected
+            keys, vals, shape = _bracket_tensor(l, left, right)
+            assert shape == dense.shape
+            assert keys.tolist() == np.flatnonzero(dense).tolist()
+            assert vals.tolist() == dense.ravel()[keys].tolist()
 
     def test_split_accepts_what_the_dense_check_accepts(self, lie_case):
         l = lie_case

@@ -1054,6 +1054,62 @@ def certified(rows, vector):
     return not rows.dot(ints).any()
 
 
+def rows_as_lists(rows):
+    return [
+        list(zip(rows.cols[lo:hi].tolist(), rows.vals[lo:hi].tolist()))
+        for lo, hi in zip(rows.starts[:-1], rows.starts[1:])
+    ]
+
+
+class TestKernelEdges:
+    def test_max_abs_of_the_least_int64(self):
+        # -(-2^63) is no int64: the bound must still come out as 2^63
+        a = np.array([5, -(2**63)], dtype=np.int64)
+        assert linalg._max_abs(a) == 2**63
+        assert linalg._exact_dtype(1, a) is object
+
+    def test_max_abs_of_empty_arrays(self):
+        for a in (np.zeros(0, np.int64), np.zeros((3, 0), np.int64), np.zeros(0, object)):
+            assert linalg._max_abs(a) == 0
+
+    def test_max_abs_of_0d_arrays(self):
+        assert linalg._max_abs(np.array(-(2**70), dtype=object)) == 2**70
+        assert linalg._max_abs(np.array(0, dtype=object)) == 0
+        assert linalg._max_abs(np.array(-7, dtype=np.int64)) == 7
+
+    def test_key_runs_of_no_key_and_one_key(self):
+        vals = np.zeros(0, dtype=np.int64)
+        starts, dtype = linalg._key_runs(np.zeros(0, dtype=np.intp), vals)
+        assert (starts.tolist(), dtype) == ([], np.int64)
+        starts, dtype = linalg._key_runs(np.array([9]), np.array([2**62], dtype=np.int64))
+        assert (starts.tolist(), dtype) == ([0], object)
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_rows_whose_gcds_are_all_one(self, dtype):
+        rows = SparseRows(np.array([0, 0, 1, 1]), np.array([0, 2, 1, 2]), np.array([1, 2, 3, -1], dtype))
+        assert rows_as_lists(rows) == [[(0, 1), (2, 2)], [(1, 3), (2, -1)]]
+
+    def test_rows_with_mixed_gcds(self):
+        big = 3 * 2**70
+        rows = SparseRows(
+            np.array([0, 0, 1, 1, 2, 2, 3]),
+            np.array([0, 1, 0, 1, 0, 1, 4]),
+            np.array([2, 4, 3, 5, -6, 9, big], dtype=object),
+        )
+        assert rows_as_lists(rows) == [[(0, 1), (1, 2)], [(0, 3), (1, 5)], [(0, -2), (1, 3)], [(4, 1)]]
+        assert rows.vals.dtype == np.int64
+
+    def test_rows_with_zeros_at_their_ends(self):
+        # zero entries are dropped, and with them a row left empty
+        rows = SparseRows(
+            np.array([0, 0, 0, 0, 1, 1, 2, 2]),
+            np.array([0, 1, 2, 3, 0, 3, 1, 2]),
+            np.array([0, 2, 4, 0, 0, 0, 0, -3], dtype=np.int64),
+        )
+        assert rows_as_lists(rows) == [[(1, 1), (2, 2)], [(2, -1)]]
+        assert rows.starts.tolist() == [0, 2, 3]
+
+
 class TestCertification:
     ROWS = integer_rows(mat([[2, -3, 0], [0, 1, 1]]))
 
