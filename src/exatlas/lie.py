@@ -441,7 +441,7 @@ class CartanPair:
     p_basis: RationalMatrix
     pp_spans_k: bool
     kp_spans_p: bool
-    _brackets: Tensor = field(repr=False)
+    _brackets: Tensor = field(repr=False, compare=False)  # read from lie and p_basis
 
     @property
     def k_dim(self) -> int:

@@ -633,6 +633,10 @@ class TestCartanSplit:
         # the exact ranks of [p, p] at k's free columns and [k, p] at p's
         assert [ncols for _, ncols in solves[2:]] == [pair.k_dim, pair.p_dim]
 
+    def test_splits_by_the_same_map_compare_equal(self, der_o, der_j3o, j3o):
+        # the kept brackets are read from lie and p_basis, and take no part
+        assert compact_split("G", der_o, der_j3o, j3o) == compact_split("G", der_o, der_j3o, j3o)
+
     def test_plane_of_so3_fails_kk_first(self, der_h):
         # so(3) has no 2-dimensional subalgebra, so [k, k] escapes k (and
         # [k, p] escapes p too); the inclusions are checked in order
@@ -1065,10 +1069,8 @@ class TestCertifiedRankProbes:
         for space in (der_j3o, *compact_splits.values()):
             space._floor
         calls = _calls_from_lie(monkeypatch, "_commuting_floor")
-        assert (generic_rank(der_j3o), [flat_rank(p) for p in compact_splits.values()]) == (
-            4,
-            [2, 1],
-        )
+        assert generic_rank(der_j3o) == 4
+        assert [flat_rank(p) for p in compact_splits.values()] == [2, 1]
         assert calls == []
 
     @pytest.mark.parametrize("name", ["G", "FII"])
