@@ -461,29 +461,32 @@ class CartanPair:
         return _commuting_floor(self._brackets)
 
 
-def _bracket_tensor(l: LieAlgebraBasis, left: np.ndarray, right: np.ndarray) -> Tensor:
+def _bracket_tensor(brackets: Tensor, left: np.ndarray, right: np.ndarray) -> Tensor:
     """The brackets of all pairs from two integer bases, as a sparse tensor.
 
-    The bracket of left[i] and right[j] has coordinate c equal to
-    sum_ab left[i, a] right[j, b] f(a, b, c): the first axis of f mapped
-    by left and the second by right, over the nonzeros.  It runs in
-    slices of left's rows, each holding the rows whose join terms,
-    bounded from the nonzero counts, add up to about d^3: so dense bases
-    need at most a d-th of the d^4 intermediate of a dense contraction,
-    and sparse ones take one slice.
+    ``brackets`` is V's bracket tensor (f, or a pair's [p, p]), and the
+    bases are in coefficients of V.  The bracket of left[i] and right[j]
+    has coordinate c equal to sum_ab left[i, a] right[j, b] V(a, b, c):
+    the first axis mapped by left and the second by right, over the
+    nonzeros.  It runs in slices of left's rows, each holding the rows
+    whose join terms, bounded from the nonzero counts, add up to about
+    the size of V's dense tensor (d^3 over all of l): so dense bases need
+    at most a d-th of the d^4 intermediate of a dense contraction, and
+    sparse ones take one slice.
     """
-    d, m = l.dim, right.shape[0]
-    per_a = np.bincount(l._f_keys // (d * d), minlength=d)
+    keys, vals, (m, _, d) = brackets
+    n = right.shape[0]
+    per_a = np.bincount(keys // (m * d), minlength=m)
     per_b = int((right != 0).sum(axis=0).max(initial=0))
     cost = (left != 0).astype(np.int64) @ per_a * (1 + per_b)
-    cuts = (np.flatnonzero(np.diff(np.cumsum(cost) // max(d**3, 1))) + 1).tolist()
-    keys, vals = [], []
+    cuts = (np.flatnonzero(np.diff(np.cumsum(cost) // max(m * m * d, 1))) + 1).tolist()
+    out_keys, out_vals = [], []
     for lo, hi in zip([0, *cuts], [*cuts, left.shape[0]]):
-        f = _map_axis(l._f_keys, l._f_vals, (d, d, d), 0, left[lo:hi])
+        f = _map_axis(keys, vals, (m, m, d), 0, left[lo:hi])
         k, v, _ = _map_axis(*f, 1, right)
-        keys.append(k + lo * m * d)
-        vals.append(v)
-    return np.concatenate(keys), np.concatenate(vals), (left.shape[0], m, d)
+        out_keys.append(k + lo * n * d)
+        out_vals.append(v)
+    return np.concatenate(out_keys), np.concatenate(out_vals), (left.shape[0], n, d)
 
 
 def _spans(brackets: Tensor, basis: RationalMatrix, free: list[int]) -> bool:
@@ -540,7 +543,7 @@ def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
         (k, p, plus, "[k, p] escapes p"),
         (p, p, minus, "[p, p] escapes k"),
     ):
-        tensors.append(_bracket_tensor(l, left._ints, right._ints))
+        tensors.append(_bracket_tensor(l._brackets, left._ints, right._ints))
         keys, vals, _ = tensors[-1]
         pair, col = np.divmod(keys, d)
         # (eigen z)[i] = sum_c eigen[i, c] z[c], over the nonzeros eigen[i, c]
@@ -586,24 +589,14 @@ def _is_maximal_abelian(brackets: Tensor, x_coords: np.ndarray, kernel: np.ndarr
     multiples of an echelon basis of the centralizer, in coefficients of
     V, and ``x_coords`` the coordinates of x in it.  Dropping one vector
     at which x's coordinate is nonzero leaves, with x, a basis
-    {x, b_2, ..., b_m}, and [x, b_i] = 0, so only the pairs [b_i, b_j]
-    are summed, each over the nonzeros of V's bracket tensor.
+    {x, b_2, ..., b_m}, and [x, b_i] = 0, so only the brackets [b_i, b_j]
+    are taken (``_bracket_tensor``).
     """
     on_x = np.flatnonzero(x_coords)
     if not on_x.size:
         return False
-    keys, vals, shape = brackets
     rest = np.delete(kernel, on_x[0], axis=0)
-    i, j = np.triu_indices(rest.shape[0], 1)
-    u, v, c = np.unravel_index(keys, shape)
-    pair = np.arange(i.size)[:, None]
-    _, sums = _sparse_sum(
-        (pair * shape[2] + c).ravel(),
-        rest[i][:, u].ravel(),
-        rest[j][:, v].ravel(),
-        np.tile(vals, i.size),
-    )
-    return not sums.size
+    return not _bracket_tensor(brackets, rest, rest)[0].size
 
 
 def _probe_rows(brackets: Tensor, x: np.ndarray) -> SparseRows:

@@ -25,15 +25,16 @@ substitution on integers; the certified count together with the modular
 rank pins the exact rank.  A prime whose candidates still fail past the
 Hadamard bound is dropped for the next.  The certified basis comes back
 as one echelon ``RationalMatrix``.
-Definiteness of a symmetric matrix is read from the leading principal
-minors of each of its diagonal blocks, split along its connected
-components (indices joined by nonzero entries).
+Definiteness of a symmetric matrix is read from the pivots of one
+symmetric elimination kept sparse, which never joins indices that no
+chain of nonzero entries joins.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -757,31 +758,6 @@ def _padic_residues(
 # public operations
 # ---------------------------------------------------------------------------
 
-def _column_components(rows: SparseRows, ncols: int) -> np.ndarray:
-    """Each column's connected component, labelled by its smallest
-    column, in the graph where a row joins every column it touches.
-
-    Each round hooks every root to the smallest root among the rows its
-    tree shares, then jumps pointers until each points at a root.  A
-    pointer only ever moves to a smaller column, so no cycle forms, and
-    every round that finds a row over two roots hooks one of them.
-    """
-    label = np.arange(ncols)
-    lens = np.diff(rows.starts)
-    while True:
-        root = label[rows.cols]
-        low = np.repeat(np.minimum.reduceat(root, rows.starts[:-1]), lens)
-        hook = low < root
-        if not hook.any():
-            return label
-        np.minimum.at(label, root[hook], low[hook])
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
-
-
 def _substitute(
     rows: SparseRows, ncols: int, cancel: CancelToken | None = None
 ) -> tuple[SparseRows, np.ndarray, np.ndarray] | None:
@@ -792,13 +768,13 @@ def _substitute(
     row a x_i + b x_j with |a| = |b| (so a, b = ±1, as rows are divided
     by their gcd) and i < j maps x_i to -ab x_j, by one such row per i.
     ``link`` holds 2 r + n for a column equal to (-1)^n x_r; the maps
-    compose by pointer jumping, as in ``_column_components``, so every
-    column links to the largest column of its chain, its root, and a
-    singleton forces its column's root to 0.  Every row is then
-    rewritten under the map, one ``_sparse_sum`` per round: each row
-    used vanishes, a sign conflict leaves a new singleton and a new
-    coincidence a new doubleton, for the next round.  Of the rows left,
-    one of each set equal up to sign is kept (``_distinct_up_to_sign``).
+    compose by pointer jumping, so every column links to the largest
+    column of its chain, its root, and a singleton forces its column's
+    root to 0.  Every row is then rewritten under the map, one
+    ``_sparse_sum`` per round: each row used vanishes, a sign conflict
+    leaves a new singleton and a new coincidence a new doubleton, for
+    the next round.  Of the rows left, one of each set equal up to sign
+    is kept (``_distinct_up_to_sign``).
 
     Returns the rewritten rows over the live roots (renumbered in
     order), each column's link (-1 for a column forced to 0) and the
@@ -977,72 +953,58 @@ def nullspace_basis(m: RationalMatrix, cancel: CancelToken | None = None) -> lis
 # symmetric definiteness certificates
 # ---------------------------------------------------------------------------
 
-def principal_minor_signs(m: RationalMatrix) -> list[int]:
-    """Signs of the leading principal minors, computed exactly.
+def _pivot_signs(m: RationalMatrix) -> list[int]:
+    """Signs of the pivots of symmetric elimination without pivoting, 0
+    from the first zero pivot on.
 
-    The integer array is the matrix times its positive denominator,
-    which keeps every sign.  Fraction-free elimination without pivoting
-    then leaves the k-th leading principal minor as its k-th pivot; the
-    part still to be eliminated stays symmetric, so only its upper
-    triangle is kept.  It stops at the first zero minor, which already
-    rules out definiteness; the signs from there on read 0.
+    Pivot k is minor(k + 1) / minor(k), a ratio of leading principal
+    minors (Sylvester).  The matrix times its positive denominator keeps
+    every sign; the part still to be eliminated stays symmetric, so only
+    its upper triangle is kept, one dict of nonzeros per row.  Pivot k
+    changes only the entries (i, j) where (k, i) and (k, j) are both
+    nonzero, exactly: ints, or Fractions where a division leaves a
+    remainder.  Indices that no chain of nonzeros joins never meet, so a
+    direct sum costs what its blocks do.
     """
     if not m.is_symmetric():
         raise DimensionError("principal minor signs need a symmetric matrix")
-    return _leading_minor_signs(m._ints.tolist())
-
-
-def _leading_minor_signs(a: list[list[int]]) -> list[int]:
-    """``principal_minor_signs`` of a symmetric integer matrix, given as
-    rows of Python ints, which it overwrites."""
-    n = len(a)
-    signs = [0] * n
-    prev = 1
-    for k in range(n):
-        piv = a[k][k]
-        if piv == 0:
+    i, j = np.nonzero(np.triu(m._ints))
+    rows: list[dict] = [{} for _ in range(m.rows)]
+    for a, b, v in zip(i.tolist(), j.tolist(), m._ints[i, j].tolist()):
+        rows[a][b] = v
+    signs = [0] * m.rows
+    for k, row in enumerate(rows):
+        piv = row.pop(k, 0)
+        if not piv:
             break
         signs[k] = 1 if piv > 0 else -1
-        for i in range(k + 1, n):
-            for j in range(i, n):
-                a[i][j] = (piv * a[i][j] - a[k][i] * a[k][j]) // prev
-        prev = piv
+        below = sorted(row.items())
+        for at, (a, x) in enumerate(below):
+            for b, y in below[at:]:
+                t = x * y
+                v = rows[a].get(b, 0) - (t // piv if t % piv == 0 else Fraction(t, piv))
+                if v:
+                    rows[a][b] = v
+                else:
+                    del rows[a][b]
     return signs
 
 
-def _block_minor_signs(m: RationalMatrix) -> list[list[int]]:
-    """The leading principal minor signs of each diagonal block of a
-    symmetric matrix.
-
-    The blocks are the connected components of ``_column_components``
-    (each row joins the columns of its nonzeros), in order of their
-    first index.  Where every diagonal entry is nonzero, each row joins
-    its own column, so the matrix is the direct sum of the blocks up to
-    one permutation of rows and columns, and x'Mx is the sum of the
-    blocks' forms: it is definite exactly when every block is.  Where a
-    diagonal entry is 0, neither the matrix nor the block holding that
-    entry is definite.
-    """
-    if not m.is_symmetric():
-        raise DimensionError("principal minor signs need a symmetric matrix")
-    comp = _column_components(integer_rows(m), m.cols)
-    order = np.argsort(comp, kind="stable")
-    blocks = np.split(order, np.flatnonzero(np.diff(comp[order])) + 1)
-    return [_leading_minor_signs(m._ints[b][:, b].tolist()) for b in blocks if b.size]
+def principal_minor_signs(m: RationalMatrix) -> list[int]:
+    """Signs of the leading principal minors, computed exactly: the
+    running products of the pivot signs (``_pivot_signs``), 0 from the
+    first zero minor on, which already rules out definiteness."""
+    return list(itertools.accumulate(_pivot_signs(m), operator.mul))
 
 
 def is_negative_definite(m: RationalMatrix) -> bool:
-    """True iff the symmetric matrix is negative definite.
-
-    Checked block by block (``_block_minor_signs``): the principal minor
-    signs of each block alternate (-1)^k.  An empty (0-dimensional) form
-    is vacuously negative definite, which is the right convention for
-    Killing forms of trivial Lie algebras.
+    """True iff the symmetric matrix is negative definite: every pivot
+    is negative.  An empty (0-dimensional) form is vacuously negative
+    definite, which is the right convention for Killing forms of trivial
+    Lie algebras.
     """
-    return all(
-        s == (-1) ** (k + 1) for signs in _block_minor_signs(m) for k, s in enumerate(signs)
-    )
+    return all(s < 0 for s in _pivot_signs(m))
 
 
 def is_positive_definite(m: RationalMatrix) -> bool:
-    return all(s == 1 for signs in _block_minor_signs(m) for s in signs)
+    return all(s > 0 for s in _pivot_signs(m))

@@ -391,6 +391,12 @@ class TestKillingForm:
             assert is_negative_definite(killing_form(named_derivation_algebra(name)))
         assert is_negative_definite(killing_form(der_j3o))
 
+    def test_python_int_form_negative_definite(self):
+        # so3 in the basis (1, 1, 2^40, 2^80) of H: entries past 2^62
+        kf = killing_form(READER_CASES["H-2^40-2^80"]())
+        assert kf._ints.dtype == object
+        assert is_negative_definite(kf)
+
 
 def dense_automorphism_oracle(algebra, sigma):
     """sigma(e_i e_j) = sigma(e_i) sigma(e_j) by the dense einsums over
@@ -1073,6 +1079,26 @@ class TestCertifiedRankProbes:
         assert [flat_rank(p) for p in compact_splits.values()] == [2, 1]
         assert calls == []
 
+    @pytest.mark.parametrize("name", ["f4", "G", "FII"])
+    def test_abelian_test_matches_the_dense_brackets(self, der_j3o, compact_splits, name):
+        # the kernels of a seeded probe and of e_0, also as Python ints,
+        # against every bracket of the kernel by the dense einsum over V's
+        # tensor; e_0's centralizer is not abelian in f4 (of dimension 22)
+        # nor in G's p (of dimension 3)
+        brackets = probe_space(name, der_j3o, compact_splits)._brackets
+        m = brackets[2][0]
+        dense = lie._dense(brackets[2], *brackets[:2])
+        e_0 = np.eye(m, dtype=np.int64)[0]
+        found = []
+        for x in (lie._probe_coefficients(None, 1, m)[0], e_0):
+            kernel, free, _ = nullspace_with_info(_probe_rows(brackets, x), m)
+            b = kernel._ints
+            want = not _contract("ia,jb,abc->ijc", m * m, b, b, dense, optimize=True).any()
+            for ints in (b, b.astype(object) * 2**70):
+                assert lie._is_maximal_abelian(brackets, x[free], ints) == want
+            found.append(want)
+        assert found == [True, name == "FII"]
+
     @pytest.mark.parametrize("name", ["G", "FII"])
     def test_probe_constraint_on_p(self, compact_splits, name):
         # the constraint read from [p, p] is ad_x times p's basis
@@ -1255,7 +1281,7 @@ class TestSparseReadersMatchDenseEinsums:
                 for _ in range(2)
             )
             dense = _contract("ia,jb,abc->ijc", d * d, left, right, sparse_f(l), optimize=True)
-            keys, vals, shape = _bracket_tensor(l, left, right)
+            keys, vals, shape = _bracket_tensor(l._brackets, left, right)
             assert shape == dense.shape
             assert keys.tolist() == np.flatnonzero(dense).tolist()
             assert vals.tolist() == dense.ravel()[keys].tolist()

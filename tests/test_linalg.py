@@ -668,47 +668,6 @@ class TestBlockedElimination:
             assert np.array_equal(getattr(part, name), getattr(taken, name))
 
 
-def union_find_labels(rows, ncols):
-    """Reference component labels: union-find over Python ints, each
-    root kept at its component's smallest column."""
-    parent = list(range(ncols))
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for r in range(len(rows)):
-        cols = rows.cols[rows.starts[r] : rows.starts[r + 1]].tolist()
-        for c in cols[1:]:
-            a, b = find(cols[0]), find(c)
-            parent[max(a, b)] = min(a, b)
-    return [find(c) for c in range(ncols)]
-
-
-def shuffled_chain(n, seed):
-    """Two-entry rows joining the columns of a shuffled path over n
-    columns, the rows shuffled too: labels must cross the whole path."""
-    rng = np.random.default_rng(seed)
-    path = rng.permutation(n)
-    pairs = np.sort(np.stack([path[:-1], path[1:]], axis=1), axis=1)[rng.permutation(n - 1)]
-    vals = np.tile(np.array([1, -1]), n - 1)
-    return SparseRows(np.repeat(np.arange(n - 1), 2), pairs.ravel(), vals)
-
-
-@st.composite
-def sparse_systems(draw):
-    """Up to 30 rows of one to three nonzeros over up to 40 columns."""
-    ncols = draw(st.integers(min_value=1, max_value=40))
-    col = st.integers(min_value=0, max_value=ncols - 1)
-    rows = draw(st.lists(st.lists(col, min_size=1, max_size=3, unique=True), min_size=1, max_size=30))
-    dense = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, cols in enumerate(rows):
-        dense[i, cols] = draw(st.lists(st.integers(1, 5), min_size=len(cols), max_size=len(cols)))
-    return integer_rows(dense), ncols
-
-
 @st.composite
 def block_systems(draw):
     """Small integer blocks along the diagonal, up to three columns that
@@ -736,20 +695,10 @@ def assert_matches_whole_solve(rows, ncols, cancel=None):
     assert substituted == whole
 
 
-class TestComponentSplit:
-    """Connected components of the columns, which split the definiteness
-    check, and the one solve of a system that has several."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(sparse_systems())
-    def test_labels_match_union_find(self, system):
-        rows, ncols = system
-        assert linalg._column_components(rows, ncols).tolist() == union_find_labels(rows, ncols)
-
-    def test_labels_cross_a_shuffled_chain(self):
-        rows = shuffled_chain(4096, 0)
-        labels = linalg._column_components(rows, 4096)
-        assert labels.tolist() == union_find_labels(rows, 4096) == [0] * 4096
+class TestSubstitutedSolve:
+    """The one solve of a system, after its substitution, against the
+    whole solve (``_modular_solve``): on permuted block systems and on
+    the Leibniz rows of J3(K)."""
 
     @pytest.mark.parametrize("elim_rows", [1, 2, 3])
     @settings(max_examples=100, deadline=None)
@@ -759,12 +708,9 @@ class TestComponentSplit:
             mp.setattr(linalg, "_ELIM_ROWS", elim_rows)
             assert_matches_whole_solve(*system)
 
-    @pytest.mark.parametrize("k, components", [(quaternions, 16), (octonions, 32)], ids=["J3(H)", "J3(O)"])
-    def test_j3_leibniz_rows(self, k, components):
-        # the Z2^3 grading of O (Z2^2 of H) and the Z2^2 of the three
-        # off-diagonal slots split the derivations into homogeneous parts
+    @pytest.mark.parametrize("k", [quaternions, octonions], ids=["J3(H)", "J3(O)"])
+    def test_j3_leibniz_rows(self, k):
         rows, ncols = leibniz_constraint_rows(jordan_algebra(k()))
-        assert np.unique(linalg._column_components(rows, ncols)).size == components
         assert_matches_whole_solve(rows, ncols)
 
     def test_rescaled_j3o_rows(self, j3o):
@@ -1211,6 +1157,16 @@ def leading_minor_reference(rows, k):
     return det
 
 
+def reference_minor_signs(rows):
+    """Signs of the leading principal minors by ``leading_minor_reference``,
+    0 from the first zero minor on, whatever the later minors are."""
+    signs = []
+    for k in range(1, len(rows) + 1):
+        det = 0 if 0 in signs else leading_minor_reference(rows, k)
+        signs.append((det > 0) - (det < 0))
+    return signs
+
+
 @st.composite
 def block_forms(draw):
     """Symmetric matrices: a direct sum of blocks of order 1 to 3, each
@@ -1254,12 +1210,7 @@ class TestDefiniteness:
                 for j in range(i, n):
                     v = rng.choice([0, rng.randint(-4, 4), Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
                     rows[i][j] = rows[j][i] = v
-            want, zero = [], False
-            for k in range(1, n + 1):
-                det = leading_minor_reference(rows, k)
-                zero = zero or det == 0
-                want.append(0 if zero else (1 if det > 0 else -1))
-            assert principal_minor_signs(mat(rows)) == want
+            assert principal_minor_signs(mat(rows)) == reference_minor_signs(rows)
 
     def test_negative_definite(self):
         m = mat([[-2, 1], [1, -2]])
@@ -1293,16 +1244,46 @@ class TestDefiniteness:
         # [[-2, 1], [1, -2]] on (0, 2) and [-3] on 1: negative definite;
         # a zero row and column, or a block of zero diagonal, is not
         m = mat([[-2, 0, 1], [0, -3, 0], [1, 0, -2]])
-        assert linalg._block_minor_signs(m) == [[-1, 1], [-1]]
         assert is_negative_definite(m)
         assert not is_negative_definite(mat([[-2, 0, 1], [0, 0, 0], [1, 0, -2]]))
         assert not is_positive_definite(mat([[0, 0, 1], [0, 1, 0], [1, 0, 0]]))
 
     @settings(max_examples=300, deadline=None)
     @given(block_forms())
-    def test_block_wise_matches_the_whole_matrix(self, form):
-        signs = principal_minor_signs(form)
+    def test_permuted_direct_sums_match_the_reference_minors(self, form):
+        signs = reference_minor_signs(form.to_rows())
+        assert principal_minor_signs(form) == signs
         assert is_positive_definite(form) == all(s == 1 for s in signs)
         assert is_negative_definite(form) == all(
             s == (-1) ** (k + 1) for k, s in enumerate(signs)
         )
+
+    @pytest.mark.parametrize(
+        "name, n, edges, det",
+        [
+            ("A8", 8, [(i, i + 1) for i in range(7)], 9),
+            ("D8", 8, [(i, i + 1) for i in range(6)] + [(5, 7)], 4),
+            ("E8", 8, [(i, i + 1) for i in range(6)] + [(2, 7)], 1),
+            ("affine E8", 9, [(i, i + 1) for i in range(7)] + [(2, 8)], 0),
+        ],
+    )
+    def test_cartan_matrices(self, name, n, edges, det):
+        # 2 on the diagonal and -1 on each edge of the Dynkin diagram:
+        # positive definite for a finite type, semidefinite for affine E8
+        ints = 2 * np.eye(n, dtype=np.int64)
+        for i, j in edges:
+            ints[i, j] = ints[j, i] = -1
+        cartan = RationalMatrix.from_ints(ints, 1)
+        assert leading_minor_reference(cartan.to_rows(), n) == det
+        assert is_positive_definite(cartan) == (det > 0)
+        assert not is_negative_definite(cartan)
+
+    def test_a_long_tridiagonal_form_stays_sparse(self):
+        # the Cartan matrix of A800, one connected component: a dense
+        # elimination of it takes n^3 / 6 steps, the sparse one 3n
+        n = 800
+        ints = 2 * np.eye(n, dtype=np.int64) - np.eye(n, k=1, dtype=np.int64)
+        cartan = RationalMatrix.from_ints(ints - np.eye(n, k=-1, dtype=np.int64), 1)
+        start = time.perf_counter()
+        assert is_positive_definite(cartan)
+        assert time.perf_counter() - start < 1
