@@ -962,31 +962,40 @@ def _pivot_signs(m: RationalMatrix) -> list[int]:
     every sign; the part still to be eliminated stays symmetric, so only
     its upper triangle is kept, one dict of nonzeros per row.  Pivot k
     changes only the entries (i, j) where (k, i) and (k, j) are both
-    nonzero, exactly: ints, or Fractions where a division leaves a
-    remainder.  Indices that no chain of nonzeros joins never meet, so a
-    direct sum costs what its blocks do.
+    nonzero, so indices that no chain of nonzeros joins never meet, and a
+    direct sum costs what its blocks do.  Entries stay integers, as in
+    fraction-free (Bareiss) elimination: after k pivots each entry is
+    minor(k) times its Schur complement entry, itself a minor of the
+    matrix.  So each is kept as (v, d), v = d s for the minor d of its
+    last change, and rescaled to the current minor, exactly, when read.
     """
     if not m.is_symmetric():
         raise DimensionError("principal minor signs need a symmetric matrix")
+
+    def scaled(entry: tuple[int, int], minor: int) -> int:
+        v, d = entry
+        return v if d == minor else v * minor // d
+
     i, j = np.nonzero(np.triu(m._ints))
     rows: list[dict] = [{} for _ in range(m.rows)]
     for a, b, v in zip(i.tolist(), j.tolist(), m._ints[i, j].tolist()):
-        rows[a][b] = v
+        rows[a][b] = (v, 1)
     signs = [0] * m.rows
+    minor = 1
     for k, row in enumerate(rows):
-        piv = row.pop(k, 0)
+        piv = scaled(row.pop(k, (0, 1)), minor)  # minor(k + 1)
         if not piv:
             break
-        signs[k] = 1 if piv > 0 else -1
-        below = sorted(row.items())
+        signs[k] = 1 if (piv > 0) == (minor > 0) else -1
+        below = sorted((b, scaled(e, minor)) for b, e in row.items())
         for at, (a, x) in enumerate(below):
             for b, y in below[at:]:
-                t = x * y
-                v = rows[a].get(b, 0) - (t // piv if t % piv == 0 else Fraction(t, piv))
+                v = (piv * scaled(rows[a].get(b, (0, 1)), minor) - x * y) // minor
                 if v:
-                    rows[a][b] = v
+                    rows[a][b] = (v, piv)
                 else:
                     del rows[a][b]
+        minor = piv
     return signs
 
 

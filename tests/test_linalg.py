@@ -1287,3 +1287,13 @@ class TestDefiniteness:
         start = time.perf_counter()
         assert is_positive_definite(cartan)
         assert time.perf_counter() - start < 1
+
+    def test_a_dense_form_stays_on_integers(self):
+        # B'B + 1 of order 100, every entry nonzero: kept as integer
+        # minors, as in Bareiss elimination, it takes about 0.3 s, and an
+        # elimination over Fractions, with gcds at every step, over 5 s
+        b = np.random.default_rng(0).integers(-3, 4, (100, 100))
+        form = RationalMatrix.from_ints(b.T @ b + np.eye(100, dtype=np.int64), 1)
+        start = time.perf_counter()
+        assert is_positive_definite(form)
+        assert time.perf_counter() - start < 2
