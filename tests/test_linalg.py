@@ -1289,7 +1289,7 @@ class TestDefiniteness:
         assert time.perf_counter() - start < 1
 
     def test_a_dense_form_stays_on_integers(self):
-        # B'B + 1 of order 100, every entry nonzero: kept as integer
+        # B'B + 1 of order 100, 99 % of its entries nonzero: kept as integer
         # minors, as in Bareiss elimination, it takes about 0.3 s, and an
         # elimination over Fractions, with gcds at every step, over 5 s
         b = np.random.default_rng(0).integers(-3, 4, (100, 100))
