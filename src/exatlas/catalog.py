@@ -109,12 +109,6 @@ def compact_symplectic(n: int) -> GroupRecord:
     )
 
 
-def unitary(n: int) -> GroupRecord:
-    return GroupRecord(
-        f"U({n})", "U", classical_group_dim("U", n), rank=n, exponents=None, is_simple=False
-    )
-
-
 def exceptional_group(name: str) -> GroupRecord:
     series, dim, rank, exps = _EXCEPTIONAL[name]
     return GroupRecord(name, series, dim, rank=rank, exponents=exps)

@@ -2,8 +2,8 @@
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage error.
 Randomized checks draw from a seeded generator (--seed, or ATLAS_SEED);
-the heavy J3(O) derivation computation honors --budget and reports
-"skipped (budget)" instead of failing when the cap is hit.
+each heavy derivation checks --budget before it starts and reports
+"skipped (budget)" instead of failing once the cap is hit.
 """
 
 from __future__ import annotations
@@ -573,7 +573,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--trials", type=int, default=None,
                    help="override the randomized-check sample counts")
     v.add_argument("--budget", type=float, default=DEFAULT_BUDGET,
-                   help="wall-clock cap in seconds for the heavy derivation computations")
+                   help="wall-clock cap in seconds, checked before each heavy derivation "
+                        "starts; one that has started runs to its end")
     v.add_argument("--inject-corruption", action="store_true",
                    help="test mode: corrupt one atlas record to exercise failure paths")
 

@@ -11,8 +11,12 @@ and the eigenspace bracket relations of an involution.  One span
 certificate (``_span_coords``) places sparse vectors in the echelon
 basis, both the brackets of the basis and the transports sigma D sigma
 of an involution sigma, which is given as a ``RationalMatrix`` and
-checked on entry.  A split checks its inclusions over the nonzeros of
-theta -/+ 1 and its span flags mod p first.  ``generic_rank`` and
+checked on entry.  f and the [p, p] a split keeps are one sparse type,
+``Brackets``, the only input of the Killing form, the split and the rank
+probes; the matrices of a ``LieAlgebraBasis`` are an optional
+realization that only the transport reads.  A split checks its
+inclusions over the nonzeros of theta -/+ 1, in slices of about d^2
+join terms, and its span flags mod p first.  ``generic_rank`` and
 ``flat_rank`` share one probe loop, over f or over a split's [p, p].
 
 Hot paths run on scaled integer numpy arrays, starting from the
@@ -34,18 +38,17 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import algebras as _alg
 from . import jordan as _jordan
 from .linalg import (
-    CancelToken,
+    ComputationCancelled,
     DimensionError,
     RationalMatrix,
     SparseRows,
-    _check_cancel,
     _contract,
     _int_array,
     _join,
@@ -61,9 +64,6 @@ from .linalg import (
 
 class InvalidInvolutionError(ValueError):
     """The supplied map is not an involutive automorphism."""
-
-
-Tensor = tuple[np.ndarray, np.ndarray, tuple[int, ...]]  # values at ascending flat keys of a shape
 
 
 # ---------------------------------------------------------------------------
@@ -108,43 +108,73 @@ def leibniz_constraint_rows(algebra: _alg.FiniteAlgebra) -> tuple[SparseRows, in
 # Lie algebra container
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LieAlgebraBasis:
-    """Certified derivation Lie algebra in a canonical echelon basis.
+@dataclass(frozen=True, eq=False)
+class Brackets:
+    """Sparse brackets of a left and a right basis, over one scale.
 
-    Each datum is stored once.  Basis derivation t is the matrix
-    ``_d_int[t] / _d_scale``, and ``basis``, ``dim`` and ``ambient_dim``
-    are read from that pair.  The flattened basis is in reduced-echelon
-    form: vector t has a 1 at ``free_coords[t]`` and 0 at the other free
-    coordinates, so the coordinates of any element of the span can be
-    read off directly.  Bracket structure constants satisfy
-    [D_a, D_b] = sum_c f(a, b, c) D_c.  f is stored sparse, over one
-    scale: the nonzero f(a, b, c) is ``_f_vals[t] / _f_scale`` at the
-    key ``_f_keys[t] = (a * dim + b) * dim + c``, keys ascending.  Every
-    reader of f (the Killing form, the brackets of a Cartan split, the
-    rank probes) runs over these nonzeros.
+    The bracket of left vector u and right vector v has coordinate c
+    equal to ``vals[t] / scale`` at the key ``keys[t] = (u * shape[1] +
+    v) * shape[2] + c``, keys ascending, zeros left out.  f of a Lie
+    algebra is its basis with itself, of shape (d, d, d); the [p, p] a
+    Cartan split keeps are p's basis with itself, in coordinates of the
+    algebra.  Every reader of brackets runs over these nonzeros.
     """
 
-    algebra: _alg.FiniteAlgebra
-    free_coords: tuple[int, ...]
-    _d_int: np.ndarray = field(repr=False)
-    _d_scale: int = field(repr=False)
-    _f_keys: np.ndarray = field(repr=False)
-    _f_vals: np.ndarray = field(repr=False)
-    _f_scale: int = field(repr=False)
+    keys: np.ndarray
+    vals: np.ndarray
+    shape: tuple[int, int, int]
+    scale: int = 1
+
+    @cached_property
+    def floor(self) -> int:
+        """The size of a greedy set of pairwise commuting vectors of a
+        space V, read from the keys of its brackets, of shape (m, m, d):
+        in order, each vector that commutes with every one kept before,
+        where u and v commute when there is no key (u, v, c).  On a
+        compact l their abelian span lies in a maximal one, so the size
+        is at most the rank.  Kept, so found once per algebra or split."""
+        m, _, d = self.shape
+        clash = np.zeros((m, m), dtype=bool)
+        clash.flat[self.keys // d] = True
+        kept: list[int] = []
+        for a in range(m):
+            if not clash[a, kept].any():
+                kept.append(a)
+        return len(kept)
+
+
+@dataclass(frozen=True)
+class LieAlgebraBasis:
+    """A Lie algebra by its structure constants f, [D_a, D_b] = sum_c
+    f(a, b, c) D_c, with an optional matrix realization.
+
+    ``dim``, ``killing_form``, ``is_compact``, ``cartan_split``,
+    ``generic_rank`` and ``flat_rank`` read f only.  A derivation algebra
+    is realized: ``_vectors`` is the solver's reduced echelon basis of
+    the derivations of ``algebra``, flattened, and vector t is 1 at
+    ``free_coords[t]`` and 0 at the other free coordinates, so span
+    coordinates are read off directly.  ``basis``, ``ambient_dim`` and
+    ``induced_involution`` read the realization.
+    """
+
+    f: Brackets = field(repr=False)
+    algebra: _alg.FiniteAlgebra | None = None
+    free_coords: tuple[int, ...] = ()
+    _vectors: RationalMatrix | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
-        return self._d_int.shape[0]
+        return self.f.shape[0]
 
     @property
     def ambient_dim(self) -> int:
-        return self._d_int.shape[1]
+        return self.algebra.dim
 
     @property
     def basis(self) -> tuple[RationalMatrix, ...]:
         """The basis derivations, as ambient_dim x ambient_dim matrices."""
-        return tuple(RationalMatrix.from_ints(m, self._d_scale) for m in self._d_int)
+        n, v = self.ambient_dim, self._vectors
+        return tuple(RationalMatrix.from_ints(m.reshape(n, n), v._den) for m in v._ints)
 
     @cached_property
     def is_compact(self) -> bool:
@@ -154,16 +184,6 @@ class LieAlgebraBasis:
         found once; ``derivation_algebra`` never asks for it.
         """
         return is_negative_definite(killing_form(self))
-
-    @property
-    def _brackets(self) -> Tensor:
-        """f: the V bracket tensor of the rank probes over all of l."""
-        return self._f_keys, self._f_vals, (self.dim,) * 3
-
-    @cached_property
-    def _floor(self) -> int:
-        """``_commuting_floor`` of f, kept as ``is_compact`` is."""
-        return _commuting_floor(self._brackets)
 
 
 def _dense(shape: tuple[int, ...], keys: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -175,7 +195,7 @@ def _dense(shape: tuple[int, ...], keys: np.ndarray, vals: np.ndarray) -> np.nda
 
 def _map_axis(
     keys: np.ndarray, vals: np.ndarray, shape: tuple[int, ...], axis: int, m: np.ndarray
-) -> Tensor:
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """A sparse tensor with one axis mapped by the integer matrix m.
 
     The tensor holds ``vals`` at the flat ``keys`` of ``shape``; entry
@@ -237,9 +257,7 @@ def _span_coords(
     return None
 
 
-def derivation_algebra(
-    algebra: _alg.FiniteAlgebra, cancel: CancelToken | None = None
-) -> LieAlgebraBasis:
+def derivation_algebra(algebra: _alg.FiniteAlgebra) -> LieAlgebraBasis:
     """All derivations of the algebra, as a certified Lie algebra basis.
 
     Solves the Leibniz constraint system exactly (modular elimination,
@@ -253,10 +271,9 @@ def derivation_algebra(
     on the pairs a < b only, as [D_b, D_a] = -[D_a, D_b] and
     [D_a, D_a] = 0.
     """
-    _check_cancel(cancel)
     n = algebra.dim
     rows, ncols = leibniz_constraint_rows(algebra)
-    vectors, free_cols, _ = nullspace_with_info(rows, ncols, cancel)
+    vectors, free_cols, _ = nullspace_with_info(rows, ncols)
     d = vectors.rows
     d_int, d_scale = vectors._ints.reshape(d, n, n), vectors._den
 
@@ -294,14 +311,9 @@ def derivation_algebra(
     g = math.gcd(int(np.gcd.reduce(np.abs(f_int))), f_scale)
     f_scale //= g
 
+    f_vals = _int_array([q // g for q in f_int.tolist()], (-1,))
     return LieAlgebraBasis(
-        algebra=algebra,
-        free_coords=tuple(free_cols),
-        _d_int=d_int,
-        _d_scale=d_scale,
-        _f_keys=f_keys,
-        _f_vals=_int_array([q // g for q in f_int.tolist()], (-1,)),
-        _f_scale=f_scale,
+        Brackets(f_keys, f_vals, (d,) * 3, f_scale), algebra, tuple(free_cols), vectors
     )
 
 
@@ -315,11 +327,11 @@ def killing_form(l: LieAlgebraBasis) -> RationalMatrix:
     B(a, b) = sum_xy f(a, x, y) f(b, y, x): the nonzeros of f joined
     with themselves on (x, y) = (y', x').
     """
-    d = l.dim
-    a, x, y = np.unravel_index(l._f_keys, (d,) * 3)
+    f, d = l.f, l.dim
+    a, x, y = np.unravel_index(f.keys, f.shape)
     i, j = _join(x * d + y, y * d + x)
-    k_int = _dense((d, d), *_sparse_sum(a[i] * d + a[j], l._f_vals[i], l._f_vals[j]))
-    return RationalMatrix.from_ints(k_int, l._f_scale * l._f_scale)
+    k_int = _dense((d, d), *_sparse_sum(a[i] * d + a[j], f.vals[i], f.vals[j]))
+    return RationalMatrix.from_ints(k_int, f.scale * f.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +404,7 @@ def induced_involution(
     """
     n = algebra.dim
     if l.algebra is not algebra:
-        raise ValueError("Lie algebra basis does not belong to this algebra")
+        raise ValueError("Lie algebra basis is not realized in this algebra")
     if sigma.shape != (n, n):
         raise InvalidInvolutionError(f"expected a {n}x{n} map, got {sigma.shape}")
     if sigma @ sigma != RationalMatrix.identity(n):
@@ -400,19 +412,19 @@ def induced_involution(
     if not is_algebra_automorphism(algebra, sigma):
         raise InvalidInvolutionError("map does not preserve the structure constants")
 
-    s_int = sigma._ints
-    shape = l._d_int.shape
-    nz = np.flatnonzero(l._d_int)
-    keys, vals, _ = _map_axis(nz, l._d_int.reshape(-1)[nz], shape, 1, s_int)
+    s_int, d_int, d_scale = sigma._ints, l._vectors._ints, l._vectors._den
+    shape = (l.dim, n, n)
+    nz = np.flatnonzero(d_int)
+    keys, vals, _ = _map_axis(nz, d_int.reshape(-1)[nz], shape, 1, s_int)
     keys, vals, _ = _map_axis(keys, vals, shape, 2, s_int.T)
-    coords = _span_coords(keys, vals, l._d_int, l._d_scale, l.free_coords)
+    coords = _span_coords(keys, vals, d_int, d_scale, l.free_coords)
     if coords is None:
         raise InvalidInvolutionError(
             "transported derivation leaves the span; sigma is not compatible"
         )
     # coordinate u of transported D_t is theta[u, t], scaled
     theta_t = _dense((l.dim, l.dim), *coords)
-    theta = RationalMatrix.from_ints(theta_t.T, sigma._den**2 * l._d_scale)
+    theta = RationalMatrix.from_ints(theta_t.T, sigma._den**2 * d_scale)
     if theta @ theta != RationalMatrix.identity(l.dim):
         raise InvalidInvolutionError("induced map is not an involution")
     return theta
@@ -432,8 +444,8 @@ class CartanPair:
     inclusions [k,k] in k, [k,p] in p, [p,p] in k are certified exactly
     on construction, each by an eigen-equation of the involution; the
     span flags record whether [p,p] spans k and [k,p] spans p.  The
-    brackets [p_u, p_v] of p's basis are kept, as the V bracket tensor
-    of ``flat_rank``'s probes.
+    brackets [p_u, p_v] of p's basis are kept, for ``flat_rank``'s
+    probes.
     """
 
     lie: LieAlgebraBasis
@@ -441,7 +453,7 @@ class CartanPair:
     p_basis: RationalMatrix
     pp_spans_k: bool
     kp_spans_p: bool
-    _brackets: Tensor = field(repr=False, compare=False)  # read from lie and p_basis
+    _pp: Brackets = field(repr=False, compare=False)  # read from lie and p_basis
 
     @property
     def k_dim(self) -> int:
@@ -455,26 +467,21 @@ class CartanPair:
     def dims(self) -> tuple[int, int]:
         return (self.k_dim, self.p_dim)
 
-    @cached_property
-    def _floor(self) -> int:
-        """``_commuting_floor`` of [p, p], kept as ``is_compact`` is."""
-        return _commuting_floor(self._brackets)
 
+def _bracket_tensor(brackets: Brackets, left: np.ndarray, right: np.ndarray) -> Brackets:
+    """The brackets of all pairs from two integer bases.
 
-def _bracket_tensor(brackets: Tensor, left: np.ndarray, right: np.ndarray) -> Tensor:
-    """The brackets of all pairs from two integer bases, as a sparse tensor.
-
-    ``brackets`` is V's bracket tensor (f, or a pair's [p, p]), and the
+    ``brackets`` are those of a space V (f, or a pair's [p, p]), and the
     bases are in coefficients of V.  The bracket of left[i] and right[j]
     has coordinate c equal to sum_ab left[i, a] right[j, b] V(a, b, c):
     the first axis mapped by left and the second by right, over the
-    nonzeros.  It runs in slices of left's rows, each holding the rows
-    whose join terms, bounded from the nonzero counts, add up to about
-    the size of V's dense tensor (d^3 over all of l): so dense bases need
-    at most a d-th of the d^4 intermediate of a dense contraction, and
-    sparse ones take one slice.
+    nonzeros, over V's scale.  It runs in slices of left's rows, each
+    holding the rows whose join terms, bounded from the nonzero counts,
+    add up to about the size of V's dense brackets (d^3 over all of l):
+    so dense bases need at most a d-th of the d^4 intermediate of a
+    dense contraction, and sparse ones take one slice.
     """
-    keys, vals, (m, _, d) = brackets
+    keys, vals, (m, _, d) = brackets.keys, brackets.vals, brackets.shape
     n = right.shape[0]
     per_a = np.bincount(keys // (m * d), minlength=m)
     per_b = int((right != 0).sum(axis=0).max(initial=0))
@@ -486,21 +493,21 @@ def _bracket_tensor(brackets: Tensor, left: np.ndarray, right: np.ndarray) -> Te
         k, v, _ = _map_axis(*f, 1, right)
         out_keys.append(k + lo * n * d)
         out_vals.append(v)
-    return np.concatenate(out_keys), np.concatenate(out_vals), (left.shape[0], n, d)
+    shape = (left.shape[0], n, d)
+    return Brackets(np.concatenate(out_keys), np.concatenate(out_vals), shape, brackets.scale)
 
 
-def _spans(brackets: Tensor, basis: RationalMatrix, free: list[int]) -> bool:
+def _spans(brackets: Brackets, basis: RationalMatrix, free: list[int]) -> bool:
     """Whether brackets in the span of an echelon basis span it: whether,
     read at its free columns, they have rank ``basis.rows``.  Rank mod
     p <= rank over Q <= that, so a full rank mod ``_seeded_prime(0)``
     proves it; only a short one is solved exactly."""
-    keys, vals, (_, _, d) = brackets
-    n = basis.rows
-    pair, col = np.divmod(keys, d)
+    d, n = brackets.shape[2], basis.rows
+    pair, col = np.divmod(brackets.keys, d)
     at = np.full(d, -1)
     at[free] = np.arange(n)
     kept = at[col] >= 0
-    rows = SparseRows(pair[kept], at[col[kept]], vals[kept])
+    rows = SparseRows(pair[kept], at[col[kept]], brackets.vals[kept])
     full = len(_modp_rref(rows, n, _seeded_prime(0))[0]) == n
     return full or nullspace_with_info(rows, n)[2] == n
 
@@ -514,10 +521,12 @@ def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
 
     k and p are the nullspaces of theta - 1 and theta + 1, so membership
     is an eigen-equation: x lies in k exactly when (theta - 1)x = 0, and
-    in p exactly when (theta + 1)x = 0.  Each inclusion is checked on
-    slices of the brackets, before the next inclusion's are built, each
-    product with theta -/+ 1 taken over its nonzeros (one ``_join`` and
-    one ``_sparse_sum`` per slice).  Once theta squares to the identity,
+    in p exactly when (theta + 1)x = 0.  Each inclusion is checked before
+    the next inclusion's brackets are built, the product with theta -/+ 1
+    taken over its nonzeros, in slices cut between brackets of about d^2
+    join terms each (one ``_join`` and one ``_sparse_sum`` per slice): an
+    entry at column c joins the nonzeros of column c of theta -/+ 1, so
+    a dense one is sliced finer.  Once theta squares to the identity,
     g = k + p, so theta preserves the bracket exactly when the three
     inclusions hold: their certificate is the automorphism check.  Given
     the inclusions, [p, p] spans k exactly when it has rank dim k, and
@@ -531,31 +540,34 @@ def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
     if theta @ theta != ident:
         raise InvalidInvolutionError("map does not square to the identity")
     if d == 0:
-        empty, none = RationalMatrix.zeros(0, 0), np.zeros(0, dtype=np.int64)
-        return CartanPair(l, empty, empty, True, True, (none, none, (0, 0, 0)))
+        empty = RationalMatrix.zeros(0, 0)
+        return CartanPair(l, empty, empty, True, True, l.f)
 
     minus, plus = theta - ident, theta + ident
     k, k_free, _ = nullspace_with_info(integer_rows(minus), d)
     p, p_free, _ = nullspace_with_info(integer_rows(plus), d)
-    tensors = []
+    brackets = []
     for left, right, eigen, what in (
         (k, k, minus, "[k, k] escapes k"),
         (k, p, plus, "[k, p] escapes p"),
         (p, p, minus, "[p, p] escapes k"),
     ):
-        tensors.append(_bracket_tensor(l._brackets, left._ints, right._ints))
-        keys, vals, _ = tensors[-1]
+        brackets.append(_bracket_tensor(l.f, left._ints, right._ints))
+        keys, vals = brackets[-1].keys, brackets[-1].vals
         pair, col = np.divmod(keys, d)
         # (eigen z)[i] = sum_c eigen[i, c] z[c], over the nonzeros eigen[i, c]
         e_row, e_col = np.nonzero(eigen._ints)
         e_val = eigen._ints[e_row, e_col]
-        # slices of about d^2 entries, cut between brackets (of at most d each)
-        cuts = np.searchsorted(pair, pair[d * d :: d * d]).tolist()
+        # the join terms of the entries, and those before each one
+        terms = np.bincount(e_col, minlength=d)[col]
+        before = np.cumsum(terms) - terms
+        at = np.flatnonzero(np.diff(before // (d * d))) + 1
+        cuts = np.searchsorted(pair, pair[at]).tolist()
         for lo, hi in zip([0, *cuts], [*cuts, keys.size]):
             x, y = _join(col[lo:hi], e_col)
             if _sparse_sum(pair[lo:hi][x] * d + e_row[y], vals[lo:hi][x], e_val[y])[0].size:
                 raise InvalidInvolutionError(f"map does not preserve the bracket: {what}")
-    _, kp, pp = tensors
+    _, kp, pp = brackets
 
     return CartanPair(
         lie=l,
@@ -563,7 +575,7 @@ def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
         p_basis=p,
         pp_spans_k=_spans(pp, k, k_free),
         kp_spans_p=_spans(kp, p, p_free),
-        _brackets=pp,
+        _pp=pp,
     )
 
 
@@ -582,7 +594,7 @@ def _probe_coefficients(rng: random.Random | None, trials: int, dim: int) -> np.
     return _alg._random_rows(rng, trials, dim)
 
 
-def _is_maximal_abelian(brackets: Tensor, x_coords: np.ndarray, kernel: np.ndarray) -> bool:
+def _is_maximal_abelian(brackets: Brackets, x_coords: np.ndarray, kernel: np.ndarray) -> bool:
     """Whether the centralizer of a probe x in V is abelian, x not 0:
     on a compact l, the rank probes' exact certificate that it is
     maximal abelian (``_centralizer_rank``).  ``kernel`` holds integer
@@ -596,61 +608,44 @@ def _is_maximal_abelian(brackets: Tensor, x_coords: np.ndarray, kernel: np.ndarr
     if not on_x.size:
         return False
     rest = np.delete(kernel, on_x[0], axis=0)
-    return not _bracket_tensor(brackets, rest, rest)[0].size
+    return not _bracket_tensor(brackets, rest, rest).keys.size
 
 
-def _probe_rows(brackets: Tensor, x: np.ndarray) -> SparseRows:
+def _probe_rows(brackets: Brackets, x: np.ndarray) -> SparseRows:
     """The constraint whose kernel is the centralizer of x = sum_u x_u v_u
     in V: row c, column v is sum_u x_u [v_u, v_v]_c, one ``_sparse_sum``
-    over V's bracket tensor."""
-    keys, vals, (m, _, d) = brackets
-    u, v, c = np.unravel_index(keys, (m, m, d))
-    k, sums = _sparse_sum(c * m + v, x[u], vals)
+    over V's brackets."""
+    m = brackets.shape[0]
+    u, v, c = np.unravel_index(brackets.keys, brackets.shape)
+    k, sums = _sparse_sum(c * m + v, x[u], brackets.vals)
     return SparseRows(k // m, k % m, sums)
 
 
-def _commuting_floor(brackets: Tensor) -> int:
-    """The size of a greedy set of pairwise commuting vectors of V, read
-    from the keys of its bracket tensor: in order, each vector that
-    commutes with every one kept before, where u and v commute when the
-    tensor has no key (u, v, c).  On a compact l their abelian span lies
-    in a maximal one, so the size is at most the rank."""
-    keys, _, (m, _, d) = brackets
-    clash = np.zeros((m, m), dtype=bool)
-    clash.flat[keys // d] = True
-    kept: list[int] = []
-    for a in range(m):
-        if not clash[a, kept].any():
-            kept.append(a)
-    return len(kept)
-
-
 def _centralizer_rank(
-    l: LieAlgebraBasis, space: LieAlgebraBasis | CartanPair, trials: int, rng: random.Random | None
+    space: Brackets, compact: bool, trials: int, rng: random.Random | None
 ) -> int:
     """Minimum over trials of dim {y in V : [x, y] = 0} for random x in V.
 
-    V is all of l or the p of a Cartan pair, given as ``space``; the
-    probes read only its bracket tensor ``space._brackets`` (one
-    ``_probe_rows`` per probe) and its floor ``space._floor``, found once
-    per space.  Every trial's coefficients are drawn up front, so rng
-    ends in the same state however many trials are solved.  On a compact
-    l each probe x first takes a ceiling, the nullity of its constraint
-    mod ``_seeded_prime(0)``, and the probes stop with nothing lifted at
-    the first x whose ceiling meets the floor; a floor above a ceiling
-    raises.  A probe above the floor, and every probe of an l that is
-    not compact, is solved exactly, and on a compact l the probes stop
-    at one whose centralizer in V ``_is_maximal_abelian`` certifies.
+    V is all of l or the p of a Cartan pair, given by its brackets
+    ``space``, and ``compact`` says whether l is.  The probes read only
+    those brackets (one ``_probe_rows`` per probe) and their floor,
+    found once per space.  Every trial's coefficients are drawn up front,
+    so rng ends in the same state however many trials are solved.  On a
+    compact l each probe x first takes a ceiling, the nullity of its
+    constraint mod ``_seeded_prime(0)``, and the probes stop with nothing
+    lifted at the first x whose ceiling meets the floor; a floor above a
+    ceiling raises.  A probe above the floor, and every probe of an l
+    that is not compact, is solved exactly, and on a compact l the probes
+    stop at one whose centralizer in V ``_is_maximal_abelian`` certifies.
     """
-    brackets = space._brackets
-    m = brackets[2][0]
+    m = space.shape[0]
     probes = _probe_coefficients(rng, trials, m)
     if m == 0:
         return 0
-    floor = space._floor if l.is_compact else None
+    floor = space.floor if compact else None
     best = m
     for x in probes:
-        rows = _probe_rows(brackets, x)
+        rows = _probe_rows(space, x)
         if floor is not None:
             ceiling = m - len(_modp_rref(rows, m, _seeded_prime(0))[0])
             if floor > ceiling:
@@ -659,7 +654,7 @@ def _centralizer_rank(
                 return floor
         kernel, free, r = nullspace_with_info(rows, m)
         best = min(best, m - r)
-        if floor is not None and _is_maximal_abelian(brackets, x[free], kernel._ints):
+        if floor is not None and _is_maximal_abelian(space, x[free], kernel._ints):
             break
     return best
 
@@ -687,7 +682,7 @@ def generic_rank(
     containing it commutes with x.  An algebra that is not compact has
     every trial solved.
     """
-    return _centralizer_rank(l, l, trials, rng)
+    return _centralizer_rank(l.f, l.is_compact, trials, rng)
 
 
 def flat_rank(
@@ -718,7 +713,7 @@ def flat_rank(
     Lemma 6.3), so the same arguments hold in p.  A split of a g that is
     not compact has every trial solved.
     """
-    return _centralizer_rank(pair.lie, pair, trials, rng)
+    return _centralizer_rank(pair._pp, pair.lie.is_compact, trials, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -747,13 +742,15 @@ _NAMED_CACHE: dict[str, LieAlgebraBasis] = {}
 
 
 def named_derivation_algebra(
-    name: str, cancel: CancelToken | None = None
+    name: str, cancel: Callable[[], bool] | None = None
 ) -> LieAlgebraBasis:
     """Cached derivation algebra for a named target (see DERIVATION_TARGETS).
 
-    The cache is process-wide; a cooperative cancel token only applies
-    to a computation that actually runs.
+    The cache is process-wide.  A cancel token is checked once, before a
+    derivation that is not cached starts; one that has started runs on.
     """
     if name not in _NAMED_CACHE:
-        _NAMED_CACHE[name] = derivation_algebra(_target_algebra(name), cancel)
+        if cancel is not None and cancel():
+            raise ComputationCancelled("computation cancelled by caller")
+        _NAMED_CACHE[name] = derivation_algebra(_target_algebra(name))
     return _NAMED_CACHE[name]

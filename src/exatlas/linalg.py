@@ -24,7 +24,8 @@ rational reconstruction, and all are certified by one exact
 substitution on integers; the certified count together with the modular
 rank pins the exact rank.  A prime whose candidates still fail past the
 Hadamard bound is dropped for the next.  The certified basis comes back
-as one echelon ``RationalMatrix``.
+as one echelon ``RationalMatrix``.  A solve runs to its end: a caller
+that caps its time checks before it starts one.
 Definiteness of a symmetric matrix is read from the pivots of one
 symmetric elimination kept sparse, which never joins indices that no
 chain of nonzero entries joins.
@@ -37,7 +38,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,20 +50,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _INT64_SAFE = 1 << 62  # bound under which an int64 entry or sum is exact
 
-CancelToken = Callable[[], bool]
-
-
 class DimensionError(ValueError):
     """Matrix shape makes the requested operation meaningless."""
 
 
 class ComputationCancelled(RuntimeError):
-    """A cooperative cancellation token fired during a long computation."""
-
-
-def _check_cancel(cancel: CancelToken | None) -> None:
-    if cancel is not None and cancel():
-        raise ComputationCancelled("computation cancelled by caller")
+    """A cooperative cancellation token fired before a long computation."""
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +200,6 @@ class RationalMatrix:
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix.from_ints(self._ints.T, self._den)
-
-    def matvec(self, v: Sequence) -> tuple:
-        if len(v) != self.cols:
-            raise DimensionError(f"vector length {len(v)} != cols {self.cols}")
-        v_int, v_den = _scaled_int_array(v, (self.cols,))
-        prod = _contract("ij,j->i", self.cols, self._ints, v_int)
-        return tuple(_exact_quotient(x, self._den * v_den) for x in prod.tolist())
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
@@ -538,9 +524,7 @@ def _rows_mod_p(rows: SparseRows, p: int, out: np.ndarray) -> np.ndarray:
     return block
 
 
-def _modp_rref(
-    rows: SparseRows, ncols: int, p: int, cancel: CancelToken | None = None
-) -> tuple[list[int], np.ndarray, list[int]]:
+def _modp_rref(rows: SparseRows, ncols: int, p: int) -> tuple[list[int], np.ndarray, list[int]]:
     """The reduced echelon form mod p, read in blocks of ``_ELIM_ROWS``
     rows: pivot columns, pivot rows and the input row of each pivot, in
     the order the pivots were found.
@@ -560,7 +544,6 @@ def _modp_rref(
     for lo in range(0, len(rows), _ELIM_ROWS):
         if eng.rank == ncols:
             break
-        _check_cancel(cancel)
         kept = eng.clear_pivots(rows.block(lo, min(lo + _ELIM_ROWS, len(rows))))
         if kept.size:
             eng.absorb(kept + lo)
@@ -684,7 +667,6 @@ def _padic_residues(
     pivrows: list[int],
     rref: np.ndarray,
     p: int,
-    cancel: CancelToken | None = None,
 ) -> Iterable[tuple[np.ndarray, int]]:
     """Residues of the nullspace's pivot entries modulo p^k (an object
     array, one row per pivot), yielded at each k worth a lift (Dixon's
@@ -737,7 +719,6 @@ def _padic_residues(
     sentinel = int(nonzero[-1]) if nonzero.size else 0
     last = None
     while True:
-        _check_cancel(cancel)
         rm = (resid % p).astype(np.int64)
         lo, hi = (_contract("ij,jk->ik", r, limb, rm) % p for limb in limbs)
         digit = ((lo + (hi << 16)) % p).astype(np.int64)
@@ -758,9 +739,7 @@ def _padic_residues(
 # public operations
 # ---------------------------------------------------------------------------
 
-def _substitute(
-    rows: SparseRows, ncols: int, cancel: CancelToken | None = None
-) -> tuple[SparseRows, np.ndarray, np.ndarray] | None:
+def _substitute(rows: SparseRows, ncols: int) -> tuple[SparseRows, np.ndarray, np.ndarray] | None:
     """The rows with their singletons and ±1 doubletons substituted out,
     or None when they have none.
 
@@ -784,7 +763,6 @@ def _substitute(
     link = 2 * np.arange(ncols)
     zero = np.zeros(ncols, dtype=bool)  # at roots
     for rounds in itertools.count():
-        _check_cancel(cancel)
         lens = np.diff(rows.starts)
         first = rows.starts[:-1]
         single = rows.cols[first[lens == 1]]
@@ -841,9 +819,7 @@ def _distinct_up_to_sign(rows: SparseRows) -> SparseRows:
 
 
 def nullspace_with_info(
-    sparse_rows: SparseRows,
-    ncols: int,
-    cancel: CancelToken | None = None,
+    sparse_rows: SparseRows, ncols: int
 ) -> tuple[RationalMatrix, list[int], int]:
     """Nullspace basis, free columns, and rank of a ``SparseRows`` system
     in ``ncols`` unknowns; a system with no rows has rank 0.
@@ -870,11 +846,11 @@ def nullspace_with_info(
     """
     if ncols < 1:
         raise DimensionError("matrix must have at least one column")
-    reduced = _substitute(sparse_rows, ncols, cancel)
+    reduced = _substitute(sparse_rows, ncols)
     if reduced is None:
-        return _modular_solve(sparse_rows, ncols, cancel)
+        return _modular_solve(sparse_rows, ncols)
     rows, link, live = reduced
-    basis, free, _ = _modular_solve(rows, live.size, cancel)
+    basis, free, _ = _modular_solve(rows, live.size)
     kept = np.flatnonzero(link >= 0)
     ints = np.zeros((basis.rows, ncols), dtype=basis._ints.dtype)
     ints[:, kept] = basis._ints[:, np.searchsorted(live, link[kept] >> 1)]
@@ -883,11 +859,7 @@ def nullspace_with_info(
     return RationalMatrix.from_ints(ints, basis._den), live[free].tolist(), ncols - basis.rows
 
 
-def _modular_solve(
-    sparse_rows: SparseRows,
-    ncols: int,
-    cancel: CancelToken | None = None,
-) -> tuple[RationalMatrix, list[int], int]:
+def _modular_solve(sparse_rows: SparseRows, ncols: int) -> tuple[RationalMatrix, list[int], int]:
     """``nullspace_with_info`` of a system as it is, with nothing
     substituted.
 
@@ -909,14 +881,12 @@ def _modular_solve(
     rows span the rows over Q, at the same pivot columns).
     """
     for i in itertools.count():
-        _check_cancel(cancel)
         p = _seeded_prime(i)
-        pivcols, rref, pivrows = _modp_rref(sparse_rows, ncols, p, cancel)
+        pivcols, rref, pivrows = _modp_rref(sparse_rows, ncols, p)
         pivot_set = set(pivcols)
         free_cols = [c for c in range(ncols) if c not in pivot_set]
-        for residues, modulus in _padic_residues(
-            sparse_rows, pivcols, free_cols, pivrows, rref, p, cancel
-        ):
+        lifts = _padic_residues(sparse_rows, pivcols, free_cols, pivrows, rref, p)
+        for residues, modulus in lifts:
             basis = _lift(sparse_rows, ncols, pivcols, free_cols, residues, modulus)
             if basis is None:
                 continue
@@ -930,14 +900,14 @@ def _require_nonempty(m: RationalMatrix) -> None:
         raise DimensionError(f"operation needs a nonempty matrix, got {m.shape}")
 
 
-def rank(m: RationalMatrix, cancel: CancelToken | None = None) -> int:
+def rank(m: RationalMatrix) -> int:
     """Exact rank over the rationals."""
     _require_nonempty(m)
-    _, _, r = nullspace_with_info(integer_rows(m), m.cols, cancel)
+    _, _, r = nullspace_with_info(integer_rows(m), m.cols)
     return r
 
 
-def nullspace_basis(m: RationalMatrix, cancel: CancelToken | None = None) -> list[tuple]:
+def nullspace_basis(m: RationalMatrix) -> list[tuple]:
     """Canonical basis of the right nullspace, verified by substitution.
 
     Returns exactly cols - rank vectors; each vector has a 1 at its free
@@ -945,7 +915,7 @@ def nullspace_basis(m: RationalMatrix, cancel: CancelToken | None = None) -> lis
     they are whole and Fractions otherwise.
     """
     _require_nonempty(m)
-    basis, _, _ = nullspace_with_info(integer_rows(m), m.cols, cancel)
+    basis, _, _ = nullspace_with_info(integer_rows(m), m.cols)
     return [tuple(v) for v in basis.to_rows()]
 
 

@@ -1,6 +1,27 @@
+import contextlib
+import signal
+
 import pytest
 
 from exatlas import algebras, jordan, lie
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail the block it wraps once it has run for ``seconds``: a real-time
+    timer raises TimeoutError in the main thread, so a solve that never
+    ends stops there instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

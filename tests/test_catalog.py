@@ -85,7 +85,7 @@ class TestExponents:
 
     def test_missing_exponents_rejected(self):
         with pytest.raises(ValueError):
-            cat.exponents_check(cat.unitary(3))
+            cat.exponents_check(cat.GroupRecord("U(3)", "U", 9, rank=3, is_simple=False))
 
 
 class TestFamilies:

@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 import textwrap
-import time
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -27,6 +26,7 @@ from exatlas.algebras import (
 )
 from exatlas.jordan import jordan_algebra
 from exatlas.lie import (
+    Brackets,
     InvalidInvolutionError,
     LieAlgebraBasis,
     _bracket_tensor,
@@ -60,16 +60,22 @@ from exatlas.linalg import (
     nullspace_with_info,
     rank,
 )
+from conftest import deadline
 from test_algebras import rescaled
+
+
+def apply(m, coords):
+    """The matrix m times the column of the given exact coordinates."""
+    return (m @ RationalMatrix(len(coords), 1, coords)).column(0)
 
 
 def leibniz_defect_oracle(algebra, d_matrix, x_coords, y_coords):
     """Independent check of D(xy) = D(x)y + xD(y) via element arithmetic."""
     x = algebra.element(x_coords)
     y = algebra.element(y_coords)
-    dx = algebra.element(d_matrix.matvec(x_coords))
-    dy = algebra.element(d_matrix.matvec(y_coords))
-    lhs = algebra.element(d_matrix.matvec((x * y).coeffs))
+    dx = algebra.element(apply(d_matrix, x_coords))
+    dy = algebra.element(apply(d_matrix, y_coords))
+    lhs = algebra.element(apply(d_matrix, (x * y).coeffs))
     rhs = dx * y + x * dy
     return lhs - rhs
 
@@ -120,9 +126,9 @@ class TestDerivationCertificates:
 
     def test_derivations_kill_the_unit(self, der_o, der_j3o, j3o):
         for d_matrix in der_o.basis:
-            assert not any(d_matrix.matvec(octonions().unit_coords))
+            assert not any(apply(d_matrix, octonions().unit_coords))
         for d_matrix in der_j3o.basis:
-            assert not any(d_matrix.matvec(j3o.unit_coords))
+            assert not any(apply(d_matrix, j3o.unit_coords))
 
     def test_basis_is_canonical_echelon(self, der_o):
         flat = [
@@ -166,18 +172,19 @@ class TestDerivationCertificates:
     @pytest.mark.parametrize("name", lie.DERIVATION_TARGETS)
     def test_unordered_closure_matches_the_ordered_pairs(self, name):
         l = named_derivation_algebra(name)
+        f = l.f
         keys, vals, scale = ordered_pair_constants(l)
-        assert l._f_keys.dtype == keys.dtype and np.array_equal(l._f_keys, keys)
-        assert l._f_vals.dtype == vals.dtype and np.array_equal(l._f_vals, vals)
-        assert l._f_scale == scale
+        assert f.keys.dtype == keys.dtype and np.array_equal(f.keys, keys)
+        assert f.vals.dtype == vals.dtype and np.array_equal(f.vals, vals)
+        assert (f.scale, f.shape) == (scale, (l.dim,) * 3)
         # f(b, a, c) = -f(a, b, c), and f(a, a, c) = 0
         d = l.dim
-        a, b, c = np.unravel_index(l._f_keys, (d,) * 3)
+        a, b, c = np.unravel_index(f.keys, (d,) * 3)
         assert not np.any(a == b)
         mirrored = (b * d + a) * d + c
         order = np.argsort(mirrored)
-        assert np.array_equal(mirrored[order], l._f_keys)
-        assert np.array_equal(-l._f_vals[order], l._f_vals)
+        assert np.array_equal(mirrored[order], f.keys)
+        assert np.array_equal(-f.vals[order], f.vals)
 
     def test_j3o_derive_imports_no_module(self):
         # a numpy call that imports on first use (np.unique pulls in
@@ -206,8 +213,8 @@ class TestDerivationCertificates:
         # the deadline turns a solve that never ends into a failure
         copy = rescaled(j3o, [1000 ** (k % 3) for k in range(j3o.dim)])
         rows, ncols = leibniz_constraint_rows(copy)
-        deadline = time.monotonic() + 60
-        basis, _, rank_ = nullspace_with_info(rows, ncols, cancel=lambda: time.monotonic() > deadline)
+        with deadline(60):
+            basis, _, rank_ = nullspace_with_info(rows, ncols)
         assert (basis.rows, rank_) == (52, 677)
 
 
@@ -217,8 +224,9 @@ def ordered_pair_constants(l):
     negated at (b, a), placed by the span certificate and reduced over
     d_scale^2."""
     d, n = l.dim, l.ambient_dim
-    t, i, j = np.nonzero(l._d_int)
-    v = l._d_int[t, i, j]
+    d_int = l._vectors._ints.reshape(d, n, n)
+    t, i, j = np.nonzero(d_int)
+    v = d_int[t, i, j]
     x, y = _join(j, i)
     ik = i[x] * n + j[y]
     keys, comm = _sparse_sum(
@@ -226,8 +234,8 @@ def ordered_pair_constants(l):
         np.concatenate([v[x], -v[x]]),
         np.concatenate([v[y], v[y]]),
     )
-    f_keys, f_int = _span_coords(keys, comm, l._d_int, l._d_scale, l.free_coords)
-    scale = l._d_scale**2
+    f_keys, f_int = _span_coords(keys, comm, d_int, l._vectors._den, l.free_coords)
+    scale = l._vectors._den**2
     g = math.gcd(int(np.gcd.reduce(np.abs(f_int))), scale)
     return f_keys, _int_array([q // g for q in f_int.tolist()], (-1,)), scale // g
 
@@ -519,13 +527,10 @@ class TestInducedInvolution:
         # automorphism of H that moves it out of its own span
         m = der_h.basis[1]
         line = LieAlgebraBasis(
-            algebra=der_h.algebra,
-            free_coords=(der_h.free_coords[1],),
-            _d_int=m._ints[None],
-            _d_scale=m._den,
-            _f_keys=np.zeros(0, dtype=np.intp),
-            _f_vals=np.zeros(0, dtype=np.int64),
-            _f_scale=1,
+            core(1, {}).f,
+            der_h.algebra,
+            (der_h.free_coords[1],),
+            RationalMatrix.from_ints(m._ints.reshape(1, -1), m._den),
         )
         sigma = RationalMatrix.from_rows(
             [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]]
@@ -643,6 +648,19 @@ class TestCartanSplit:
         # the kept brackets are read from lie and p_basis, and take no part
         assert compact_split("G", der_o, der_j3o, j3o) == compact_split("G", der_o, der_j3o, j3o)
 
+    def test_brackets_alone_split_and_probe(self, der_o):
+        # g2's f with no algebra and no matrices: the Killing form, the
+        # split and the ranks read f only; the transport needs matrices
+        bare = LieAlgebraBasis(der_o.f)
+        o = der_o.algebra
+        theta = induced_involution(o, doubled_half_reflection(o), der_o)
+        assert (killing_form(bare), bare.is_compact) == (killing_form(der_o), True)
+        pair = cartan_split(bare, theta)
+        assert (pair.dims, pair.pp_spans_k, pair.kp_spans_p) == ((6, 8), True, True)
+        assert (generic_rank(bare), flat_rank(pair)) == (2, 2)
+        with pytest.raises(ValueError, match="not realized"):
+            induced_involution(o, doubled_half_reflection(o), bare)
+
     def test_plane_of_so3_fails_kk_first(self, der_h):
         # so(3) has no 2-dimensional subalgebra, so [k, k] escapes k (and
         # [k, p] escapes p too); the inclusions are checked in order
@@ -651,30 +669,21 @@ class TestCartanSplit:
             cartan_split(der_h, theta)
 
 
-def so3_plus_center() -> LieAlgebraBasis:
-    """so(3) + R as 4x4 matrices: x1, x2, x3 rotate pairs of the first
-    three coordinates and z = E_33, each 1 at its own free entry; f is
-    read off the commutators there, and checked to rebuild them."""
-    free = (1, 2, 6, 15)
-    d_int = np.zeros((4, 16), dtype=np.int64)
-    for t, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
-        d_int[t, i * 4 + j], d_int[t, j * 4 + i] = 1, -1
-    d_int[3, 15] = 1
-    d_int = d_int.reshape(4, 4, 4)
-    prod = np.einsum("aij,bjk->abik", d_int, d_int)
-    comm = (prod - prod.transpose(1, 0, 2, 3)).reshape(4, 4, 16)
-    f = comm[:, :, list(free)]
-    assert np.array_equal(np.einsum("abc,cx->abx", f, d_int.reshape(4, 16)), comm)
+def core(dim, upper) -> LieAlgebraBasis:
+    """A Lie algebra from its brackets alone, with no realization:
+    f(a, b, c) = upper[a, b, c] for a < b, and f(b, a, c) = -f(a, b, c)."""
+    f = np.zeros((dim,) * 3, dtype=np.int64)
+    for (a, b, c), v in upper.items():
+        f[a, b, c], f[b, a, c] = v, -v
     keys = np.flatnonzero(f)
-    return LieAlgebraBasis(
-        algebra=None,
-        free_coords=free,
-        _d_int=d_int,
-        _d_scale=1,
-        _f_keys=keys,
-        _f_vals=f.ravel()[keys],
-        _f_scale=1,
-    )
+    return LieAlgebraBasis(Brackets(keys, f.ravel()[keys], f.shape))
+
+
+def so3_plus_center() -> LieAlgebraBasis:
+    """so(3) + R: x1, x2, x3 are the rotations E_01 - E_10, E_02 - E_20
+    and E_12 - E_21 of the first three coordinates, with [x1, x2] = -x3,
+    [x1, x3] = x2 and [x2, x3] = -x1, and z is central."""
+    return core(4, {(0, 1, 2): -1, (0, 2, 1): 1, (1, 2, 0): -1})
 
 
 def _diagonal_in_copy(sigma: RationalMatrix, perm) -> RationalMatrix:
@@ -776,25 +785,9 @@ class TestBasisIndependence:
         assert_f4_in_rescaled_j3o(j3o, factors)
 
 
-def _abelian_lie(dim: int) -> LieAlgebraBasis:
-    """Commuting diagonal matrices: every bracket vanishes."""
-    d_int = np.zeros((dim, dim, dim), dtype=np.int64)
-    for t in range(dim):
-        d_int[t, t, t] = 1
-    return LieAlgebraBasis(
-        algebra=None,
-        free_coords=tuple(t * dim + t for t in range(dim)),
-        _d_int=d_int,
-        _d_scale=1,
-        _f_keys=np.zeros(0, dtype=np.intp),
-        _f_vals=np.zeros(0, dtype=np.int64),
-        _f_scale=1,
-    )
-
-
 class TestGenericRank:
     def test_abelian_everything_central(self):
-        assert generic_rank(_abelian_lie(2)) == 2
+        assert generic_rank(core(2, {})) == 2
 
     def test_so3_rank_one(self, der_h):
         assert generic_rank(der_h) == 1
@@ -872,7 +865,7 @@ def exhaustive_flat_rank(pair, trials, rng):
     best = pair.p_dim
     for _ in range(trials):
         c = [rng.randint(-RANDOM_COEFF_SPAN, RANDOM_COEFF_SPAN) for _ in range(pair.p_dim)]
-        constraint = ad_matrix(pair.lie, p_t.matvec(c)) @ p_t
+        constraint = ad_matrix(pair.lie, apply(p_t, c)) @ p_t
         best = min(best, pair.p_dim - rank(constraint))
     return best
 
@@ -959,18 +952,24 @@ def seeded_rank(name, der_j3o, compact_splits):
 
 
 def probe_space(name, der_j3o, compact_splits):
-    """What ``seeded_rank`` probes: f4 itself or the named pair."""
-    return der_j3o if name == "f4" else compact_splits[name]
+    """The brackets ``seeded_rank`` probes: f of f4, or the named pair's [p, p]."""
+    return der_j3o.f if name == "f4" else compact_splits[name]._pp
 
 
 def shift_floor(monkeypatch, space, shift):
-    """``_commuting_floor`` moved by shift for this test, with the floor
-    kept on space cleared, so the probes find the moved one.  It is kept
-    first, so that the undo puts the true floor back."""
-    floor = lie._commuting_floor
-    space._floor
-    monkeypatch.delitem(vars(space), "_floor")
-    monkeypatch.setattr(lie, "_commuting_floor", lambda brackets: floor(brackets) + shift)
+    """The floor kept on the brackets space, moved by shift for this
+    test, so the probes find the moved one; the undo puts the true floor
+    back."""
+    monkeypatch.setitem(vars(space), "floor", space.floor + shift)
+
+
+@pytest.fixture
+def floors_found(monkeypatch):
+    """Every space whose floor is found, not read from where it was kept."""
+    found = []
+    floor = lie.Brackets.floor.func
+    monkeypatch.setattr(lie.Brackets.floor, "func", lambda space: found.append(space) or floor(space))
+    return found
 
 
 class TestCertifiedRankProbes:
@@ -1013,7 +1012,7 @@ class TestCertifiedRankProbes:
 
     @pytest.mark.parametrize(
         "build, expected",
-        [(lambda: derivation_algebra(matrix_algebra_2x2()), 1), (lambda: _abelian_lie(2), 2)],
+        [(lambda: derivation_algebra(matrix_algebra_2x2()), 1), (lambda: core(2, {}), 2)],
         ids=["sl2", "abelian"],
     )
     @pytest.mark.parametrize("trials", [1, 3])
@@ -1067,17 +1066,18 @@ class TestCertifiedRankProbes:
             seeded_rank(name, der_j3o, compact_splits)
 
     def test_floors_meet_the_ranks(self, der_o, der_j3o, compact_splits):
-        floor = lie._commuting_floor
-        assert (floor(der_o._brackets), floor(der_j3o._brackets)) == (2, 4)
-        assert [floor(p._brackets) for p in compact_splits.values()] == [2, 1]
+        assert (der_o.f.floor, der_j3o.f.floor) == (2, 4)
+        assert [p._pp.floor for p in compact_splits.values()] == [2, 1]
 
-    def test_floors_are_kept(self, der_j3o, compact_splits, monkeypatch):
-        for space in (der_j3o, *compact_splits.values()):
-            space._floor
-        calls = _calls_from_lie(monkeypatch, "_commuting_floor")
-        assert generic_rank(der_j3o) == 4
-        assert [flat_rank(p) for p in compact_splits.values()] == [2, 1]
-        assert calls == []
+    def test_floors_are_kept(self, der_j3o, compact_splits, floors_found, monkeypatch):
+        # found on first use, once per algebra or pair, and read after
+        spaces = [der_j3o.f, *(p._pp for p in compact_splits.values())]
+        for space in spaces:
+            monkeypatch.delitem(vars(space), "floor", raising=False)
+        for _ in range(2):
+            assert generic_rank(der_j3o) == 4
+            assert [flat_rank(p) for p in compact_splits.values()] == [2, 1]
+        assert floors_found == spaces
 
     @pytest.mark.parametrize("name", ["f4", "G", "FII"])
     def test_abelian_test_matches_the_dense_brackets(self, der_j3o, compact_splits, name):
@@ -1085,9 +1085,9 @@ class TestCertifiedRankProbes:
         # against every bracket of the kernel by the dense einsum over V's
         # tensor; e_0's centralizer is not abelian in f4 (of dimension 22)
         # nor in G's p (of dimension 3)
-        brackets = probe_space(name, der_j3o, compact_splits)._brackets
-        m = brackets[2][0]
-        dense = lie._dense(brackets[2], *brackets[:2])
+        brackets = probe_space(name, der_j3o, compact_splits)
+        m = brackets.shape[0]
+        dense = lie._dense(brackets.shape, brackets.keys, brackets.vals)
         e_0 = np.eye(m, dtype=np.int64)[0]
         found = []
         for x in (lie._probe_coefficients(None, 1, m)[0], e_0):
@@ -1107,7 +1107,7 @@ class TestCertifiedRankProbes:
         for span in (9, 2**70):
             x = np.array([rng.randint(-span, span) for _ in range(pair.p_dim)], dtype=object)
             dense = dense_probe_constraint(pair.lie, x, pair.p_basis._ints)
-            assert_rows_equal(_probe_rows(pair._brackets, x), integer_rows(dense))
+            assert_rows_equal(_probe_rows(pair._pp, x), integer_rows(dense))
 
 
 @pytest.mark.parametrize("seed", [2000, 2001, 7000])
@@ -1124,10 +1124,12 @@ def test_a_probe_round_solves_four_systems(der_o, der_j3o, j3o, seed, solves, mo
 
 
 class TestCancellation:
-    def test_cancel_token_interrupts(self):
-        fresh = jordan_algebra(quaternions())
+    def test_cancel_token_interrupts(self, monkeypatch):
+        # checked before a derivation that is not cached yet starts
+        monkeypatch.setattr(lie, "_NAMED_CACHE", {})
         with pytest.raises(ComputationCancelled):
-            derivation_algebra(fresh, cancel=lambda: True)
+            named_derivation_algebra("j3h", cancel=lambda: True)
+        assert lie._NAMED_CACHE == {}
 
 
 # ---------------------------------------------------------------------------
@@ -1160,14 +1162,12 @@ def lie_case(request):
 
 
 def sparse_f(l):
-    """f from its sparse form, as a dense array over l._f_scale."""
-    f = np.zeros(l.dim**3, dtype=l._f_vals.dtype)
-    f[l._f_keys] = l._f_vals
-    return f.reshape((l.dim,) * 3)
+    """f from its sparse form, as a dense array over l.f.scale."""
+    return lie._dense(l.f.shape, l.f.keys, l.f.vals)
 
 
 def ad_ints(l, x_int):
-    """ad_x for integer coordinates x, over l._f_scale, by the dense
+    """ad_x for integer coordinates x, over l.f.scale, by the dense
     einsum over f: entry (c, b) is sum_a x[a] f(a, b, c)."""
     return _contract("a,abc->cb", l.dim, x_int, sparse_f(l))
 
@@ -1175,7 +1175,7 @@ def ad_ints(l, x_int):
 def ad_matrix(l, coords):
     """The matrix of ad_x on l, for x with the given exact coordinates."""
     x_int, x_scale = _scaled_int_array(list(coords), (l.dim,))
-    return RationalMatrix.from_ints(ad_ints(l, x_int), x_scale * l._f_scale)
+    return RationalMatrix.from_ints(ad_ints(l, x_int), x_scale * l.f.scale)
 
 
 def dense_probe_constraint(l, x, basis):
@@ -1198,11 +1198,12 @@ def dense_f_oracle(l):
     all brackets, their entries at the free coordinates, and the
     closure check that rebuilds every bracket from them."""
     d, n = l.dim, l.ambient_dim
-    prod = _contract("aij,bjk->abik", 2 * n, l._d_int, l._d_int, optimize=True)
+    d_int = l._vectors._ints.reshape(d, n, n)
+    prod = _contract("aij,bjk->abik", 2 * n, d_int, d_int, optimize=True)
     comm = (prod - prod.transpose(1, 0, 2, 3)).reshape(d, d, n * n)
     f = comm[:, :, list(l.free_coords)]
-    recon = _contract("abt,ti->abi", d, f, l._d_int.reshape(d, n * n))
-    assert np.array_equal(recon, comm * l._d_scale)
+    recon = _contract("abt,ti->abi", d, f, l._vectors._ints)
+    assert np.array_equal(recon, comm * l._vectors._den)
     return f
 
 
@@ -1247,16 +1248,16 @@ def conjugated_split(d, k, seed):
 class TestSparseReadersMatchDenseEinsums:
     def test_structure_constants(self, lie_case):
         l = lie_case
-        d_sq = l._d_scale**2
-        assert np.array_equal(dense_f_oracle(l) * l._f_scale, sparse_f(l) * d_sq)
-        assert list(l._f_keys) == sorted(l._f_keys)
-        assert all(l._f_vals)
+        d_sq = l._vectors._den**2
+        assert np.array_equal(dense_f_oracle(l) * l.f.scale, sparse_f(l) * d_sq)
+        assert list(l.f.keys) == sorted(l.f.keys)
+        assert all(l.f.vals)
 
     def test_killing_form(self, lie_case):
         l = lie_case
         f = sparse_f(l)
         k_int = _contract("axy,byx->ab", l.dim**2, f, f)
-        assert killing_form(l) == RationalMatrix.from_ints(k_int, l._f_scale**2)
+        assert killing_form(l) == RationalMatrix.from_ints(k_int, l.f.scale**2)
 
     def test_probe_constraint(self, lie_case):
         # the constraint read from f as the V bracket tensor is ad_x
@@ -1264,7 +1265,7 @@ class TestSparseReadersMatchDenseEinsums:
         rng = random.Random(DEFAULT_SEED)
         for span in (9, 2**70):
             x = np.array([rng.randint(-span, span) for _ in range(l.dim)], dtype=object)
-            assert_rows_equal(_probe_rows(l._brackets, x), integer_rows(ad_ints(l, x)))
+            assert_rows_equal(_probe_rows(l.f, x), integer_rows(ad_ints(l, x)))
 
     def test_bracket_tensor(self, lie_case):
         # the dense brackets' nonzero entries, at the keys of the pairs
@@ -1281,10 +1282,10 @@ class TestSparseReadersMatchDenseEinsums:
                 for _ in range(2)
             )
             dense = _contract("ia,jb,abc->ijc", d * d, left, right, sparse_f(l), optimize=True)
-            keys, vals, shape = _bracket_tensor(l._brackets, left, right)
-            assert shape == dense.shape
-            assert keys.tolist() == np.flatnonzero(dense).tolist()
-            assert vals.tolist() == dense.ravel()[keys].tolist()
+            got = _bracket_tensor(l.f, left, right)
+            assert (got.shape, got.scale) == (dense.shape, l.f.scale)
+            assert got.keys.tolist() == np.flatnonzero(dense).tolist()
+            assert got.vals.tolist() == dense.ravel()[got.keys].tolist()
 
     def test_split_accepts_what_the_dense_check_accepts(self, lie_case):
         l = lie_case
@@ -1323,6 +1324,27 @@ class TestDenseInvolutions:
             finally:
                 tracemalloc.stop()
             assert peak < 52**4 * 8 / 4
+
+    def test_check_slices_hold_about_d_squared_terms(self, der_j3o, monkeypatch):
+        # an entry of a bracket at column c joins the nonzeros of column c
+        # of theta -/+ 1, so the checks are cut by those join terms: with
+        # a dense theta -/+ 1, slices of d^2 entries held about d^3 terms
+        d, ident = 52, RationalMatrix.identity(52)
+        join, terms = lie._join, []
+        for k_dim in (16, 36):
+            theta = conjugated_split(d, k_dim, 3)
+            eigen_cols = [np.nonzero((theta - ident.scale(s))._ints)[1] for s in (1, -1)]
+
+            def counted(left, right):
+                x, y = join(left, right)
+                if any(np.array_equal(right, c) for c in eigen_cols):
+                    terms.append(x.size)
+                return x, y
+
+            monkeypatch.setattr(lie, "_join", counted)
+            with pytest.raises(InvalidInvolutionError, match="preserve the bracket"):
+                cartan_split(der_j3o, theta)
+        assert terms and max(terms) <= 2 * d * d + d
 
     def test_non_diagonal_automorphism_accepted(self, der_h):
         # swapping i and j and negating k is an automorphism of H; on so(3)
