@@ -168,6 +168,8 @@ class LieAlgebraBasis:
 
     @property
     def ambient_dim(self) -> int:
+        if self.algebra is None:
+            raise ValueError("this Lie algebra has no matrix realization")
         return self.algebra.dim
 
     @property

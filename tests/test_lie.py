@@ -660,6 +660,8 @@ class TestCartanSplit:
         assert (generic_rank(bare), flat_rank(pair)) == (2, 2)
         with pytest.raises(ValueError, match="not realized"):
             induced_involution(o, doubled_half_reflection(o), bare)
+        with pytest.raises(ValueError, match="no matrix realization"):
+            bare.basis
 
     def test_plane_of_so3_fails_kk_first(self, der_h):
         # so(3) has no 2-dimensional subalgebra, so [k, k] escapes k (and
