@@ -50,6 +50,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _INT64_SAFE = 1 << 62  # bound under which an int64 entry or sum is exact
 
+
 class DimensionError(ValueError):
     """Matrix shape makes the requested operation meaningless."""
 
