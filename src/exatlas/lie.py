@@ -143,7 +143,7 @@ class Brackets:
         return len(kept)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieAlgebraBasis:
     """A Lie algebra by its structure constants f, [D_a, D_b] = sum_c
     f(a, b, c) D_c, with an optional matrix realization.
@@ -154,7 +154,9 @@ class LieAlgebraBasis:
     the derivations of ``algebra``, flattened, and vector t is 1 at
     ``free_coords[t]`` and 0 at the other free coordinates, so span
     coordinates are read off directly.  ``basis``, ``ambient_dim`` and
-    ``induced_involution`` read the realization.
+    ``induced_involution`` read the realization.  As with
+    ``FiniteAlgebra``, ``==`` and ``hash`` go by identity: named algebras
+    are cached, so each is one object.
     """
 
     f: Brackets = field(repr=False)

@@ -18,11 +18,11 @@ basis mod p found so far (one ``SparseRows.dot``) so that only rows
 adding rank are eliminated.  The pivot rows and the block share one
 buffer, and each new pivot is one rank-1 update of it.  The residues
 are lifted p-adically to higher powers of p (Dixon) as far as needed,
-with one inverse mod p of the pivot rows at the pivot columns, taken
-without a pivot search.  The nullspace candidates are recovered by
-rational reconstruction, and all are certified by one exact
-substitution on integers; the certified count together with the modular
-rank pins the exact rank.  A prime whose candidates still fail past the
+with one inverse mod p of the pivot rows at the pivot columns, by the
+same elimination run on them beside the identity.  The nullspace
+candidates are recovered by rational reconstruction, and all are
+certified by one exact substitution on integers; the certified count
+together with the modular rank pins the exact rank.  A prime whose candidates still fail past the
 Hadamard bound is dropped for the next.  The certified basis comes back
 as one echelon ``RationalMatrix``.  A solve runs to its end: a caller
 that caps its time checks before it starts one.
@@ -163,18 +163,6 @@ class RationalMatrix:
         m = cls.__new__(cls)
         m._set(ints, int(den))
         return m
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
-        if not rows:
-            return cls(0, 0, ())
-        ncols = len(rows[0])
-        flat = []
-        for r in rows:
-            if len(r) != ncols:
-                raise DimensionError("ragged rows")
-            flat.extend(r)
-        return cls(len(rows), ncols, flat)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -633,32 +621,16 @@ def _lift(
 
 
 def _inverse_mod_p(b: np.ndarray, p: int) -> np.ndarray:
-    """B^-1 mod p, for a square int64 array B of residues mod p whose
-    leading principal minors are all nonzero mod p.
-
-    Gauss-Jordan on [B | I] without a pivot search: step k scales row k
-    by the inverse of its entry at column k, which is the leading minor
-    of order k + 1 over that of order k, and clears that column from
-    every other row.  Before step k the columns left of k are unit
-    vectors and those of I past r + k are untouched, so the step works
-    on columns k to r + k only, a window of r + 1 columns that slides
-    right by one per step.  A leading minor that vanishes raises
-    ZeroDivisionError.
-    """
+    """B^-1 mod p, for a square int64 array B: the right half of the
+    reduced echelon form of [B | I] (``_modp_rref``), rows sorted by
+    pivot column.  A B singular mod p leaves a pivot in the right half,
+    and raises ZeroDivisionError."""
     r = len(b)
-    a = np.zeros((r, 2 * r), dtype=np.int64)
-    a[:, :r] = b
-    a[range(r), range(r, 2 * r)] = 1
-    for k in range(r):
-        w = a[:, k : k + r + 1]
-        lead = int(w[k, 0])
-        if not lead:
-            raise ZeroDivisionError(f"leading minor {k + 1} of B vanishes mod {p}")
-        row = w[k] * pow(lead, -1, p) % p
-        w -= w[:, :1] * row
-        w %= p
-        w[k] = row
-    return a[:, r:]
+    augmented = integer_rows(np.hstack([b, np.eye(r, dtype=np.int64)]))
+    pivcols, rref, _ = _modp_rref(augmented, 2 * r, p)
+    if sorted(pivcols) != list(range(r)):
+        raise ZeroDivisionError(f"B is singular mod {p}")
+    return rref[np.argsort(pivcols), r:]
 
 
 def _padic_residues(
@@ -676,14 +648,9 @@ def _padic_residues(
     P, the input rows that became pivots, is B at the pivot columns
     and -R_0 at the free columns, so the pivot entries X of the vectors
     with unit free parts solve B X = R_0.  Rows and columns of B are
-    taken in the order the pivots were found.  Each pivot row was
-    reduced by every earlier pivot before it was chosen: it is its input
-    row less a combination of the earlier ones, zero at every earlier
-    pivot column and nonzero at its own.  So B is L U mod p, L unit
-    lower triangular and U upper triangular with no zero on its
-    diagonal, and every leading minor of B is nonzero mod p;
-    ``_inverse_mod_p`` inverts it without a pivot search, and raises
-    rather than guess if a minor is 0 after all.
+    taken in the order the pivots were found.  B is invertible mod p:
+    the elimination took P to the pivot rows, which are the identity at
+    the pivot columns.
 
     Digit 0 comes from the RREF; then, with B inverted once mod p, each
     step takes X_k = B^-1 R_k mod p and R_(k+1) = (R_k - B X_k) / p,

@@ -4,6 +4,12 @@ import signal
 import pytest
 
 from exatlas import algebras, jordan, lie
+from exatlas.linalg import RationalMatrix
+
+
+def mat(rows):
+    """The ``RationalMatrix`` whose rows are the given sequences."""
+    return RationalMatrix(len(rows), len(rows[0]), [v for row in rows for v in row])
 
 
 @contextlib.contextmanager

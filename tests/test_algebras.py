@@ -27,7 +27,7 @@ from exatlas.algebras import (
 )
 from exatlas.jordan import jordan_algebra
 from exatlas.lie import is_algebra_automorphism
-from exatlas.linalg import RationalMatrix
+from conftest import mat
 
 # classical names for the quaternion units
 H = quaternions()
@@ -443,9 +443,9 @@ class TestLargeStructureConstants:
             [0, Fraction(1, 2**40), 0, 0],
             [0, 0, Fraction(1, 2**40), 0],
         ]
-        assert is_algebra_automorphism(h, RationalMatrix.from_rows(rows))
+        assert is_algebra_automorphism(h, mat(rows))
         rows[1][3] += 1
-        assert not is_algebra_automorphism(h, RationalMatrix.from_rows(rows))
+        assert not is_algebra_automorphism(h, mat(rows))
 
     def test_automorphism_with_a_denominator_past_int64(self):
         # with f = (1, 1, 2^70, 2^140) the cyclic map's common denominator
@@ -457,6 +457,6 @@ class TestLargeStructureConstants:
             [0, Fraction(1, 2**70), 0, 0],
             [0, 0, Fraction(1, 2**70), 0],
         ]
-        assert is_algebra_automorphism(h, RationalMatrix.from_rows(rows))
+        assert is_algebra_automorphism(h, mat(rows))
         rows[2][1] += 1
-        assert not is_algebra_automorphism(h, RationalMatrix.from_rows(rows))
+        assert not is_algebra_automorphism(h, mat(rows))

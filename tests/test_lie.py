@@ -60,7 +60,7 @@ from exatlas.linalg import (
     nullspace_with_info,
     rank,
 )
-from conftest import deadline
+from conftest import deadline, mat
 from test_algebras import rescaled
 
 
@@ -89,6 +89,13 @@ class TestDerivationDimensions:
 
     def test_quaternions(self, der_h):
         assert der_h.dim == 3
+
+    def test_algebras_compare_by_identity(self, der_h):
+        # the named algebra is cached, so it is one object; a fresh
+        # derivation of the same algebra is another
+        assert der_h == named_derivation_algebra("quaternions")
+        assert hash(der_h) == hash(named_derivation_algebra("quaternions"))
+        assert der_h != derivation_algebra(der_h.algebra)
 
     def test_octonions(self, der_o):
         assert der_o.dim == 14
@@ -321,7 +328,7 @@ class TestNoncommutativeDerivations:
         a = unital_algebra(3, {(2, 1, 0): 1})
         l = derivation_algebra(a)
         assert l.dim == 1
-        assert l.basis[0] == RationalMatrix.from_rows([[0, 0, 0], [0, -1, 0], [0, 0, 1]])
+        assert l.basis[0] == mat([[0, 0, 0], [0, -1, 0], [0, 0, 1]])
 
     def test_random_unital_algebras(self):
         # for 6 of these 20, the rows of pairs i <= j alone admit non-derivations
@@ -427,7 +434,7 @@ def _cyclic_quaternion_map(shift):
         [0, 0, Fraction(1, 2**70), 0],
     ]
     rows[2][1] += shift
-    return h, RationalMatrix.from_rows(rows)
+    return h, mat(rows)
 
 
 AUTOMORPHISM_CASES = {
@@ -439,10 +446,7 @@ AUTOMORPHISM_CASES = {
     "O-dense": (False, lambda _: (octonions(), dense_reflection(8, 1))),
     "H-swap": (
         True,
-        lambda _: (
-            quaternions(),
-            RationalMatrix.from_rows([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]]),
-        ),
+        lambda _: (quaternions(), mat([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]])),
     ),
     "H-cyclic-2^70": (True, lambda _: _cyclic_quaternion_map(0)),
     "H-cyclic-2^70-moved": (False, lambda _: _cyclic_quaternion_map(1)),
@@ -497,7 +501,7 @@ class TestInducedInvolution:
         assert is_automorphism_oracle(der_o, theta)
 
     def test_certify_rejects_bad_maps(self, der_o):
-        shear = RationalMatrix.from_rows(
+        shear = mat(
             [[1, 1] + [0] * 6] + [[1 if i == j else 0 for j in range(8)] for i in range(1, 8)]
         )
         with pytest.raises(InvalidInvolutionError, match="square to the identity"):
@@ -514,9 +518,7 @@ class TestInducedInvolution:
         # has sigma'[1, 2] = 2 and sigma'[2, 1] = 1/2, so the transport must
         # map axis 2 by sigma' transposed
         h = rescaled(quaternions(), [1, 1, 2, 1])
-        sigma = RationalMatrix.from_rows(
-            [[1, 0, 0, 0], [0, 0, 2, 0], [0, Fraction(1, 2), 0, 0], [0, 0, 0, -1]]
-        )
+        sigma = mat([[1, 0, 0, 0], [0, 0, 2, 0], [0, Fraction(1, 2), 0, 0], [0, 0, 0, -1]])
         l = derivation_algebra(h)
         theta = induced_involution(h, sigma, l)
         assert is_automorphism_oracle(l, theta)
@@ -532,9 +534,7 @@ class TestInducedInvolution:
             (der_h.free_coords[1],),
             RationalMatrix.from_ints(m._ints.reshape(1, -1), m._den),
         )
-        sigma = RationalMatrix.from_rows(
-            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]]
-        )
+        sigma = mat([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]])
         with pytest.raises(InvalidInvolutionError, match="leaves the span"):
             induced_involution(der_h.algebra, sigma, line)
 
@@ -590,12 +590,12 @@ class TestCartanSplit:
 
     def test_swap_map_rejected(self, der_h):
         # exchanging two so(3) basis vectors is involutive but not an automorphism
-        swap = RationalMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        swap = mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
         with pytest.raises(InvalidInvolutionError):
             cartan_split(der_h, swap)
 
     def test_non_involutive_rejected(self, der_h):
-        shear = RationalMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+        shear = mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
         with pytest.raises(InvalidInvolutionError):
             cartan_split(der_h, shear)
 
@@ -607,9 +607,7 @@ class TestCartanSplit:
     def test_center_mixed_into_p_fails_only_kp(self):
         # theta fixes x1 and z and negates x2 and x3 + z: [x2, x3 + z] = -x1
         # lies in k and [x1, x3 + z] = x2 in p, but [x1, x2] = -x3 is not in p
-        theta = RationalMatrix.from_rows(
-            [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, -2, 1]]
-        )
+        theta = mat([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, -2, 1]])
         with pytest.raises(InvalidInvolutionError, match=r"\[k, p\] escapes p"):
             cartan_split(so3_plus_center(), theta)
 
@@ -646,7 +644,9 @@ class TestCartanSplit:
 
     def test_splits_by_the_same_map_compare_equal(self, der_o, der_j3o, j3o):
         # the kept brackets are read from lie and p_basis, and take no part
-        assert compact_split("G", der_o, der_j3o, j3o) == compact_split("G", der_o, der_j3o, j3o)
+        pair = compact_split("G", der_o, der_j3o, j3o)
+        again = compact_split("G", der_o, der_j3o, j3o)
+        assert pair == again and hash(pair) == hash(again)
 
     def test_brackets_alone_split_and_probe(self, der_o):
         # g2's f with no algebra and no matrices: the Killing form, the
@@ -1351,9 +1351,7 @@ class TestDenseInvolutions:
     def test_non_diagonal_automorphism_accepted(self, der_h):
         # swapping i and j and negating k is an automorphism of H; on so(3)
         # it exchanges basis directions, so theta is not diagonal
-        sigma = RationalMatrix.from_rows(
-            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]]
-        )
+        sigma = mat([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]])
         theta = induced_involution(der_h.algebra, sigma, der_h)
         assert np.count_nonzero(theta._ints - np.diag(np.diag(theta._ints)))
         assert is_automorphism_oracle(der_h, theta)

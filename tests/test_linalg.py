@@ -36,22 +36,16 @@ from exatlas.linalg import (
     rank,
     rational_reconstruct,
 )
-from conftest import deadline
+from conftest import deadline, mat
 from test_algebras import rescaled
 
 PRIME31 = 2**31 - 1  # Mersenne prime, comfortably above 2**30
-
-
-def mat(rows):
-    return RationalMatrix.from_rows(rows)
 
 
 class TestRationalMatrix:
     def test_shape_validation(self):
         with pytest.raises(DimensionError):
             RationalMatrix(2, 2, (1, 2, 3))
-        with pytest.raises(DimensionError):
-            mat([[1, 2], [3]])
 
     def test_entry_and_row(self):
         m = mat([[1, Fraction(1, 2)], [3, 4]])
@@ -477,6 +471,12 @@ def gauss_jordan_inverse(b, p):
     return np.array([row[r:] for row in a], dtype=np.int64)
 
 
+def times_mod_p(a, b, p):
+    """A B mod p for int64 residues, by 16-bit limbs of B: no sum of
+    products reaches 2^62 for fewer than 2^15 terms."""
+    return (a @ (b & 0xFFFF) + (a @ (b >> 16) % p << 16)) % p
+
+
 def unit_lu(r, p, rng, zero_at=None):
     """L U mod p for a random unit lower triangular L and upper
     triangular U: its leading minor of order k + 1 is the product of U's
@@ -486,29 +486,48 @@ def unit_lu(r, p, rng, zero_at=None):
     upper[range(r), range(r)] = rng.integers(1, p, r)
     if zero_at is not None:
         upper[zero_at, zero_at] = 0
-    return (lower.astype(object) @ upper.astype(object) % p).astype(np.int64)
+    return times_mod_p(lower, upper, p)
 
 
-class TestSearchFreeInverse:
+def rows_zero_at_column_0_first(b):
+    return b[np.argsort(b[:, 0] != 0, kind="stable")]
+
+
+class TestInverseModP:
     @pytest.mark.parametrize("p", [7, _seeded_prime(0)])
     @pytest.mark.parametrize("r", [1, 2, 7, 48])
     def test_inverts_b_with_nonzero_leading_minors(self, r, p):
         b = unit_lu(r, p, np.random.default_rng(r))
         inv = linalg._inverse_mod_p(b, p)
         assert inv.dtype == np.int64
-        assert np.array_equal(b.astype(object) @ inv.astype(object) % p, np.eye(r, dtype=object))
+        assert np.array_equal(times_mod_p(b, inv, p), np.eye(r))
         assert np.array_equal(inv, gauss_jordan_inverse(b, p))
 
     @pytest.mark.parametrize("zero_at", [0, 3, 6])
     def test_vanishing_leading_minor_raises(self, zero_at):
+        # U has a zero on its diagonal, so B = L U is singular mod p
         b = unit_lu(7, 7, np.random.default_rng(zero_at), zero_at)
         with pytest.raises(ZeroDivisionError):
             linalg._inverse_mod_p(b, 7)
 
-    def test_invertible_b_whose_first_minor_vanishes_raises(self):
-        # a pivot search would swap the rows; this inverse must not guess
-        with pytest.raises(ZeroDivisionError):
-            linalg._inverse_mod_p(np.array([[0, 1], [1, 0]]), _seeded_prime(0))
+    @pytest.mark.parametrize(
+        "b, p",
+        [
+            (np.array([[0, 1], [1, 0]]), _seeded_prime(0)),
+            (rows_zero_at_column_0_first(unit_lu(8, 7, np.random.default_rng(8))), 7),
+            (rows_zero_at_column_0_first(unit_lu(48, 7, np.random.default_rng(48))), 7),
+        ],
+        ids=["swap", "lu-8", "lu-48"],
+    )
+    def test_invertible_b_whose_first_minor_vanishes_is_inverted(self, b, p):
+        assert b[0, 0] == 0  # the first leading minor vanishes: a pivot needs a row search
+        assert np.array_equal(linalg._inverse_mod_p(b, p), gauss_jordan_inverse(b, p))
+
+    @pytest.mark.parametrize("p", [7, _seeded_prime(0)])
+    def test_b_past_one_elimination_block(self, p):
+        r = linalg._ELIM_ROWS + 44  # [B | I] is eliminated in two blocks
+        b = unit_lu(r, p, np.random.default_rng(r))
+        assert np.array_equal(times_mod_p(b, linalg._inverse_mod_p(b, p), p), np.eye(r))
 
 
 def per_pivot_rref(rows, ncols, p):
