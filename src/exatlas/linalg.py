@@ -22,10 +22,11 @@ with one inverse mod p of the pivot rows at the pivot columns, by the
 same elimination run on them beside the identity.  The nullspace
 candidates are recovered by rational reconstruction, and all are
 certified by one exact substitution on integers; the certified count
-together with the modular rank pins the exact rank.  A prime whose candidates still fail past the
-Hadamard bound is dropped for the next.  The certified basis comes back
-as one echelon ``RationalMatrix``.  A solve runs to its end: a caller
-that caps its time checks before it starts one.
+together with the modular rank pins the exact rank.  A prime whose
+candidates still fail past the Hadamard bound is dropped for the next.
+The certified basis comes back as one echelon ``RationalMatrix``.  A
+solve runs to its end: a caller that caps its time checks before it
+starts one.
 Definiteness of a symmetric matrix is read from the pivots of one
 symmetric elimination kept sparse, which never joins indices that no
 chain of nonzero entries joins.
