@@ -38,13 +38,14 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import algebras as _alg
 from . import jordan as _jordan
 from .linalg import (
+    _INT64_SAFE,
     ComputationCancelled,
     DimensionError,
     RationalMatrix,
@@ -204,16 +205,23 @@ def _map_axis(
 
     The tensor holds ``vals`` at the flat ``keys`` of ``shape``; entry
     [..., s, ...] of the result is sum_r m[s, r] [..., r, ...], summed
-    over the nonzeros of both, joined on r.
+    over the nonzeros of both, joined on r.  Each key is split once into
+    the flat index before the axis, r and the flat index after it, and
+    the result's key is rebuilt from the first and last with s between.
+    Keys are int64, so a result of 2^62 entries or more raises
+    ValueError.
     """
+    out_shape = shape[:axis] + (m.shape[0],) + shape[axis + 1 :]
+    if math.prod(out_shape) >= _INT64_SAFE:
+        raise ValueError(f"a sparse tensor of shape {out_shape} has keys past 2^62")
+    inner = math.prod(shape[axis + 1 :])
+    outer, rest = np.divmod(keys, shape[axis] * inner)
+    at, after = np.divmod(rest, inner)
     s, r = np.nonzero(m)
-    idx = list(np.unravel_index(keys, shape))
-    x, y = _join(idx[axis], r)
-    idx = [v[x] for v in idx]
-    idx[axis] = s[y]
-    shape = shape[:axis] + (m.shape[0],) + shape[axis + 1 :]
-    keys, vals = _sparse_sum(np.ravel_multi_index(idx, shape), vals[x], m[s, r][y])
-    return keys, vals, shape
+    x, y = _join(at, r)
+    keys = (outer[x] * m.shape[0] + s[y]) * inner + after[x]
+    keys, vals = _sparse_sum(keys, vals[x], m[s, r][y])
+    return keys, vals, out_shape
 
 
 def bracket(x: RationalMatrix, y: RationalMatrix) -> RationalMatrix:
@@ -472,33 +480,44 @@ class CartanPair:
         return (self.k_dim, self.p_dim)
 
 
-def _bracket_tensor(brackets: Brackets, left: np.ndarray, right: np.ndarray) -> Brackets:
-    """The brackets of all pairs from two integer bases.
+def _bracket_tensors(
+    brackets: Brackets, left: np.ndarray, *rights: np.ndarray
+) -> Iterator[Brackets]:
+    """The brackets of all pairs from the left basis and each right basis,
+    one right basis at a time.
 
     ``brackets`` are those of a space V (f, or a pair's [p, p]), and the
     bases are in coefficients of V.  The bracket of left[i] and right[j]
     has coordinate c equal to sum_ab left[i, a] right[j, b] V(a, b, c):
     the first axis mapped by left and the second by right, over the
     nonzeros, over V's scale.  It runs in slices of left's rows, each
-    holding the rows whose join terms, bounded from the nonzero counts,
-    add up to about the size of V's dense brackets (d^3 over all of l):
-    so dense bases need at most a d-th of the d^4 intermediate of a
-    dense contraction, and sparse ones take one slice.
+    holding the rows whose join terms with the densest right basis,
+    bounded from the nonzero counts, add up to about the size of V's
+    dense brackets (d^3 over all of l): so dense bases need at most a
+    d-th of the d^4 intermediate of a dense contraction, and sparse ones
+    take one slice.  The first axis is mapped once, and its slices are
+    kept for every right basis; each right basis's brackets are built
+    when the next one is asked for, so a caller that stops early builds
+    none of the rest.
     """
     keys, vals, (m, _, d) = brackets.keys, brackets.vals, brackets.shape
-    n = right.shape[0]
     per_a = np.bincount(keys // (m * d), minlength=m)
-    per_b = int((right != 0).sum(axis=0).max(initial=0))
+    per_b = max(int((right != 0).sum(axis=0).max(initial=0)) for right in rights)
     cost = (left != 0).astype(np.int64) @ per_a * (1 + per_b)
     cuts = (np.flatnonzero(np.diff(np.cumsum(cost) // max(m * m * d, 1))) + 1).tolist()
-    out_keys, out_vals = [], []
-    for lo, hi in zip([0, *cuts], [*cuts, left.shape[0]]):
-        f = _map_axis(keys, vals, (m, m, d), 0, left[lo:hi])
-        k, v, _ = _map_axis(*f, 1, right)
-        out_keys.append(k + lo * n * d)
-        out_vals.append(v)
-    shape = (left.shape[0], n, d)
-    return Brackets(np.concatenate(out_keys), np.concatenate(out_vals), shape, brackets.scale)
+    slices = [
+        (lo, _map_axis(keys, vals, (m, m, d), 0, left[lo:hi]))
+        for lo, hi in zip([0, *cuts], [*cuts, left.shape[0]])
+    ]
+    for right in rights:
+        n = right.shape[0]
+        out_keys, out_vals = [], []
+        for lo, f in slices:
+            k, v, _ = _map_axis(*f, 1, right)
+            out_keys.append(k + lo * n * d)
+            out_vals.append(v)
+        shape = (left.shape[0], n, d)
+        yield Brackets(np.concatenate(out_keys), np.concatenate(out_vals), shape, brackets.scale)
 
 
 def _spans(brackets: Brackets, basis: RationalMatrix, free: list[int]) -> bool:
@@ -516,6 +535,25 @@ def _spans(brackets: Brackets, basis: RationalMatrix, free: list[int]) -> bool:
     return full or nullspace_with_info(rows, n)[2] == n
 
 
+def _check_inclusion(brackets: Brackets, eigen: RationalMatrix, what: str) -> None:
+    """Raise InvalidInvolutionError unless eigen kills every bracket, each
+    one's coordinates taken as a column (``cartan_split``)."""
+    keys, vals, d = brackets.keys, brackets.vals, brackets.shape[2]
+    pair, col = np.divmod(keys, d)
+    # (eigen z)[i] = sum_c eigen[i, c] z[c], over the nonzeros eigen[i, c]
+    e_row, e_col = np.nonzero(eigen._ints)
+    e_val = eigen._ints[e_row, e_col]
+    # the join terms of the entries, and those before each one
+    terms = np.bincount(e_col, minlength=d)[col]
+    before = np.cumsum(terms) - terms
+    at = np.flatnonzero(np.diff(before // (d * d))) + 1
+    cuts = np.searchsorted(pair, pair[at]).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, keys.size]):
+        x, y = _join(col[lo:hi], e_col)
+        if _sparse_sum(pair[lo:hi][x] * d + e_row[y], vals[lo:hi][x], e_val[y])[0].size:
+            raise InvalidInvolutionError(f"map does not preserve the bracket: {what}")
+
+
 def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
     """Split l into the +/-1 eigenspaces of theta and certify the relations.
 
@@ -525,9 +563,11 @@ def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
 
     k and p are the nullspaces of theta - 1 and theta + 1, so membership
     is an eigen-equation: x lies in k exactly when (theta - 1)x = 0, and
-    in p exactly when (theta + 1)x = 0.  Each inclusion is checked before
-    the next inclusion's brackets are built, the product with theta -/+ 1
-    taken over its nonzeros, in slices cut between brackets of about d^2
+    in p exactly when (theta + 1)x = 0.  [k, k] and [k, p] share one map
+    of f's first axis by k (``_bracket_tensors``); past that, each
+    inclusion is checked before the next inclusion's brackets are built,
+    the product with theta -/+ 1 taken over its nonzeros
+    (``_check_inclusion``), in slices cut between brackets of about d^2
     join terms each (one ``_join`` and one ``_sparse_sum`` per slice): an
     entry at column c joins the nonzeros of column c of theta -/+ 1, so
     a dense one is sliced finer.  Once theta squares to the identity,
@@ -550,28 +590,12 @@ def cartan_split(l: LieAlgebraBasis, theta: RationalMatrix) -> CartanPair:
     minus, plus = theta - ident, theta + ident
     k, k_free, _ = nullspace_with_info(integer_rows(minus), d)
     p, p_free, _ = nullspace_with_info(integer_rows(plus), d)
-    brackets = []
-    for left, right, eigen, what in (
-        (k, k, minus, "[k, k] escapes k"),
-        (k, p, plus, "[k, p] escapes p"),
-        (p, p, minus, "[p, p] escapes k"),
-    ):
-        brackets.append(_bracket_tensor(l.f, left._ints, right._ints))
-        keys, vals = brackets[-1].keys, brackets[-1].vals
-        pair, col = np.divmod(keys, d)
-        # (eigen z)[i] = sum_c eigen[i, c] z[c], over the nonzeros eigen[i, c]
-        e_row, e_col = np.nonzero(eigen._ints)
-        e_val = eigen._ints[e_row, e_col]
-        # the join terms of the entries, and those before each one
-        terms = np.bincount(e_col, minlength=d)[col]
-        before = np.cumsum(terms) - terms
-        at = np.flatnonzero(np.diff(before // (d * d))) + 1
-        cuts = np.searchsorted(pair, pair[at]).tolist()
-        for lo, hi in zip([0, *cuts], [*cuts, keys.size]):
-            x, y = _join(col[lo:hi], e_col)
-            if _sparse_sum(pair[lo:hi][x] * d + e_row[y], vals[lo:hi][x], e_val[y])[0].size:
-                raise InvalidInvolutionError(f"map does not preserve the bracket: {what}")
-    _, kp, pp = brackets
+    on_k = _bracket_tensors(l.f, k._ints, k._ints, p._ints)
+    _check_inclusion(next(on_k), minus, "[k, k] escapes k")
+    kp = next(on_k)
+    _check_inclusion(kp, plus, "[k, p] escapes p")
+    pp = next(_bracket_tensors(l.f, p._ints, p._ints))
+    _check_inclusion(pp, minus, "[p, p] escapes k")
 
     return CartanPair(
         lie=l,
@@ -606,13 +630,13 @@ def _is_maximal_abelian(brackets: Brackets, x_coords: np.ndarray, kernel: np.nda
     V, and ``x_coords`` the coordinates of x in it.  Dropping one vector
     at which x's coordinate is nonzero leaves, with x, a basis
     {x, b_2, ..., b_m}, and [x, b_i] = 0, so only the brackets [b_i, b_j]
-    are taken (``_bracket_tensor``).
+    are taken (``_bracket_tensors``).
     """
     on_x = np.flatnonzero(x_coords)
     if not on_x.size:
         return False
     rest = np.delete(kernel, on_x[0], axis=0)
-    return not _bracket_tensor(brackets, rest, rest).keys.size
+    return not next(_bracket_tensors(brackets, rest, rest)).keys.size
 
 
 def _probe_rows(brackets: Brackets, x: np.ndarray) -> SparseRows:

@@ -270,20 +270,23 @@ class SparseRows:
         """
         keep = vals != 0
         rows, vals = rows[keep], vals[keep]
-        first = _run_starts(rows)
-        gcds = np.gcd.reduceat(np.abs(vals), first)
+        self.starts = _run_bounds(rows)
+        gcds = np.gcd.reduceat(np.abs(vals), self.starts[:-1])
         if (gcds != 1).any():
-            vals = vals // np.repeat(gcds, np.diff(first, append=vals.size))
-        self.starts = np.append(first, vals.size)
+            vals = vals // np.repeat(gcds, self.lengths())
         self.cols = cols[keep].astype(np.intp)
         self.vals = vals.astype(object if _max_abs(vals) >= _INT64_SAFE else np.int64)
 
     def __len__(self) -> int:
         return len(self.starts) - 1
 
+    def lengths(self) -> np.ndarray:
+        """The number of entries of each row."""
+        return self.starts[1:] - self.starts[:-1]
+
     def take(self, idx: Sequence[int]) -> "SparseRows":
         """The rows at the given indices, in that order."""
-        lens = np.diff(self.starts)[idx]
+        lens = self.lengths()[idx]
         ent = np.arange(lens.sum()) + np.repeat(self.starts[idx] - np.cumsum(lens) + lens, lens)
         return SparseRows(np.repeat(np.arange(len(lens)), lens), self.cols[ent], self.vals[ent])
 
@@ -301,7 +304,7 @@ class SparseRows:
         The entries are gathered, multiplied and summed per row, in the
         dtype ``_exact_dtype`` proves for the longest row.
         """
-        dtype = _exact_dtype(int(np.diff(self.starts).max(initial=0)), self.vals, dense)
+        dtype = _exact_dtype(int(self.lengths().max(initial=0)), self.vals, dense)
         terms = dense.astype(dtype, copy=False)[self.cols]  # a copy: scaled in place
         terms *= self.vals.astype(dtype, copy=False).reshape((-1,) + (1,) * (dense.ndim - 1))
         return np.add.reduceat(terms, self.starts[:-1], axis=0)
@@ -318,10 +321,11 @@ def _join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, order[np.arange(i.size) - first[i] + lo[i]]
 
 
-def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """Where each run of equal entries begins in a sorted array."""
-    new = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+def _run_bounds(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries begins in a sorted array, then the
+    array's size: run i is ``keys[bounds[i]:bounds[i + 1]]``."""
+    new = np.ones(keys.size + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:-1])
     return np.flatnonzero(new)
 
 
@@ -329,8 +333,9 @@ def _key_runs(keys: np.ndarray, *factors: np.ndarray) -> tuple[np.ndarray, objec
     """Where each run of equal keys begins in an ascending key array, and
     the dtype ``_exact_dtype`` proves for a sum, over the longest run, of
     products of the factors' entries."""
-    starts = _run_starts(keys)
-    return starts, _exact_dtype(int(np.diff(starts, append=keys.size).max(initial=0)), *factors)
+    bounds = _run_bounds(keys)
+    starts = bounds[:-1]
+    return starts, _exact_dtype(int((bounds[1:] - starts).max(initial=0)), *factors)
 
 
 def _sparse_sum(keys: np.ndarray, *factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -508,7 +513,7 @@ class _ModPEchelon:
 def _rows_mod_p(rows: SparseRows, p: int, out: np.ndarray) -> np.ndarray:
     """The rows reduced mod p in one scatter, written to the front of ``out``."""
     block = out[: len(rows)]
-    at = np.repeat(np.arange(len(rows)), np.diff(rows.starts))
+    at = np.repeat(np.arange(len(rows)), rows.lengths())
     block.fill(0)
     block[at, rows.cols] = rows.vals % p
     return block
@@ -669,7 +674,7 @@ def _padic_residues(
     if not free_cols:  # full column rank: the empty basis is exact
         return
     piv = rows.take(pivrows)
-    longest = int(np.diff(piv.starts).max(initial=0))
+    longest = int(piv.lengths().max(initial=0))
     sq = piv.vals.astype(_exact_dtype(longest, piv.vals, piv.vals)) ** 2
     h_sq = math.prod(np.add.reduceat(sq, piv.starts[:-1]).tolist())
     if pk > 2 * h_sq:
@@ -732,7 +737,7 @@ def _substitute(rows: SparseRows, ncols: int) -> tuple[SparseRows, np.ndarray, n
     link = 2 * np.arange(ncols)
     zero = np.zeros(ncols, dtype=bool)  # at roots
     for rounds in itertools.count():
-        lens = np.diff(rows.starts)
+        lens = rows.lengths()
         first = rows.starts[:-1]
         single = rows.cols[first[lens == 1]]
         pair = first[lens == 2]
@@ -773,7 +778,7 @@ def _distinct_up_to_sign(rows: SparseRows) -> SparseRows:
     exactly), and a row is dropped when it equals the row before it,
     which is kept or itself equal to an earlier row.
     """
-    lens = np.diff(rows.starts)
+    lens = rows.lengths()
     first = rows.starts[:-1]
     signed = rows.vals * np.repeat(np.where(rows.vals[first] < 0, -1, 1), lens)
     kept = np.ones(len(rows), dtype=bool)
@@ -791,7 +796,8 @@ def nullspace_with_info(
     sparse_rows: SparseRows, ncols: int
 ) -> tuple[RationalMatrix, list[int], int]:
     """Nullspace basis, free columns, and rank of a ``SparseRows`` system
-    in ``ncols`` unknowns; a system with no rows has rank 0.
+    in ``ncols`` unknowns; a system with no rows is its own certificate,
+    of rank 0 with every column free.
 
     The workhorse behind ``nullspace_basis``/``rank``, also called
     directly by the derivation engine to avoid building dense matrices.
@@ -811,7 +817,9 @@ def nullspace_with_info(
     that maps to a root on its right is never free, nor is one forced
     to 0, so the free columns are the live ones free in the reduced
     system, and the echelon basis with unit free parts is unique.  A
-    system with no such row is solved as it is.
+    system with no such row is solved as it is; one the substitution
+    leaves with no rows (theta -/+ 1 of a diagonal involution) takes no
+    elimination.
     """
     if ncols < 1:
         raise DimensionError("matrix must have at least one column")
@@ -832,8 +840,11 @@ def _modular_solve(sparse_rows: SparseRows, ncols: int) -> tuple[RationalMatrix,
     """``nullspace_with_info`` of a system as it is, with nothing
     substituted.
 
-    One seeded 31-bit prime p at a time: the RREF mod p, whose residues
-    are lifted p-adically (``_padic_residues``) and then by rational
+    A system with no rows is its own certificate: its basis is the
+    identity, every column free and the rank 0, with no prime drawn and
+    nothing lifted or substituted.  Any other is solved one seeded
+    31-bit prime p at a time: the RREF mod p, whose residues are lifted
+    p-adically (``_padic_residues``) and then by rational
     reconstruction, the candidates certified together by exact
     substitution (one ``SparseRows.dot``); the first lift is tried at
     modulus p.  The certified vectors, one per free column, bound the
@@ -849,6 +860,8 @@ def _modular_solve(sparse_rows: SparseRows, ncols: int) -> tuple[RationalMatrix,
     or a minor that decides a pivot, fail (at any other prime the pivot
     rows span the rows over Q, at the same pivot columns).
     """
+    if not len(sparse_rows):
+        return RationalMatrix.identity(ncols), list(range(ncols)), 0
     for i in itertools.count():
         p = _seeded_prime(i)
         pivcols, rref, pivrows = _modp_rref(sparse_rows, ncols, p)

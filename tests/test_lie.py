@@ -29,7 +29,7 @@ from exatlas.lie import (
     Brackets,
     InvalidInvolutionError,
     LieAlgebraBasis,
-    _bracket_tensor,
+    _bracket_tensors,
     _probe_rows,
     bracket,
     cartan_split,
@@ -1269,8 +1269,9 @@ class TestSparseReadersMatchDenseEinsums:
             x = np.array([rng.randint(-span, span) for _ in range(l.dim)], dtype=object)
             assert_rows_equal(_probe_rows(l.f, x), integer_rows(ad_ints(l, x)))
 
-    def test_bracket_tensor(self, lie_case):
-        # the dense brackets' nonzero entries, at the keys of the pairs
+    def test_bracket_tensors(self, lie_case):
+        # the dense brackets' nonzero entries, at the keys of the pairs,
+        # for each right basis of one left map
         l = lie_case
         rng = random.Random(DEFAULT_SEED)
         d = l.dim
@@ -1283,11 +1284,13 @@ class TestSparseReadersMatchDenseEinsums:
                 ).reshape(rows, d)
                 for _ in range(2)
             )
-            dense = _contract("ia,jb,abc->ijc", d * d, left, right, sparse_f(l), optimize=True)
-            got = _bracket_tensor(l.f, left, right)
-            assert (got.shape, got.scale) == (dense.shape, l.f.scale)
-            assert got.keys.tolist() == np.flatnonzero(dense).tolist()
-            assert got.vals.tolist() == dense.ravel()[got.keys].tolist()
+            tensors = list(_bracket_tensors(l.f, left, right, left))
+            assert len(tensors) == 2
+            for basis, got in zip((right, left), tensors):
+                dense = _contract("ia,jb,abc->ijc", d * d, left, basis, sparse_f(l), optimize=True)
+                assert (got.shape, got.scale) == (dense.shape, l.f.scale)
+                assert got.keys.tolist() == np.flatnonzero(dense).tolist()
+                assert got.vals.tolist() == dense.ravel()[got.keys].tolist()
 
     def test_split_accepts_what_the_dense_check_accepts(self, lie_case):
         l = lie_case
@@ -1298,6 +1301,46 @@ class TestSparseReadersMatchDenseEinsums:
             except InvalidInvolutionError:
                 accepted = False
             assert accepted == is_automorphism_oracle(l, theta)
+
+
+class TestMapAxis:
+    """``_map_axis`` against the dense einsum ``_contract``."""
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("span", [9, 2**70], ids=["int64", "python-int"])
+    @pytest.mark.parametrize("rows", [0, 2, 7], ids=["empty", "fewer", "more"])
+    def test_matches_the_dense_product(self, axis, span, rows):
+        # 7 rows map an axis of 3 to 5 entries to a longer one, so the
+        # result's keys reach past the input's
+        rng = random.Random(DEFAULT_SEED)
+        shape = (3, 4, 5)
+
+        def draw(count, density):
+            return [rng.randint(-span, span) if rng.random() < density else 0 for _ in range(count)]
+
+        t = _int_array(draw(math.prod(shape), 0.4), shape)
+        m = _int_array(draw(rows * shape[axis], 0.5), (rows, shape[axis]))
+        keys = np.flatnonzero(t)
+        got_keys, got_vals, got_shape = lie._map_axis(keys, t.ravel()[keys], shape, axis, m)
+        at = "abc"[axis]
+        dense = _contract(f"s{at},abc->{'abc'.replace(at, 's')}", shape[axis], m, t)
+        assert got_shape == dense.shape
+        assert got_keys.tolist() == np.flatnonzero(dense).tolist()
+        assert got_vals.tolist() == dense.ravel()[got_keys].tolist()
+
+    def test_a_result_of_2_62_entries_raises(self):
+        # by shape arithmetic alone, on tensors with no entries: an axis
+        # grown from 1 to 2 entries, then one kept at its length
+        no_keys, no_vals = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64)
+        one = np.ones((1, 1), dtype=np.int64)
+        with pytest.raises(ValueError, match="past 2\\^62"):
+            lie._map_axis(no_keys, no_vals, (1, 2**61, 1), 0, np.ones((2, 1), dtype=np.int64))
+        with pytest.raises(ValueError, match="past 2\\^62"):
+            lie._map_axis(no_keys, no_vals, (2**61, 2, 1), 2, one)
+        # one entry fewer fits, and the last key maps to itself
+        last = np.array([2**62 - 3])
+        keys, vals, _ = lie._map_axis(last, np.array([5]), (2**61 - 1, 2, 1), 2, 3 * one)
+        assert (keys.tolist(), vals.tolist()) == ([2**62 - 3], [15])
 
 
 class TestDenseInvolutions:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exatlas import linalg
+from exatlas import lie, linalg
 from exatlas.algebras import complex_algebra, octonions, quaternions
 from exatlas.jordan import jordan_algebra
 from exatlas.lie import leibniz_constraint_rows
@@ -832,6 +832,20 @@ def twin_systems(draw):
     return draw(st.permutations(rows)), ncols + 1
 
 
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The row count of every system the solver eliminates mod p."""
+    calls = []
+    rref = linalg._modp_rref
+
+    def counted(rows, ncols, p):
+        calls.append(len(rows))
+        return rref(rows, ncols, p)
+
+    monkeypatch.setattr(linalg, "_modp_rref", counted)
+    return calls
+
+
 class TestSubstitution:
     """Rows x_c = 0 and x_i = ±x_j are substituted out before the solve."""
 
@@ -860,16 +874,17 @@ class TestSubstitution:
         draw()
         assert sum(reached) >= SOLVED_SHARE * len(reached)
 
-    def test_sign_conflict_forces_the_cycle_to_zero(self):
+    def test_sign_conflict_forces_the_cycle_to_zero(self, eliminations):
         # x0 = x1, x1 = x2, x2 = -x0: only x3 is free, and nothing is left
-        # for the modular solve
+        # for the modular solve, which eliminates nothing
         rows = integer_rows(mat([[1, -1, 0, 0], [0, 1, -1, 0], [1, 0, 1, 0]]))
         reduced, link, live = linalg._substitute(rows, 4)
         assert (len(reduced), link.tolist(), live.tolist()) == (0, [-1, -1, -1, 6], [3])
         basis, free, r = nullspace_with_info(rows, 4)
         assert (basis.to_rows(), free, r) == ([[0, 0, 0, 1]], [3], 3)
+        assert eliminations == []
 
-    def test_singletons_cascade(self):
+    def test_singletons_cascade(self, eliminations):
         # x0 = 0 turns 3 x0 + x1 into x1 = 0, which turns 5 x1 + 2^63 x2
         # into x2 = 0, and so on: every column ends at 0
         rows = integer_rows(mat([[1, 0, 0, 0], [3, 1, 0, 0], [0, 5, 2**63, 0], [0, 0, 7, 1]]))
@@ -877,6 +892,22 @@ class TestSubstitution:
         assert (len(reduced), link.tolist(), live.size) == (0, [-1] * 4, 0)
         basis, free, r = nullspace_with_info(rows, 4)
         assert (basis.shape, free, r) == ((0, 4), [], 4)
+        assert eliminations == []
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["theta-1", "theta+1"])
+    def test_eigenspaces_of_the_fii_split_need_no_elimination(self, der_j3o, j3o, sign, eliminations):
+        # theta is diagonal, so theta -/+ 1 is singletons x_c = 0 only:
+        # the substitution leaves no row, and the basis is the reference's
+        sigma = lie.diagonal_sign_involution(j3o, (-1, 1, 1))
+        theta = lie.induced_involution(j3o, sigma, der_j3o)
+        shifted = theta - RationalMatrix.identity(52).scale(sign)
+        rows = integer_rows(shifted)
+        assert len(linalg._substitute(rows, 52)[0]) == 0
+        basis, free, r = nullspace_with_info(rows, 52)
+        assert eliminations == []
+        want = gauss_jordan_nullspace(shifted.to_rows(), 52)
+        assert ([tuple(v) for v in basis.to_rows()], free, r) == want
+        assert r == (16 if sign == 1 else 36)
 
     def test_chain_links_to_its_largest_column(self):
         # x1 = -x3, x0 = -x2 and x0 = x1: column 0 has two rows, one is
@@ -1037,6 +1068,51 @@ class TestKernelEdges:
         assert (starts.tolist(), dtype) == ([], np.int64)
         starts, dtype = linalg._key_runs(np.array([9]), np.array([2**62], dtype=np.int64))
         assert (starts.tolist(), dtype) == ([0], object)
+
+    @pytest.mark.parametrize(
+        "keys, bounds", [([], [0]), ([9], [0, 1]), ([4, 4, 4], [0, 3])], ids=["none", "one", "equal"]
+    )
+    def test_run_bounds(self, keys, bounds):
+        assert linalg._run_bounds(np.array(keys, dtype=np.intp)).tolist() == bounds
+
+    def test_key_runs_of_all_equal_keys(self):
+        # one run of every key: 3 products of entries 2^30 fit in int64,
+        # 4 do not
+        vals = np.full(4, 2**30, dtype=np.int64)
+        starts, dtype = linalg._key_runs(np.full(3, 7), vals[:3], vals[:3])
+        assert (starts.tolist(), dtype) == ([0], np.int64)
+        starts, dtype = linalg._key_runs(np.full(4, 7), vals, vals)
+        assert (starts.tolist(), dtype) == ([0], object)
+
+    @pytest.mark.parametrize(
+        "entries, expected",
+        [
+            ([], []),
+            ([(3, 2, 6)], [[(2, 1)]]),
+            ([(0, 0, 6), (0, 1, -6), (0, 3, 12)], [[(0, 1), (1, -1), (3, 2)]]),
+            ([(0, 0, 0), (1, 1, 0), (1, 2, 0)], []),
+        ],
+        ids=["none", "one", "one-row", "all-zero"],
+    )
+    def test_row_lengths(self, entries, expected):
+        # the rows' bounds come from the runs of their row indices; every
+        # row is divided by its gcd, and an all-zero system has no row
+        rows, cols, vals = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+        sparse = SparseRows(rows, cols, vals)
+        assert rows_as_lists(sparse) == expected
+        assert sparse.lengths().tolist() == [len(row) for row in expected]
+        assert sparse.starts.tolist() == [0, *np.cumsum(sparse.lengths()).tolist()]
+
+    def test_a_system_with_no_rows_reaches_no_elimination(self, eliminations):
+        # a system with no rows is its own certificate: every column is
+        # free, and the basis is the identity
+        rows = integer_rows(np.zeros((2, 3), dtype=np.int64))
+        assert len(rows) == 0
+        basis, free, r = nullspace_with_info(rows, 3)
+        assert (basis, free, r) == (RationalMatrix.identity(3), [0, 1, 2], 0)
+        basis, free, r = linalg._modular_solve(rows, 0)
+        assert (basis.shape, free, r) == ((0, 0), [], 0)
+        assert eliminations == []
 
     @pytest.mark.parametrize("dtype", [np.int64, object])
     def test_rows_whose_gcds_are_all_one(self, dtype):
