@@ -1099,9 +1099,10 @@ class TestKernelEdges:
         # row is divided by its gcd, and an all-zero system has no row
         rows, cols, vals = np.array(entries, dtype=np.int64).reshape(-1, 3).T
         sparse = SparseRows(rows, cols, vals)
+        lengths = [len(row) for row in expected]
         assert rows_as_lists(sparse) == expected
-        assert sparse.lengths().tolist() == [len(row) for row in expected]
-        assert sparse.starts.tolist() == [0, *np.cumsum(sparse.lengths()).tolist()]
+        assert sparse.lengths().tolist() == lengths
+        assert sparse.starts.tolist() == [0, *np.cumsum(lengths, dtype=int).tolist()]
 
     def test_a_system_with_no_rows_reaches_no_elimination(self, eliminations):
         # a system with no rows is its own certificate: every column is
